@@ -3,9 +3,11 @@
 Everything rests on the large-sample quantile covariance
 Cov(xhat_p, xhat_q) =~ min(p,q)(1 - max(p,q)) g(p) g(q) / n with g the
 quantile density.  The covariance expansions for the interquantile statistics
-are signed sums of those xi terms; delta-method plug-ins then give the
-variances of the skewness ratios, and a J x J double sum gives the AUC
-variance.  All population quantities are replaced by sample plug-ins.
+are signed sums of those xi terms, and delta-method plug-ins then give the
+variances of the pointwise skewness ratios.  That covariance is a Brownian
+bridge weighted by g, so an AUC variance is the variance of one weighted
+bridge, n Var = int_0^1 (T(t) - m)^2 dt, an O(J) sum (see auc_variance).
+All population quantities are replaced by sample plug-ins.
 """
 
 from __future__ import annotations
@@ -193,13 +195,6 @@ class VarianceEstimate:
         return cls(measure=measure, variance=variance, se=float(np.sqrt(variance)))
 
 
-def _gather_grid_densities(k: XiKernel, grid: QuantileGrid):
-    base = grid.base_probs
-    g_low = np.array([k.g(float(p)) for p in base])
-    g_high = np.array([k.g(1.0 - float(p)) for p in base])
-    return g_low, g_high, k.g(0.5)
-
-
 def auc_variance(
     k: XiKernel,
     grid: QuantileGrid,
@@ -211,14 +206,17 @@ def auc_variance(
 
     This is the asymptotic (times-n) variance of the plain (1/J)-mean of the
     pointwise estimates; weighted kinds multiply each term by p_j p_k.  The
-    xi inputs are assembled once into J x J blocks, so the double sum costs a
-    handful of dense matrix operations regardless of J.
+    mean is a smooth function of the quantiles at the 2J+1 grid probabilities
+    p_a, so its n Var is Var(sum_a v_a B(p_a)) for a Brownian bridge B, with
+    v_a = d(mean)/d x_{p_a} * g(p_a) (Shorack & Wellner 1986).  Writing
+    B(p) = W(p) - p W(1) turns that into n Var = int_0^1 (T(t) - m)^2 dt, with
+    T(t) = sum_{p_a > t} v_a and m = sum_a v_a p_a: an O(J) sum of squares.
     """
     if grid.j_points is None:
         raise ValueError("AUC variance needs a midpoint grid (build_grid)")
     pj = grid.base_probs
-    n = k.n
-    g_low, g_high, g_med = _gather_grid_densities(k, grid)
+    g_low = np.array([k.g(float(p)) for p in pj])
+    g_high = np.array([k.g(1.0 - float(p)) for p in pj])
 
     lam = family == "lambda"
     numer = grid.s_values()
@@ -227,51 +225,23 @@ def auc_variance(
         raise DegenerateScaleError(pj[denom <= 0.0])
     ratio = numer / denom
 
-    # xi blocks over the 2J+1 grid probabilities; L = lower p_j, U = upper
-    # 1 - p_j, M = median.  min(p,q)(1-max(p,q)) = min(p,q) - p q throughout.
-    mn = np.minimum.outer(pj, pj)
-    pp = np.outer(pj, pj)
-    x_ll = (mn - pp) * np.outer(g_low, g_low) / n
-    x_uu = (mn - pp) * np.outer(g_high, g_high) / n
-    x_lu = pp * np.outer(g_low, g_high) / n   # xi(p_j, 1 - p_k)
-    x_ul = pp * np.outer(g_high, g_low) / n   # xi(1 - p_j, p_k)
-    x_lm = pj * 0.5 * g_low * g_med / n       # xi(p_j, 0.5)
-    x_um = pj * 0.5 * g_high * g_med / n      # xi(1 - p_j, 0.5)
-    x_mm = 0.25 * g_med * g_med / n
-
-    col = np.newaxis
-    cov_ss = (
-        x_uu + x_ul + x_lu + x_ll
-        - 2.0 * x_um[:, col] - 2.0 * x_lm[:, col]
-        - 2.0 * x_um[col, :] - 2.0 * x_lm[col, :]
-        + 4.0 * x_mm
-    )
-    if lam and direction is Direction.LEFT:
-        cov_sr = x_uu - x_um[:, col] + x_lu - x_lm[:, col] - 2.0 * x_um[col, :] + 2.0 * x_mm
-        cov_rs = x_uu + x_ul - 2.0 * x_um[:, col] - x_um[col, :] - x_lm[col, :] + 2.0 * x_mm
-        cov_rr = x_uu - x_um[col, :] - x_um[:, col] + x_mm
-    elif lam:
-        cov_sr = x_um[:, col] - x_ul + x_lm[:, col] - x_ll + 2.0 * x_lm[col, :] - 2.0 * x_mm
-        cov_rs = x_um[col, :] + x_lm[col, :] - x_lu - x_ll + 2.0 * x_lm[:, col] - 2.0 * x_mm
-        cov_rr = x_ll - x_lm[col, :] - x_lm[:, col] + x_mm
+    # d(s/r) = (ds - (s/r) dr) / r, with ds = (1, 1, -2) and dr the derivative
+    # of the denominator with respect to (x_{p_j}, x_{1-p_j}, x_{0.5}).
+    if not lam:
+        dr_low, dr_high, dr_med = -1.0, 1.0, 0.0
+    elif direction is Direction.LEFT:
+        dr_low, dr_high, dr_med = 0.0, 1.0, -1.0
     else:
-        cov_sr = x_uu - x_ul + x_lu - x_ll - 2.0 * x_um[col, :] + 2.0 * x_lm[col, :]
-        cov_rs = x_uu + x_ul - 2.0 * x_um[:, col] - x_lu - x_ll + 2.0 * x_lm[:, col]
-        cov_rr = x_uu - x_ul - x_lu + x_ll
-
-    sigma = (
-        n
-        * (cov_ss - ratio[col, :] * cov_sr - ratio[:, col] * cov_rs
-           + np.outer(ratio, ratio) * cov_rr)
-        / np.outer(denom, denom)
-    )
-    if weighted:
-        sigma = pp * sigma
-    total = float(sigma.mean())
-    if total < 0.0:
-        raise NumericalError(
-            f"AUC variance double sum came out negative ({total:g}) for "
-            f"family={family} weighted={weighted} on a sample of n={k.n} "
-            f"with J={grid.j_points}: the plug-in covariance matrix is not PSD"
-        )
-    return total
+        dr_low, dr_high, dr_med = -1.0, 0.0, 1.0
+    scale = (pj if weighted else 1.0) / (pj.size * denom)
+    probs = np.concatenate([pj, 1.0 - pj, [0.5]])
+    v = np.concatenate([
+        scale * (1.0 - ratio * dr_low) * g_low,
+        scale * (1.0 - ratio * dr_high) * g_high,
+        [np.sum(scale * (-2.0 - ratio * dr_med)) * k.g(0.5)],
+    ])
+    # T(t) is tail[i] on cell i between sorted probabilities, 0 past the last
+    order = np.argsort(probs)
+    tail = np.append(np.cumsum(v[order][::-1])[::-1], 0.0)
+    cells = np.diff(probs[order], prepend=0.0, append=1.0)
+    return float(cells @ (tail - v @ probs) ** 2)

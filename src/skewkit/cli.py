@@ -159,7 +159,7 @@ def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 # --------------------------------------------------------------------------

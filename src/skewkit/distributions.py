@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import NumericalError
 
@@ -406,8 +406,11 @@ def median_absolute_moment(dist: DistributionSpec) -> float:
     """E|X - median|, evaluated as a quantile-function integral.
 
     Splitting at p = 0.5 turns the absolute value into the difference of two
-    one-sided integrals of the quantile function.
+    one-sided integrals of the quantile function.  scipy.integrate is
+    imported here, by its only user, to keep it out of the package import.
     """
+    from scipy import integrate
+
     def q(u: float) -> float:
         return float(dist.quantile(u))
 

@@ -115,33 +115,57 @@ def _epanechnikov(u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
+# Elements per gathered (probabilities x window) block: 256 KB per float
+# temporary, whatever n and the bandwidth.  A block holds at least one window.
+_GATHER_BUDGET = 1 << 15
+
+
+def _positions_below(a: np.ndarray, n: int, inclusive: bool) -> np.ndarray:
+    """``searchsorted(arange(1, n) / n, a, "right" if inclusive else "left")``.
+
+    The arithmetic guess is off by at most one where n*a rounds across an
+    integer; one step against the exact float positions (k+1)/n corrects it.
+    """
+    guess = np.floor(a * n) if inclusive else np.ceil(a * n) - 1.0
+    c = np.clip(np.nan_to_num(guess, nan=n - 1.0), 0, n - 1).astype(np.intp)
+    below = np.less_equal if inclusive else np.less
+    c -= (c > 0) & ~below(c / n, a)
+    c += (c < n - 1) & below((c + 1) / n, a)
+    return c
+
+
 def quantile_density_profile(
     sample: SortedSample, probs, rule: BandwidthRule = DEFAULT_BANDWIDTH
 ) -> np.ndarray:
     """Kernel quantile-density estimates ghat(p) at an array of probabilities.
 
     ghat(p) = sum_j (X_(j+1) - X_(j)) * k_b(j/n - p), the derivative of the
-    Epanechnikov-smoothed empirical quantile function.  Raises
-    QuantileDensityError listing every p whose estimate is not strictly
-    positive (possible only under ties).
+    Epanechnikov-smoothed empirical quantile function.  Only the spacings
+    inside each window (p - b, p + b) are gathered, in blocks of at most
+    ``_GATHER_BUDGET`` elements.  Raises QuantileDensityError listing every
+    p whose estimate is not strictly positive (possible only under ties).
     """
     probs = np.asarray(probs, dtype=float)
     x = sample.values
     n = x.size
-    spacings = np.diff(x)
-    positions = np.arange(1, n) / n
     b = rule.bandwidth(n, probs)
+    lo = _positions_below(probs - b, n, inclusive=True)
+    hi = _positions_below(probs + b, n, inclusive=False)
 
     out = np.empty(probs.size)
-    for i, (p, bw) in enumerate(zip(probs, b)):
-        lo = np.searchsorted(positions, p - bw, side="right")
-        hi = np.searchsorted(positions, p + bw, side="left")
-        u = (positions[lo:hi] - p) / bw
-        out[i] = _epanechnikov(u) @ spacings[lo:hi] / bw
+    rows = max(1, _GATHER_BUDGET // max(1, int((hi - lo).max(initial=0))))
+    for start in range(0, probs.size, rows):
+        sl = slice(start, start + rows)
+        # Row i gathers x[lo_i .. hi_i] and repeats x[hi_i] past its window,
+        # so that the padding spacings are exactly zero.
+        span = np.arange(int((hi[sl] - lo[sl]).max(initial=0)) + 1)
+        idx = np.minimum(lo[sl, None] + span, hi[sl, None])
+        u = (idx[:, 1:] / n - probs[sl, None]) / b[sl, None]
+        out[sl] = np.einsum("ij,ij->i", _epanechnikov(u), np.diff(x[idx], axis=1)) / b[sl]
 
     if np.any(out <= 0.0):
         bad = out <= 0.0
-        raise QuantileDensityError(probs[bad], np.broadcast_to(b, probs.shape)[bad])
+        raise QuantileDensityError(probs[bad], b[bad])
     return out
 
 

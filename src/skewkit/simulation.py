@@ -101,6 +101,7 @@ class SimConfig:
             "direction": self.measures[0].direction.value,
             "seed": self.seed,
             "bandwidth": bw,
+            "j": next((m.j_points for m in self.measures if m.is_auc), 100),
         }
 
     def resolved_threads(self) -> int:
@@ -118,11 +119,13 @@ class MeasureCoverage:
     failures: int
 
     def to_dict(self) -> dict:
+        # coverage and mean_width are NaN when every trial failed; JSON has
+        # no NaN, so they are written as null.
         return {
             "measure": self.measure.label(),
             "truth": self.truth,
-            "coverage": self.coverage,
-            "mean_width": self.mean_width,
+            "coverage": None if np.isnan(self.coverage) else self.coverage,
+            "mean_width": None if np.isnan(self.mean_width) else self.mean_width,
             "failures": self.failures,
         }
 
@@ -150,7 +153,7 @@ class CoverageReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     def render_text(self) -> str:
         """Aligned table with the coverage(width) cell layout, e.g. 0.961(1.98)."""

@@ -240,6 +240,28 @@ def test_auc_variance_matches_naive_double_loop():
     )
 
 
+@pytest.mark.parametrize("n", [50, 200, 5000])
+@pytest.mark.parametrize("family", ["gamma", "lambda"])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("direction", [Direction.RIGHT, Direction.LEFT])
+def test_auc_variance_quadratic_form_matches_sigma_cross(n, family, weighted, direction):
+    # the O(J) Brownian-bridge form against the naive (1/J^2) double sum of
+    # pointwise delta-method covariances, for every AUC kind and direction
+    rng = np.random.default_rng((n, 17))
+    s = SortedSample.from_data(rng.lognormal(size=n))
+    grid = build_grid(s, j_points=20)
+    k = XiKernel.from_grid(grid)
+    pj = [float(p) for p in grid.base_probs]
+    naive = np.mean([
+        [(a * b if weighted else 1.0) * sigma_cross(k, grid, a, b, family, direction)
+         for b in pj]
+        for a in pj
+    ])
+    got = auc_variance(k, grid, family, weighted=weighted, direction=direction)
+    assert got == pytest.approx(float(naive), rel=1e-12)
+    assert got > 0.0
+
+
 def test_auc_variance_two_point_grid_equals_mean_of_cells():
     rng = np.random.default_rng(15)
     s = SortedSample.from_data(rng.exponential(size=500))

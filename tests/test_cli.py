@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
+import skewkit
 from skewkit.cli import EXIT_DATA, EXIT_SIMULATION, EXIT_USAGE, main, read_numeric_column
 
 
@@ -313,6 +318,23 @@ def test_simulate_cli_overrides(tmp_path, capsys):
     assert rows[0] == ["measure", "truth", "coverage", "mean_width", "failures"]
 
 
+def test_simulate_all_trials_failed_emits_valid_json(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--dist", "exp(1)", "--n", "10", "--trials", "3",
+        "--seed", "5", "--measures", "gamma@0.25", "--bandwidth", "0.0001",
+        "--format", "json",
+    )
+    assert code == EXIT_SIMULATION
+    assert "failure rate" in err
+
+    def reject(token):
+        raise ValueError(f"output contains {token}")
+
+    result = json.loads(out, parse_constant=reject)["results"][0]
+    assert result["coverage"] is None and result["mean_width"] is None
+    assert result["failures"] == 3
+
+
 def test_simulate_invalid_config_exits_2(tmp_path, capsys):
     config = tmp_path / "broken.json"
     config.write_text("{not json")
@@ -441,3 +463,15 @@ def test_population_json_round_trip(capsys):
     for entry in doc["values"]:
         measure = parse_measure(entry["measure"])
         assert population_measure(dist, measure) == pytest.approx(entry["value"], rel=1e-12)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate serves only population b3; the CLI must not pay for it
+    # at import
+    env = dict(os.environ, PYTHONPATH=str(Path(skewkit.__file__).resolve().parents[1]))
+    probe = "import sys, skewkit.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

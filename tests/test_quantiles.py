@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from skewkit import (
@@ -12,7 +14,8 @@ from skewkit import (
     quantile_density_estimate,
     quantile_type8,
 )
-from skewkit.quantiles import quantile_density_profile
+from skewkit.quantiles import _positions_below, quantile_density_profile
+from skewkit.skewness import midpoint_probs
 
 
 def type8_reference(values, p):
@@ -159,3 +162,124 @@ def test_quantile_density_rejects_bad_p():
     s = SortedSample.from_data([1, 2, 3, 4])
     with pytest.raises(ValueError):
         quantile_density_estimate(s, 1.2)
+
+
+# --- the windowed gather against the per-probability loop it replaced -------
+
+def density_loop_reference(sample, probs, rule=BandwidthRule()):
+    """One window per probability, found by two searchsorted calls."""
+    probs = np.asarray(probs, dtype=float)
+    x = sample.values
+    n = x.size
+    spacings = np.diff(x)
+    positions = np.arange(1, n) / n
+    b = rule.bandwidth(n, probs)
+    out = np.empty(probs.size)
+    for i, (p, bw) in enumerate(zip(probs, b)):
+        lo = np.searchsorted(positions, p - bw, side="right")
+        hi = np.searchsorted(positions, p + bw, side="left")
+        u = (positions[lo:hi] - p) / bw
+        out[i] = np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u), 0.0) @ spacings[lo:hi] / bw
+    if np.any(out <= 0.0):
+        bad = out <= 0.0
+        raise QuantileDensityError(probs[bad], np.broadcast_to(b, probs.shape)[bad])
+    return out
+
+
+def assert_density_matches_loop(sample, probs, rule=BandwidthRule()):
+    try:
+        want = density_loop_reference(sample, probs, rule)
+    except QuantileDensityError as ref_err:
+        with pytest.raises(QuantileDensityError) as info:
+            quantile_density_profile(sample, probs, rule)
+        assert info.value.probabilities == ref_err.probabilities
+        assert info.value.bandwidths == ref_err.bandwidths
+        return
+    got = quantile_density_profile(sample, probs, rule)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def _grid_and_extreme_probs(n):
+    base = midpoint_probs(100)
+    extreme = np.array([1e-9, 0.25 / n, 0.5 / n, 1.0 / n, 2.0 / n, 0.5, 1.0 - 1.0 / n, 1.0 - 1e-9])
+    return np.concatenate([base, 1.0 - base, [0.5], extreme])
+
+
+@pytest.mark.parametrize("n", [4, 5, 10, 11, 200, 201, 10007])
+def test_density_matches_loop_default_rule(n):
+    rng = np.random.default_rng(n)
+    s = SortedSample.from_data(rng.lognormal(size=n))
+    probs = _grid_and_extreme_probs(n)
+    # at the extreme probabilities the 1/n floor of the bandwidth wins
+    assert np.any(default_bandwidth(n, probs) == 1.0 / n)
+    assert_density_matches_loop(s, probs)
+    # probabilities that sit exactly on the positions k/n
+    assert_density_matches_loop(s, np.arange(1, n) / n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 10, 11, 200, 201, 10007])
+@pytest.mark.parametrize("fixed", [1e-4, 0.01, 0.25, 0.49])
+def test_density_matches_loop_fixed_bandwidth(n, fixed):
+    rng = np.random.default_rng((n, 7))
+    s = SortedSample.from_data(rng.exponential(size=n))
+    assert_density_matches_loop(s, _grid_and_extreme_probs(n), BandwidthRule(fixed=fixed))
+
+
+def test_density_window_spanning_the_whole_sample():
+    # b = 0.49 at p = 0.5 covers every position k/n of a 10-point sample
+    s = SortedSample.from_data(np.random.default_rng(3).normal(size=10))
+    rule = BandwidthRule(fixed=0.49)
+    assert _positions_below(np.array([0.01]), 10, inclusive=True)[0] == 0
+    assert _positions_below(np.array([0.99]), 10, inclusive=False)[0] == 9
+    assert_density_matches_loop(s, np.array([0.5]), rule)
+
+
+@pytest.mark.parametrize("n", [10, 53, 400])
+def test_density_matches_loop_on_tied_data(n):
+    rng = np.random.default_rng((n, 11))
+    s = SortedSample.from_data(rng.poisson(3.0, size=n).astype(float))
+    probs = _grid_and_extreme_probs(n)
+    assert_density_matches_loop(s, probs)
+    assert_density_matches_loop(s, probs, BandwidthRule(fixed=0.05))
+    heavy = SortedSample.from_data(np.concatenate([np.full(50, 5.0), [6.0, 7.0, 8.0]]))
+    assert_density_matches_loop(heavy, probs)
+
+
+def test_window_bounds_match_searchsorted_at_exact_positions():
+    for n in (4, 7, 10, 49, 1000, 10007):
+        positions = np.arange(1, n) / n
+        a = np.concatenate([
+            positions, np.nextafter(positions, 0.0), np.nextafter(positions, 1.0),
+            [-0.5, 0.0, 1.0 / (2 * n), 1.0, 1.5],
+        ])
+        for inclusive, side in ((True, "right"), (False, "left")):
+            got = _positions_below(a, n, inclusive)
+            np.testing.assert_array_equal(got, np.searchsorted(positions, a, side=side))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.integers(min_value=4, max_value=3000),
+    probs=st.lists(
+        st.floats(min_value=1e-6, max_value=1.0 - 1e-6), min_size=1, max_size=20
+    ),
+    fixed=st.one_of(st.none(), st.floats(min_value=1e-5, max_value=0.49)),
+    tied=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_density_matches_loop_property(n, probs, fixed, tied, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.poisson(2.0, size=n) if tied else rng.standard_t(3.0, size=n)
+    s = SortedSample.from_data(data.astype(float))
+    assert_density_matches_loop(s, np.array(probs), BandwidthRule(fixed=fixed))
+
+
+def test_density_nan_probability_matches_loop():
+    # the loop's searchsorted gives NaN an empty window, so its estimate is
+    # 0 / NaN; the arithmetic bounds must give the same, not index garbage
+    s = SortedSample.from_data(np.random.default_rng(5).normal(size=50))
+    probs = np.array([0.3, np.nan])
+    want = density_loop_reference(s, probs)
+    got = quantile_density_profile(s, probs)
+    assert math.isnan(want[1]) and math.isnan(got[1])
+    assert got[0] == pytest.approx(want[0], rel=1e-13)

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from skewkit import (
+    BandwidthRule,
     DegenerateScaleError,
     LogNormal,
     SimConfig,
@@ -150,7 +153,8 @@ def test_small_n_coverage_is_conservative():
 def test_report_config_echo_rebuilds_config():
     import json
 
-    report = run_coverage(_config(trials=3))
+    measures = (parse_measure("lambda@0.1"), parse_measure("auc_gamma", j_points=20))
+    report = run_coverage(_config(trials=3, measures=measures))
     echo = json.loads(report.to_json())["config"]
     rebuilt = SimConfig.from_dict(echo)
     assert rebuilt.dist == report.config.dist
@@ -159,6 +163,31 @@ def test_report_config_echo_rebuilds_config():
     assert [m.label() for m in rebuilt.measures] == [
         m.label() for m in report.config.measures
     ]
+    assert echo["j"] == 20
+    assert [m.j_points for m in rebuilt.measures if m.is_auc] == [20]
+    assert run_coverage(rebuilt).to_json() == report.to_json()
+
+
+def _reject_nan(token):
+    raise ValueError(f"report JSON contains {token}")
+
+
+def test_all_failed_measure_reports_null_and_valid_json():
+    import json
+
+    # a 1e-4 bandwidth leaves the windows at p = 0.25 and 0.75 empty for
+    # n = 10, so every trial of gamma@0.25 fails
+    cfg = _config(
+        n=10, trials=4, bandwidth=BandwidthRule(fixed=1e-4),
+        measures=(parse_measure("gamma@0.25"),),
+    )
+    report = run_coverage(cfg)
+    res = report.results[0]
+    assert res.failures == 4 and math.isnan(res.coverage) and math.isnan(res.mean_width)
+    doc = json.loads(report.to_json(), parse_constant=_reject_nan)
+    assert doc["results"][0]["coverage"] is None
+    assert doc["results"][0]["mean_width"] is None
+    assert doc["results"][0]["failures"] == 4
 
 
 def test_render_text_uses_cp_w_cells():
