@@ -24,6 +24,7 @@ from .skewness import (
     Direction,
     MeasureKind,
     SkewMeasure,
+    curve_values,
     parse_measure,
     population_grid,
     population_measure,
@@ -319,26 +320,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_CURVE_FAMILIES = {
-    "gamma": MeasureKind.GAMMA,
-    "lambda": MeasureKind.LAMBDA,
-    "gamma_star": MeasureKind.GAMMA_STAR,
-    "lambda_star": MeasureKind.LAMBDA_STAR,
-}
+_CURVE_FAMILIES = ("gamma", "gamma_star", "lambda", "lambda_star")
 
 
 def cmd_curve(args) -> int:
-    kind = _CURVE_FAMILIES[args.family]
     grid = population_grid(args.dist, j_points=args.points)
-    numer = grid.s_values()
-    if kind in (MeasureKind.LAMBDA, MeasureKind.LAMBDA_STAR):
-        denom = grid.r2_values(args.direction)
-    else:
-        denom = grid.r1_values()
-    curve = numer / denom
-    if kind in (MeasureKind.GAMMA_STAR, MeasureKind.LAMBDA_STAR):
-        curve = grid.base_probs * curve
-    points = list(zip(grid.base_probs, curve))
+    # the curve a family's AUC measure integrates
+    measure = SkewMeasure(
+        MeasureKind(f"auc_{args.family}"), direction=args.direction, j_points=args.points
+    )
+    points = list(zip(grid.base_probs, curve_values(grid, measure)))
     if args.format == "json":
         _emit_json({
             "command": "curve",
@@ -428,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="population skewness curve data for plotting")
     p.add_argument("--dist", required=True, type=parse_distribution)
-    p.add_argument("--family", required=True, choices=sorted(_CURVE_FAMILIES))
+    p.add_argument("--family", required=True, choices=_CURVE_FAMILIES)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--direction", type=_direction, default=Direction.RIGHT)
     _add_format(p)

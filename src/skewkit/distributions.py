@@ -91,16 +91,6 @@ class DistributionSpec:
         np.maximum(u, _TINY, out=u)  # keep u strictly inside (0, 1)
         return self._quantile(u)
 
-    def population_measure(self, measure, j_points: int | None = None) -> float:
-        """Population value of a skewness measure, using exact quantiles.
-
-        AUC kinds are evaluated with the same midpoint rule as estimation;
-        ``j_points`` overrides the measure's grid resolution when given.
-        """
-        from . import skewness
-
-        return skewness.population_measure(self, measure, j_points=j_points)
-
     def _params(self) -> tuple[float, ...]:
         raise NotImplementedError
 

@@ -25,27 +25,37 @@ class DegenerateScaleError(SkewkitError):
 class QuantileDensityError(SkewkitError):
     """Kernel quantile-density estimate came out non-positive.
 
-    Happens in tiny samples or under heavy ties; the standard error for the
-    affected probability cannot be formed.
+    Happens under ties: tied order statistics leave zero spacings, and a
+    kernel window that sees nothing else estimates zero.  The standard error
+    for the affected probability cannot be formed.  ``distinct`` and ``n``,
+    when given, count the sample's distinct values and its size.
     """
 
-    def __init__(self, probabilities, bandwidths):
+    def __init__(
+        self, probabilities, bandwidths, distinct: int | None = None, n: int | None = None
+    ):
         self.probabilities = tuple(float(p) for p in probabilities)
         self.bandwidths = tuple(float(b) for b in bandwidths)
+        self.distinct = distinct
+        self.n = n
         pairs = ", ".join(
             f"(p={p:g}, b={b:g})" for p, b in zip(self.probabilities, self.bandwidths)
         )
-        super().__init__(f"non-positive quantile-density estimate at {pairs}")
+        msg = f"non-positive quantile-density estimate at {pairs}"
+        if distinct is not None:
+            msg += (
+                f": the sample has {distinct} distinct values among n = {n}, and"
+                " ties leave zero spacings in the kernel window"
+            )
+        super().__init__(msg)
 
 
 class MissingProbabilityError(SkewkitError):
-    """A covariance expansion referenced a probability the kernel never saw."""
+    """A measure asked for a probability its quantile grid does not hold."""
 
     def __init__(self, p: float):
         self.p = float(p)
-        super().__init__(
-            f"probability {p:g} was not precomputed in the xi kernel"
-        )
+        super().__init__(f"probability {p:g} is not on the quantile grid")
 
 
 class UnsupportedMeasureError(SkewkitError):

@@ -57,7 +57,7 @@ def quantile_type8(sample: SortedSample, p):
     linear interpolation between the two adjacent order statistics.
     """
     probs = np.asarray(p, dtype=float)
-    if np.any((probs <= 0.0) | (probs >= 1.0)):
+    if np.any(~((probs > 0.0) & (probs < 1.0))):  # NaN fails too
         raise ValueError("probability must lie strictly inside (0, 1)")
     x = sample.values
     n = x.size
@@ -165,7 +165,8 @@ def quantile_density_profile(
 
     if np.any(out <= 0.0):
         bad = out <= 0.0
-        raise QuantileDensityError(probs[bad], b[bad])
+        distinct = int(np.count_nonzero(np.diff(x))) + 1
+        raise QuantileDensityError(probs[bad], b[bad], distinct, n)
     return out
 
 

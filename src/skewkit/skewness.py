@@ -13,7 +13,7 @@ figure is half of it (see :func:`mean_skew`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -152,63 +152,44 @@ def midpoint_probs(j_points: int) -> np.ndarray:
     return 0.5 * (j - 0.5) / j_points
 
 
+def _grid_probs(base: np.ndarray) -> np.ndarray:
+    return np.concatenate([base, 1.0 - base, [0.5]])
+
+
 @dataclass(frozen=True)
 class QuantileGrid:
     """Per-sample cache of quantiles and quantile densities.
 
-    For each base probability p_j in (0, 0.5) the grid stores the quantile and
-    quantile-density values at p_j and 1 - p_j, plus the median pair; every
-    value is computed exactly once.  ``n`` is None for population grids built
-    from exact distribution functions.
+    ``probs`` holds every base probability p_j in (0, 0.5), then every
+    1 - p_j in the same order, then 0.5; ``x`` and ``g`` hold the quantile
+    and quantile-density values at those 2J+1 probabilities, each computed
+    exactly once.  ``n`` is None for population grids built from exact
+    distribution functions.
     """
 
-    base_probs: np.ndarray
-    x_low: np.ndarray
-    x_high: np.ndarray
-    x_median: float
-    g_low: np.ndarray
-    g_high: np.ndarray
-    g_median: float
+    probs: np.ndarray
+    x: np.ndarray
+    g: np.ndarray
     n: int | None
     j_points: int | None
-    xhat_at: dict = field(repr=False)
-    ghat_at: dict = field(repr=False)
-    _index: dict = field(repr=False)
 
-    @staticmethod
-    def _assemble(base_probs, x_low, x_high, x_med, g_low, g_high, g_med, n, j_points):
-        xhat = {0.5: float(x_med)}
-        ghat = {0.5: float(g_med)}
-        index = {}
-        for i, p in enumerate(base_probs):
-            pf = float(p)
-            index[pf] = i
-            xhat[pf] = float(x_low[i])
-            xhat[1.0 - pf] = float(x_high[i])
-            ghat[pf] = float(g_low[i])
-            ghat[1.0 - pf] = float(g_high[i])
-        return QuantileGrid(
-            base_probs=base_probs,
-            x_low=x_low,
-            x_high=x_high,
-            x_median=float(x_med),
-            g_low=g_low,
-            g_high=g_high,
-            g_median=float(g_med),
-            n=n,
-            j_points=j_points,
-            xhat_at=xhat,
-            ghat_at=ghat,
-            _index=index,
-        )
+    @property
+    def base_probs(self) -> np.ndarray:
+        return self.probs[: self.probs.size // 2]
 
-    def index_of(self, p: float) -> int:
-        try:
-            return self._index[float(p)]
-        except KeyError:
-            raise MissingProbabilityError(p) from None
+    @property
+    def x_low(self) -> np.ndarray:
+        return self.x[: self.x.size // 2]
 
-    # -- vector views used by the AUC summations -------------------------------
+    @property
+    def x_high(self) -> np.ndarray:
+        return self.x[self.x.size // 2 : -1]
+
+    @property
+    def x_median(self) -> float:
+        return float(self.x[-1])
+
+    # -- vector views of the skewness curve's parts ----------------------------
     def s_values(self) -> np.ndarray:
         return self.x_high + self.x_low - 2.0 * self.x_median
 
@@ -222,13 +203,9 @@ class QuantileGrid:
 
 
 def _sample_grid(sample, base, rule, j_points):
-    probs = np.concatenate([base, 1.0 - base, [0.5]])
-    quant = quantile_type8(sample, probs)
-    gdens = quantile_density_profile(sample, probs, rule)
-    k = base.size
-    return QuantileGrid._assemble(
-        base, quant[:k], quant[k : 2 * k], quant[2 * k],
-        gdens[:k], gdens[k : 2 * k], gdens[2 * k],
+    probs = _grid_probs(base)
+    return QuantileGrid(
+        probs, quantile_type8(sample, probs), quantile_density_profile(sample, probs, rule),
         sample.n, j_points,
     )
 
@@ -237,7 +214,7 @@ def grid_for_probs(
     sample: SortedSample, base_probs, rule: BandwidthRule = DEFAULT_BANDWIDTH
 ) -> QuantileGrid:
     base = np.asarray(base_probs, dtype=float)
-    if np.any((base <= 0.0) | (base >= 0.5)):
+    if np.any(~((base > 0.0) & (base < 0.5))):
         raise ValueError("grid base probabilities must lie in (0, 0.5)")
     return _sample_grid(sample, base, rule, None)
 
@@ -260,53 +237,54 @@ def population_grid(dist, j_points: int | None = None, base_probs=None) -> Quant
     else:
         base = np.asarray(base_probs, dtype=float)
         j_points = None
-    probs = np.concatenate([base, 1.0 - base, [0.5]])
-    quant = np.asarray(dist.quantile(probs), dtype=float)
-    gdens = np.asarray(dist.quantile_density(probs), dtype=float)
-    k = base.size
-    return QuantileGrid._assemble(
-        base, quant[:k], quant[k : 2 * k], quant[2 * k],
-        gdens[:k], gdens[k : 2 * k], gdens[2 * k],
+    probs = _grid_probs(base)
+    return QuantileGrid(
+        probs,
+        np.asarray(dist.quantile(probs), dtype=float),
+        np.asarray(dist.quantile_density(probs), dtype=float),
         None, j_points,
     )
 
 
-def s_p(grid: QuantileGrid, p: float) -> float:
-    """Interquantile skewness x_{1-p} + x_p - 2 x_{0.5}."""
-    i = grid.index_of(p)
-    return float(grid.x_high[i] + grid.x_low[i] - 2.0 * grid.x_median)
+def curve_terms(grid: QuantileGrid, measure: SkewMeasure) -> tuple[np.ndarray, ...]:
+    """Grid indices j, numerators s_j and denominators r_j of the measure's curve.
+
+    AUC kinds use every base probability, pointwise kinds the one equal to
+    ``measure.p``.  s_j = x_{1-p_j} + x_{p_j} - 2 x_{0.5}; r_j is the full
+    range x_{1-p_j} - x_{p_j} (gamma family) or the half-range
+    x_{0.5} - x_{p_j} (right) or x_{1-p_j} - x_{0.5} (left) (lambda family).
+    """
+    if measure.is_pointwise:
+        j = np.flatnonzero(grid.base_probs == measure.p)[:1]
+        if j.size == 0:
+            raise MissingProbabilityError(measure.p)
+    else:
+        j = np.arange(grid.base_probs.size)
+    s = grid.s_values()[j]
+    if measure.is_lambda_family:
+        r = grid.r2_values(measure.direction)[j]
+    else:
+        r = grid.r1_values()[j]
+    if np.any(r <= 0.0):
+        raise DegenerateScaleError(grid.base_probs[j][r <= 0.0])
+    return j, s, r
 
 
-def r1_p(grid: QuantileGrid, p: float) -> float:
-    """Interquantile range x_{1-p} - x_p."""
-    i = grid.index_of(p)
-    return float(grid.x_high[i] - grid.x_low[i])
-
-
-def r2_p(grid: QuantileGrid, p: float, direction: Direction = Direction.RIGHT) -> float:
-    """Half-range: median - x_p (right skew) or x_{1-p} - median (left skew)."""
-    i = grid.index_of(p)
-    if direction is Direction.LEFT:
-        return float(grid.x_high[i] - grid.x_median)
-    return float(grid.x_median - grid.x_low[i])
+def curve_values(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
+    """The skewness curve s_j / r_j at the measure's grid points, times p_j
+    for weighted (star) kinds."""
+    j, s, r = curve_terms(grid, measure)
+    curve = s / r
+    if measure.weighted:
+        curve = grid.base_probs[j] * curve
+    return curve
 
 
 def estimate_pointwise(grid: QuantileGrid, measure: SkewMeasure) -> float:
     """Pointwise skewness estimate at the measure's probability."""
     if not measure.is_pointwise:
         raise ValueError(f"{measure} is not a pointwise measure")
-    p = measure.p
-    numer = s_p(grid, p)
-    if measure.is_lambda_family:
-        denom = r2_p(grid, p, measure.direction)
-    else:
-        denom = r1_p(grid, p)
-    if denom <= 0.0:
-        raise DegenerateScaleError([p])
-    value = numer / denom
-    if measure.weighted:
-        value *= p
-    return value
+    return float(curve_values(grid, measure)[0])
 
 
 def estimate_auc(grid: QuantileGrid, measure: SkewMeasure) -> float:
@@ -321,17 +299,7 @@ def estimate_auc(grid: QuantileGrid, measure: SkewMeasure) -> float:
         raise ValueError(
             f"grid was not built on the measure's {measure.j_points}-point midpoint rule"
         )
-    numer = grid.s_values()
-    if measure.is_lambda_family:
-        denom = grid.r2_values(measure.direction)
-    else:
-        denom = grid.r1_values()
-    if np.any(denom <= 0.0):
-        raise DegenerateScaleError(grid.base_probs[denom <= 0.0])
-    curve = numer / denom
-    if measure.weighted:
-        curve = grid.base_probs * curve
-    return float(curve.mean() * 0.5)
+    return float(curve_values(grid, measure).mean() * 0.5)
 
 
 def mean_skew(auc_value: float) -> float:
@@ -359,7 +327,7 @@ def estimate(sample: SortedSample, measure: SkewMeasure, rule: BandwidthRule = D
     return estimate_pointwise(grid, measure)
 
 
-def population_measure(dist, measure: SkewMeasure, j_points: int | None = None) -> float:
+def population_measure(dist, measure: SkewMeasure) -> float:
     """Population value of a measure via exact quantiles.
 
     AUC kinds reuse the estimation-side midpoint summation so that simulated
@@ -373,9 +341,5 @@ def population_measure(dist, measure: SkewMeasure, j_points: int | None = None) 
             raise ValueError(f"b3 needs a finite mean; {dist} has none")
         return (mu - float(dist.quantile(0.5))) / median_absolute_moment(dist)
     if measure.is_auc:
-        grid = population_grid(dist, j_points=j_points or measure.j_points)
-        if j_points is not None and j_points != measure.j_points:
-            measure = SkewMeasure(measure.kind, direction=measure.direction, j_points=j_points)
-        return estimate_auc(grid, measure)
-    grid = population_grid(dist, base_probs=[measure.p])
-    return estimate_pointwise(grid, measure)
+        return estimate_auc(population_grid(dist, j_points=measure.j_points), measure)
+    return estimate_pointwise(population_grid(dist, base_probs=[measure.p]), measure)

@@ -27,8 +27,24 @@ from skewkit import (
     quantile_type8,
     run_coverage,
 )
-from skewkit.asymptotics import XiKernel, xi
-from skewkit.skewness import build_grid, estimate, midpoint_probs, population_grid
+from skewkit.asymptotics import XiKernel
+from skewkit.skewness import (
+    MeasureKind,
+    SkewMeasure,
+    build_grid,
+    estimate,
+    midpoint_probs,
+    population_grid,
+)
+from test_asymptotics import (
+    RefKernel,
+    combo_r1,
+    combo_r2,
+    combo_s,
+    cov_engine,
+    library_cross,
+    xi,
+)
 
 
 def report(number: int, description: str, checks: dict) -> None:
@@ -224,40 +240,40 @@ def test_criterion_4_covariance_oracle():
         for i, v in enumerate(need):
             cols[v][lo_idx : lo_idx + m] = Q[:, i]
 
-    kernel = XiKernel.exact(dist, need, n)
+    ref = RefKernel(n, {v: float(dist.quantile_density(v)) for v in need})
 
     def emp_cov(u, v):
         return float(np.cov(u, v)[0, 1])
 
-    checks = {}
-    from skewkit.asymptotics import (
-        cov_r1_r1, cov_r1_s, cov_r2_r2, cov_r2_s, cov_s_r1, cov_s_r2, cov_s_s,
-        sigma_cross,
-    )
+    def ref_cov(combo_a, combo_b):
+        return cov_engine(ref, combo_a, combo_b)[0]
 
+    checks = {}
     for a, b in pairs:
         sa = cols[1 - a] + cols[a] - 2 * cols[0.5]
         sb = cols[1 - b] + cols[b] - 2 * cols[0.5]
         r1a, r1b = cols[1 - a] - cols[a], cols[1 - b] - cols[b]
         r2a, r2b = cols[0.5] - cols[a], cols[0.5] - cols[b]
         expansions = [
-            ("cov_s_s", emp_cov(sa, sb), cov_s_s(kernel, a, b)),
-            ("cov_s_r1", emp_cov(sa, r1b), cov_s_r1(kernel, a, b)),
-            ("cov_r1_s", emp_cov(r1a, sb), cov_r1_s(kernel, a, b)),
-            ("cov_r1_r1", emp_cov(r1a, r1b), cov_r1_r1(kernel, a, b)),
-            ("cov_s_r2", emp_cov(sa, r2b), cov_s_r2(kernel, a, b)),
-            ("cov_r2_s", emp_cov(r2a, sb), cov_r2_s(kernel, a, b)),
-            ("cov_r2_r2", emp_cov(r2a, r2b), cov_r2_r2(kernel, a, b)),
+            ("cov_s_s", emp_cov(sa, sb), ref_cov(combo_s(a), combo_s(b))),
+            ("cov_s_r1", emp_cov(sa, r1b), ref_cov(combo_s(a), combo_r1(b))),
+            ("cov_r1_s", emp_cov(r1a, sb), ref_cov(combo_r1(a), combo_s(b))),
+            ("cov_r1_r1", emp_cov(r1a, r1b), ref_cov(combo_r1(a), combo_r1(b))),
+            ("cov_s_r2", emp_cov(sa, r2b), ref_cov(combo_s(a), combo_r2(b))),
+            ("cov_r2_s", emp_cov(r2a, sb), ref_cov(combo_r2(a), combo_s(b))),
+            ("cov_r2_r2", emp_cov(r2a, r2b), ref_cov(combo_r2(a), combo_r2(b))),
         ]
+        # the library's delta-method cross-covariances, by polarization
         grid = population_grid(dist, base_probs=sorted({a, b}))
-        expansions.append(
-            ("sigma_cross gamma", n * emp_cov(sa / r1a, sb / r1b),
-             sigma_cross(kernel, grid, a, b, "gamma"))
-        )
-        expansions.append(
-            ("sigma_cross lambda", n * emp_cov(sa / r2a, sb / r2b),
-             sigma_cross(kernel, grid, a, b, "lambda"))
-        )
+        kernel = XiKernel(n=n, g=grid.g)
+        for family, kind, ra, rb in (
+            ("gamma", MeasureKind.GAMMA, r1a, r1b),
+            ("lambda", MeasureKind.LAMBDA, r2a, r2b),
+        ):
+            expansions.append((
+                f"sigma_cross {family}", n * emp_cov(sa / ra, sb / rb),
+                library_cross(grid, kernel, SkewMeasure(kind, p=a), SkewMeasure(kind, p=b)),
+            ))
         for name, empirical, predicted in expansions:
             rel = abs(empirical - predicted) / abs(predicted)
             checks[f"{name} @ ({a},{b}) rel {rel:.3f}"] = rel <= 0.07
@@ -357,12 +373,12 @@ def test_criterion_6_property_suites():
     disc_ok = True
     for dist in DISCRETIZATION_ZOO:
         for tok in ("auc_gamma", "auc_gamma_star", "auc_lambda_star"):
-            m = parse_measure(tok)
-            gap = abs(population_measure(dist, m) - population_measure(dist, m, j_points=1000))
+            m, fine = parse_measure(tok), parse_measure(tok, j_points=1000)
+            gap = abs(population_measure(dist, m) - population_measure(dist, fine))
             disc_ok &= gap <= 0.002
     for dist in LIGHT_TAILED:
-        m = parse_measure("auc_lambda")
-        gap = abs(population_measure(dist, m) - population_measure(dist, m, j_points=1000))
+        m, fine = parse_measure("auc_lambda"), parse_measure("auc_lambda", j_points=1000)
+        gap = abs(population_measure(dist, m) - population_measure(dist, fine))
         disc_ok &= gap <= 0.002
     checks["AUC discretization |J=100 - J=1000| <= 0.002"] = disc_ok
 
@@ -387,9 +403,9 @@ def test_criterion_6_property_suites():
     rng = np.random.default_rng(67)
     for _ in range(10):
         probs = np.sort(rng.uniform(0.01, 0.99, size=10))
-        k = XiKernel(
-            n=int(rng.integers(10, 1000)),
-            g_at={float(p): float(g) for p, g in zip(probs, rng.uniform(0.1, 20.0, 10))},
+        k = RefKernel(
+            int(rng.integers(10, 1000)),
+            {float(p): float(g) for p, g in zip(probs, rng.uniform(0.1, 20.0, 10))},
         )
         mat = np.array([[xi(k, float(a), float(b)) for b in probs] for a in probs])
         eigs = np.linalg.eigvalsh(mat)

@@ -16,23 +16,41 @@ from skewkit.asymptotics import (
     VarianceEstimate,
     XiKernel,
     auc_variance,
-    cov_r1_r1,
-    cov_r1_s,
-    cov_r2_r2,
-    cov_r2_s,
-    cov_s_r1,
-    cov_s_r2,
-    cov_s_s,
+    bridge_variance,
+    ratio_gradient,
     sigma1_sq,
     sigma2_sq,
-    sigma_cross,
-    xi,
 )
 from skewkit.errors import MissingProbabilityError, NumericalError
-from skewkit.skewness import grid_for_probs, parse_measure, population_grid
+from skewkit.skewness import (
+    MeasureKind,
+    SkewMeasure,
+    grid_for_probs,
+    parse_measure,
+    population_grid,
+)
 
 
-# --- brute-force expansion engine: distribute Cov over linear combinations ---
+# --- reference: the quantile covariance distributed over linear combinations ---
+
+class RefKernel:
+    """Sample size plus a probability -> g(p) table, for the reference ``xi``."""
+
+    def __init__(self, n, g_at):
+        self.n = n
+        self.g_at = g_at
+
+    @classmethod
+    def from_grid(cls, grid):
+        return cls(grid.n, {float(p): float(g) for p, g in zip(grid.probs, grid.g)})
+
+
+def xi(k, p, q):
+    """Cov(xhat_p, xhat_q) = min(p,q)(1 - max(p,q)) g(p) g(q) / n."""
+    lo, hi = (p, q) if p <= q else (q, p)
+    gg = k.g_at[p] * k.g_at[q]  # grouped so xi(p, q) == xi(q, p) exactly
+    return lo * (1.0 - hi) * gg / k.n
+
 
 def combo_s(p):
     return [(1.0, 1.0 - p), (1.0, p), (-2.0, 0.5)]
@@ -60,33 +78,89 @@ def cov_engine(kernel, combo_a, combo_b):
     return math.fsum(terms), math.fsum(abs(t) for t in terms)
 
 
+def sigma_cross(k, grid, p, q, family="gamma", direction=Direction.RIGHT):
+    """n Cov(ratio_p, ratio_q) by the delta method with sample plug-ins,
+    expanded by hand into the covariances of s and r."""
+    lam = family == "lambda"
+    den = (lambda x: combo_r2(x, direction)) if lam else combo_r1
+    r_all = grid.r2_values(direction) if lam else grid.r1_values()
+    base = [float(b) for b in grid.base_probs]
+
+    def plug(x):
+        i = base.index(x)
+        return r_all[i], grid.s_values()[i] / r_all[i]
+
+    rp, cp = plug(p)
+    rq, cq = plug(q)
+    a = cov_engine(k, combo_s(p), combo_s(q))[0]
+    b = cov_engine(k, combo_s(p), den(q))[0]
+    c = cov_engine(k, den(p), combo_s(q))[0]
+    d = cov_engine(k, den(p), den(q))[0]
+    return k.n * (a - cq * b - cp * c + cp * cq * d) / (rp * rq)
+
+
 def random_kernel(rng, p, q):
     probs = {p, q, 1.0 - p, 1.0 - q, 0.5}
     g_at = {prob: float(rng.uniform(0.2, 30.0)) for prob in probs}
-    return XiKernel(n=int(rng.integers(10, 10_000)), g_at=g_at)
+    return RefKernel(int(rng.integers(10, 10_000)), g_at)
+
+
+def bridge_var(k, combo):
+    """Var of a linear combination of quantiles by the library's bridge form,
+    on the fixed probability layout sorted(k.g_at)."""
+    probs = np.array(sorted(k.g_at))
+    coef = np.zeros(probs.size)
+    for c, p in combo:
+        coef[np.flatnonzero(probs == p)[0]] += c
+    g = np.array([k.g_at[p] for p in probs])
+    return bridge_variance(probs, coef * g) / k.n
+
+
+def bridge_cov(k, combo_a, combo_b):
+    """Cov by polarization: (Var(a + b) - Var(a - b)) / 4."""
+    neg_b = [(-c, p) for c, p in combo_b]
+    return (bridge_var(k, combo_a + combo_b) - bridge_var(k, combo_a + neg_b)) / 4.0
+
+
+def library_cross(grid, kernel, ma, mb):
+    """n Cov of two measures' estimators from the library's gradients."""
+    va = ratio_gradient(grid, ma) * kernel.g
+    vb = ratio_gradient(grid, mb) * kernel.g
+    return (bridge_variance(grid.probs, va + vb) - bridge_variance(grid.probs, va - vb)) / 4.0
 
 
 def test_xi_examples():
-    k = XiKernel(n=1, g_at={0.5: 1.0})
+    k = RefKernel(1, {0.5: 1.0})
     assert xi(k, 0.5, 0.5) == 0.25
-    k2 = XiKernel(n=100, g_at={0.25: 2.0, 0.75: 2.0})
+    k2 = RefKernel(100, {0.25: 2.0, 0.75: 2.0})
     assert xi(k2, 0.25, 0.75) == pytest.approx(0.25 * 0.25 * 4.0 / 100, rel=1e-15)
     rng = np.random.default_rng(1)
     for _ in range(50):
         p, q = rng.uniform(0.01, 0.99, size=2)
-        k3 = XiKernel(n=7, g_at={float(p): 1.5, float(q): 2.5})
+        k3 = RefKernel(7, {float(p): 1.5, float(q): 2.5})
         assert xi(k3, float(p), float(q)) == xi(k3, float(q), float(p))
+    # the bridge form on one probability is the xi diagonal
+    assert bridge_variance(np.array([0.25]), np.array([2.0])) == pytest.approx(
+        100 * xi(k2, 0.25, 0.25), rel=1e-15
+    )
 
 
 def test_xi_missing_probability():
-    k = XiKernel(n=10, g_at={0.5: 1.0})
+    grid, k = _sample_grid_and_kernel()
     with pytest.raises(MissingProbabilityError):
-        xi(k, 0.25, 0.5)
+        sigma1_sq(k, grid, 0.25)
+    with pytest.raises(MissingProbabilityError):
+        sigma2_sq(k, grid, 0.25, Direction.LEFT)
+    other = grid_for_probs(SortedSample.from_data(np.arange(1.0, 101.0)), [0.2])
+    with pytest.raises(ValueError):
+        sigma1_sq(XiKernel.from_grid(other), grid, 0.15)
 
 
 def test_xi_kernel_rejects_nonpositive_density():
     with pytest.raises(ValueError):
-        XiKernel(n=10, g_at={0.5: 0.0})
+        XiKernel(n=10, g=np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError):
+        XiKernel(n=10, g=np.array([np.nan]))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -95,23 +169,28 @@ def test_covariance_expansions_match_engine(seed):
     p, q = sorted(rng.uniform(0.02, 0.48, size=2))
     k = random_kernel(rng, p, q)
     checks = [
-        (cov_s_s(k, p, q), combo_s(p), combo_s(q)),
-        (cov_s_r1(k, p, q), combo_s(p), combo_r1(q)),
-        (cov_r1_s(k, p, q), combo_r1(p), combo_s(q)),
-        (cov_r1_r1(k, p, q), combo_r1(p), combo_r1(q)),
-        (cov_s_r2(k, p, q), combo_s(p), combo_r2(q)),
-        (cov_r2_s(k, p, q), combo_r2(p), combo_s(q)),
-        (cov_r2_r2(k, p, q), combo_r2(p), combo_r2(q)),
-        (cov_s_r2(k, p, q, Direction.LEFT), combo_s(p), combo_r2(q, Direction.LEFT)),
-        (cov_r2_s(k, p, q, Direction.LEFT), combo_r2(p, Direction.LEFT), combo_s(q)),
-        (
-            cov_r2_r2(k, p, q, Direction.LEFT),
-            combo_r2(p, Direction.LEFT),
-            combo_r2(q, Direction.LEFT),
-        ),
+        (combo_s(p), combo_s(q)),
+        (combo_s(p), combo_r1(q)),
+        (combo_r1(p), combo_s(q)),
+        (combo_r1(p), combo_r1(q)),
+        (combo_s(p), combo_r2(q)),
+        (combo_r2(p), combo_s(q)),
+        (combo_r2(p), combo_r2(q)),
+        (combo_s(p), combo_r2(q, Direction.LEFT)),
+        (combo_r2(p, Direction.LEFT), combo_s(q)),
+        (combo_r2(p, Direction.LEFT), combo_r2(q, Direction.LEFT)),
     ]
-    for got, ca, cb in checks:
+    for ca, cb in checks:
         want, magnitude = cov_engine(k, ca, cb)
+        spread = cov_engine(k, ca, ca)[1] + cov_engine(k, cb, cb)[1]
+        got = bridge_cov(k, ca, cb)
+        assert abs(got - want) <= max(1e-14 * abs(want), 5e-15 * (magnitude + spread))
+    # variances of random linear combinations of all five quantiles
+    probs = sorted(k.g_at)
+    for _ in range(20):
+        combo = [(float(c), prob) for c, prob in zip(rng.normal(size=len(probs)), probs)]
+        want, magnitude = cov_engine(k, combo, combo)
+        got = bridge_var(k, combo)
         assert abs(got - want) <= max(1e-14 * abs(want), 5e-15 * magnitude)
 
 
@@ -120,25 +199,26 @@ def test_cov_r1_r1_variance_specialization():
     p = 0.2
     k = random_kernel(rng, p, p)
     var = xi(k, 1 - p, 1 - p) - 2 * xi(k, p, 1 - p) + xi(k, p, p)
-    assert cov_r1_r1(k, p, p) == pytest.approx(var, rel=1e-14)
+    assert bridge_var(k, combo_r1(p)) == pytest.approx(var, rel=1e-14)
 
 
 def test_cov_s_r1_vanishes_for_symmetric_kernel():
     # g(p) = g(1-p) makes every term cancel (e.g. any normal distribution)
     for p in (0.05, 0.2, 0.4):
         g = 1.0 / float(np.exp(-0.5 * special.ndtri(p) ** 2) / math.sqrt(2 * math.pi))
-        k = XiKernel(n=50, g_at={p: g, 1 - p: g, 0.5: math.sqrt(2 * math.pi)})
-        scale = abs(cov_s_s(k, p, p))
-        assert abs(cov_s_r1(k, p, p)) <= 1e-14 * scale
+        k = RefKernel(50, {p: g, 1 - p: g, 0.5: math.sqrt(2 * math.pi)})
+        scale = abs(bridge_var(k, combo_s(p)))
+        assert abs(bridge_cov(k, combo_s(p), combo_r1(p))) <= 1e-14 * scale
 
 
 def test_transpose_identity():
+    # the polarized bridge covariance is exactly symmetric
     rng = np.random.default_rng(4)
     for _ in range(20):
-        p, q = rng.uniform(0.02, 0.48, size=2)
-        k = random_kernel(rng, float(p), float(q))
-        assert cov_s_r1(k, float(p), float(q)) == cov_r1_s(k, float(q), float(p))
-        assert cov_s_r2(k, float(p), float(q)) == cov_r2_s(k, float(q), float(p))
+        p, q = (float(v) for v in rng.uniform(0.02, 0.48, size=2))
+        k = random_kernel(rng, p, q)
+        assert bridge_cov(k, combo_s(p), combo_r1(q)) == bridge_cov(k, combo_r1(q), combo_s(p))
+        assert bridge_cov(k, combo_s(p), combo_r2(q)) == bridge_cov(k, combo_r2(q), combo_s(p))
 
 
 def _sample_grid_and_kernel(seed=11, n=400, probs=(0.15, 0.35)):
@@ -149,34 +229,56 @@ def _sample_grid_and_kernel(seed=11, n=400, probs=(0.15, 0.35)):
 
 
 def test_sigma_cross_diagonal_equals_pointwise_variances():
+    # one-hot gradients on a two-point grid against the hand expansion
     grid, k = _sample_grid_and_kernel()
+    ref = RefKernel.from_grid(grid)
     for p in (0.15, 0.35):
-        assert sigma_cross(k, grid, p, p, "gamma") == sigma1_sq(k, grid, p)
-        assert sigma_cross(k, grid, p, p, "lambda") == sigma2_sq(k, grid, p)
-        assert sigma_cross(k, grid, p, p, "lambda", Direction.LEFT) == sigma2_sq(
-            k, grid, p, Direction.LEFT
+        assert sigma1_sq(k, grid, p) == pytest.approx(
+            sigma_cross(ref, grid, p, p, "gamma"), rel=1e-12
         )
+        for d in Direction:
+            assert sigma2_sq(k, grid, p, d) == pytest.approx(
+                sigma_cross(ref, grid, p, p, "lambda", d), rel=1e-12
+            )
 
 
 def test_sigma_cross_symmetric_in_p_q():
     grid, k = _sample_grid_and_kernel()
-    a = sigma_cross(k, grid, 0.15, 0.35, "gamma")
-    b = sigma_cross(k, grid, 0.35, 0.15, "gamma")
-    assert a == pytest.approx(b, rel=1e-12)
-    a = sigma_cross(k, grid, 0.15, 0.35, "lambda")
-    b = sigma_cross(k, grid, 0.35, 0.15, "lambda")
-    assert a == pytest.approx(b, rel=1e-12)
+    ref = RefKernel.from_grid(grid)
+    for kind, family in ((MeasureKind.GAMMA, "gamma"), (MeasureKind.LAMBDA, "lambda")):
+        ma, mb = SkewMeasure(kind, p=0.15), SkewMeasure(kind, p=0.35)
+        a = library_cross(grid, k, ma, mb)
+        assert a == library_cross(grid, k, mb, ma)
+        assert a == pytest.approx(sigma_cross(ref, grid, 0.15, 0.35, family), rel=1e-12)
+        assert a == pytest.approx(sigma_cross(ref, grid, 0.35, 0.15, family), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [50, 1_000_000])
+@pytest.mark.parametrize("p", [0.001, 0.05, 0.25, 0.49])
+def test_pointwise_variances_match_reference(n, p):
+    rng = np.random.default_rng((n, 18))
+    s = SortedSample.from_data(rng.lognormal(size=n))
+    grid = grid_for_probs(s, [p])
+    k = XiKernel.from_grid(grid)
+    ref = RefKernel.from_grid(grid)
+    assert sigma1_sq(k, grid, p) == pytest.approx(sigma_cross(ref, grid, p, p), rel=1e-12)
+    for d in Direction:
+        assert sigma2_sq(k, grid, p, d) == pytest.approx(
+            sigma_cross(ref, grid, p, p, "lambda", d), rel=1e-12
+        )
 
 
 def test_sigma1_handles_symmetric_data():
-    # the plug-in expansion never divides by s_p, so exactly symmetric data
+    # the plug-in gradient never divides by s_p, so exactly symmetric data
     # falls back on nVar(s)/r^2
     values = np.concatenate([np.arange(1.0, 51.0), 102.0 - np.arange(1.0, 51.0)])
     s = SortedSample.from_data(values)
     grid = grid_for_probs(s, [0.25])
     k = XiKernel.from_grid(grid)
     got = sigma1_sq(k, grid, 0.25)
-    want = k.n * cov_s_s(k, 0.25, 0.25) / (grid.x_high[0] - grid.x_low[0]) ** 2
+    ref = RefKernel.from_grid(grid)
+    var_s = cov_engine(ref, combo_s(0.25), combo_s(0.25))[0]
+    want = k.n * var_s / (grid.x_high[0] - grid.x_low[0]) ** 2
     assert got == pytest.approx(want, rel=1e-12)
     assert got >= 0.0
 
@@ -186,14 +288,12 @@ def test_scale_equivariance_of_variances():
     data = rng.lognormal(size=500)
     s = SortedSample.from_data(data)
     t = s.transformed(7.5, 0.0)
-    for fam in ("gamma", "lambda"):
-        g1, k1 = grid_for_probs(s, [0.2]), None
-        g2 = grid_for_probs(t, [0.2])
-        k1 = XiKernel.from_grid(g1)
-        k2 = XiKernel.from_grid(g2)
-        a = sigma_cross(k1, g1, 0.2, 0.2, fam)
-        b = sigma_cross(k2, g2, 0.2, 0.2, fam)
-        assert b == pytest.approx(a, rel=1e-10)
+    g1 = grid_for_probs(s, [0.2])
+    g2 = grid_for_probs(t, [0.2])
+    k1 = XiKernel.from_grid(g1)
+    k2 = XiKernel.from_grid(g2)
+    assert sigma1_sq(k2, g2, 0.2) == pytest.approx(sigma1_sq(k1, g1, 0.2), rel=1e-10)
+    assert sigma2_sq(k2, g2, 0.2) == pytest.approx(sigma2_sq(k1, g1, 0.2), rel=1e-10)
     ga = build_grid(s, j_points=25)
     gb = build_grid(t, j_points=25)
     for fam, weighted in (("gamma", False), ("lambda", False), ("gamma", True)):
@@ -207,10 +307,13 @@ def test_xi_matrix_positive_semidefinite():
     for _ in range(20):
         probs = np.sort(rng.uniform(0.01, 0.99, size=10))
         g = rng.uniform(0.1, 20.0, size=10)
-        k = XiKernel(n=int(rng.integers(5, 500)), g_at={float(p): float(gv) for p, gv in zip(probs, g)})
+        k = RefKernel(int(rng.integers(5, 500)), {float(p): float(gv) for p, gv in zip(probs, g)})
         mat = np.array([[xi(k, float(a), float(b)) for b in probs] for a in probs])
         eigs = np.linalg.eigvalsh(mat)
         assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
+        # the bridge form is the same quadratic form: c' Xi c = Var(c' xhat)
+        c = rng.normal(size=10)
+        assert bridge_variance(probs, c * g) / k.n == pytest.approx(c @ mat @ c, rel=1e-10)
 
 
 def test_auc_variance_matches_naive_double_loop():
@@ -218,22 +321,20 @@ def test_auc_variance_matches_naive_double_loop():
     s = SortedSample.from_data(rng.exponential(size=300))
     grid = build_grid(s, j_points=25)
     k = XiKernel.from_grid(grid)
-    pj = grid.base_probs
+    ref = RefKernel.from_grid(grid)
+    pj = [float(p) for p in grid.base_probs]
     for fam in ("gamma", "lambda"):
-        naive = np.mean([
-            [sigma_cross(k, grid, float(a), float(b), fam) for b in pj] for a in pj
-        ])
+        naive = np.mean([[sigma_cross(ref, grid, a, b, fam) for b in pj] for a in pj])
         fast = auc_variance(k, grid, fam)
         assert fast == pytest.approx(float(naive), rel=1e-12)
     naive_w = np.mean([
-        [a * b * sigma_cross(k, grid, float(a), float(b), "gamma") for b in pj] for a in pj
+        [a * b * sigma_cross(ref, grid, a, b, "gamma") for b in pj] for a in pj
     ])
     assert auc_variance(k, grid, "gamma", weighted=True) == pytest.approx(
         float(naive_w), rel=1e-12
     )
     naive_left = np.mean([
-        [sigma_cross(k, grid, float(a), float(b), "lambda", Direction.LEFT) for b in pj]
-        for a in pj
+        [sigma_cross(ref, grid, a, b, "lambda", Direction.LEFT) for b in pj] for a in pj
     ])
     assert auc_variance(k, grid, "lambda", direction=Direction.LEFT) == pytest.approx(
         float(naive_left), rel=1e-12
@@ -251,9 +352,10 @@ def test_auc_variance_quadratic_form_matches_sigma_cross(n, family, weighted, di
     s = SortedSample.from_data(rng.lognormal(size=n))
     grid = build_grid(s, j_points=20)
     k = XiKernel.from_grid(grid)
+    ref = RefKernel.from_grid(grid)
     pj = [float(p) for p in grid.base_probs]
     naive = np.mean([
-        [(a * b if weighted else 1.0) * sigma_cross(k, grid, a, b, family, direction)
+        [(a * b if weighted else 1.0) * sigma_cross(ref, grid, a, b, family, direction)
          for b in pj]
         for a in pj
     ])
@@ -267,8 +369,9 @@ def test_auc_variance_two_point_grid_equals_mean_of_cells():
     s = SortedSample.from_data(rng.exponential(size=500))
     grid = build_grid(s, j_points=2)
     k = XiKernel.from_grid(grid)
+    ref = RefKernel.from_grid(grid)
     cells = [
-        sigma_cross(k, grid, float(a), float(b), "gamma")
+        sigma_cross(ref, grid, float(a), float(b), "gamma")
         for a in grid.base_probs for b in grid.base_probs
     ]
     assert auc_variance(k, grid, "gamma") == pytest.approx(np.mean(cells), rel=1e-13)
@@ -302,7 +405,7 @@ def test_sigma1_matches_simulation_normal():
     p, n, reps = 0.25, 10_000, 20_000
     probs = np.array([p, 1 - p, 0.5])
     grid = population_grid(dist, base_probs=[p])
-    k = XiKernel.exact(dist, [p, 1 - p, 0.5], n)
+    k = XiKernel(n=n, g=grid.g)
     predicted = sigma1_sq(k, grid, p)
 
     rng = np.random.default_rng(160)
@@ -328,7 +431,7 @@ def test_auc_variance_matches_simulation_lognormal():
     pj = midpoint_probs(J)
     probs = np.concatenate([pj, 1 - pj, [0.5]])
     grid = population_grid(dist, j_points=J)
-    k = XiKernel.exact(dist, np.concatenate([pj, 1 - pj, [0.5]]), n)
+    k = XiKernel(n=n, g=grid.g)
     predicted = auc_variance(k, grid, "gamma")
 
     rng = np.random.default_rng(161)

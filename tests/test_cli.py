@@ -144,6 +144,20 @@ def test_estimate_degenerate_scale_names_probability(tmp_path, capsys):
     assert "0.3" in err
 
 
+def test_estimate_count_data_names_ties(tmp_path, capsys):
+    # Poisson(3) counts: every kernel window sees only tied values
+    values = np.random.default_rng(3).poisson(3.0, size=500)
+    path = write_csv(tmp_path / "visits.csv", values, header="visits")
+    code, _, err = run_cli(
+        capsys, "estimate", path, "--column", "visits", "--measures", "gamma@0.25",
+    )
+    assert code == EXIT_DATA
+    distinct = np.unique(values).size
+    assert f"{distinct} distinct values among n = 500" in err
+    assert "ties leave zero spacings in the kernel window" in err
+    assert "Traceback" not in err
+
+
 def test_estimate_bad_column_exits_3(ln_file, capsys):
     code, _, err = run_cli(
         capsys, "estimate", ln_file, "--column", "nope", "--measures", "b3",

@@ -15,7 +15,7 @@ from skewkit import (
     quantile_type8,
 )
 from skewkit.quantiles import _positions_below, quantile_density_profile
-from skewkit.skewness import midpoint_probs
+from skewkit.skewness import grid_for_probs, midpoint_probs
 
 
 def type8_reference(values, p):
@@ -68,9 +68,13 @@ def test_type8_affine_equivariant():
 
 def test_type8_rejects_bad_p():
     s = SortedSample.from_data([1, 2, 3, 4])
-    for bad in (0.0, 1.0, -0.5, 2.0):
+    for bad in (0.0, 1.0, -0.5, 2.0, np.nan):
         with pytest.raises(ValueError):
             quantile_type8(s, bad)
+    with pytest.raises(ValueError):
+        quantile_type8(s, np.array([0.25, np.nan]))
+    with pytest.raises(ValueError):
+        grid_for_probs(s, [np.nan])
 
 
 def test_sorted_sample_validation():

@@ -9,6 +9,7 @@ from skewkit import (
     SimConfig,
     coverage_standard_error,
     parse_measure,
+    population_measure,
     run_coverage,
 )
 from skewkit import simulation as simulation_module
@@ -99,7 +100,7 @@ def test_truth_uses_population_values():
     by_label = {r.measure.label(): r for r in report.results}
     ln = LogNormal(0.0, 1.0)
     assert by_label["auc_gamma"].truth == pytest.approx(
-        ln.population_measure(parse_measure("auc_gamma")), rel=1e-14
+        population_measure(ln, parse_measure("auc_gamma")), rel=1e-14
     )
 
 

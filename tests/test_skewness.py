@@ -35,9 +35,6 @@ from skewkit.skewness import (
     estimate,
     grid_for_probs,
     population_grid,
-    r1_p,
-    r2_p,
-    s_p,
 )
 
 
@@ -87,39 +84,38 @@ def test_build_grid_small_example():
     s = SortedSample.from_data(np.arange(1.0, 101.0))
     grid = build_grid(s, j_points=2)
     assert np.allclose(grid.base_probs, [0.125, 0.375])
-    assert set(grid.xhat_at) == {0.125, 0.375, 0.625, 0.875, 0.5}
-    assert set(grid.ghat_at) == {0.125, 0.375, 0.625, 0.875, 0.5}
+    assert np.array_equal(grid.probs, [0.125, 0.375, 0.875, 0.625, 0.5])
+    assert grid.x.shape == grid.g.shape == (5,)
 
 
 def test_grid_quantiles_match_direct_calls_bitwise():
     rng = np.random.default_rng(4)
     s = SortedSample.from_data(rng.exponential(size=321))
     grid = build_grid(s, j_points=50)
-    for p, val in grid.xhat_at.items():
-        assert val == quantile_type8(s, p)
+    for p, val in zip(grid.probs, grid.x):
+        assert val == quantile_type8(s, float(p))
 
 
 def test_grid_quantiles_monotone_over_key_set():
     rng = np.random.default_rng(41)
     s = SortedSample.from_data(rng.exponential(size=87))
     grid = build_grid(s, j_points=100)
-    ordered = [grid.xhat_at[p] for p in sorted(grid.xhat_at)]
+    ordered = grid.x[np.argsort(grid.probs)]
     assert np.all(np.diff(ordered) >= 0.0)
 
 
 def test_s_r_identities():
     s = SortedSample.from_data([10.0, 20.0, 30.0, 40.0, 50.0])
     grid = grid_for_probs(s, [0.25])
-    assert s_p(grid, 0.25) == pytest.approx(0.0, abs=1e-12)  # symmetric sample
-    assert r1_p(grid, 0.25) == pytest.approx(80.0 / 3.0, abs=1e-9)
+    assert grid.s_values()[0] == pytest.approx(0.0, abs=1e-12)  # symmetric sample
+    assert grid.r1_values()[0] == pytest.approx(80.0 / 3.0, abs=1e-9)
     rng = np.random.default_rng(5)
     t = SortedSample.from_data(rng.exponential(size=100))
     g = grid_for_probs(t, [0.1, 0.3])
-    for p in (0.1, 0.3):
-        total = r2_p(g, p, Direction.RIGHT) + r2_p(g, p, Direction.LEFT)
-        assert total == pytest.approx(r1_p(g, p), rel=1e-12)
+    total = g.r2_values(Direction.RIGHT) + g.r2_values(Direction.LEFT)
+    np.testing.assert_allclose(total, g.r1_values(), rtol=1e-12)
     with pytest.raises(MissingProbabilityError):
-        s_p(g, 0.2)
+        estimate_pointwise(g, parse_measure("gamma@0.2"))
 
 
 def test_pointwise_population_values():
@@ -267,7 +263,7 @@ def test_auc_discretization_bounded_gamma_family(dist):
     for tok in ("auc_gamma", "auc_gamma_star", "auc_lambda_star"):
         m = parse_measure(tok)
         coarse = population_measure(dist, m)
-        fine = population_measure(dist, m, j_points=1000)
+        fine = population_measure(dist, parse_measure(tok, j_points=1000))
         assert abs(coarse - fine) <= 0.002, tok
 
 
@@ -279,7 +275,7 @@ def test_auc_discretization_bounded_lambda_light_tails(dist):
     # and J=1000 (see the decisions ledger).
     m = parse_measure("auc_lambda")
     coarse = population_measure(dist, m)
-    fine = population_measure(dist, m, j_points=1000)
+    fine = population_measure(dist, parse_measure("auc_lambda", j_points=1000))
     assert abs(coarse - fine) <= 0.002
 
 
@@ -305,3 +301,5 @@ def test_grid_build_reports_failing_probability():
     with pytest.raises(QuantileDensityError) as info:
         grid_for_probs(s, [0.1])
     assert 0.1 in info.value.probabilities
+    assert (info.value.distinct, info.value.n) == (4, 53)
+    assert "4 distinct values among n = 53" in str(info.value)
