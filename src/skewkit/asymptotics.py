@@ -27,25 +27,29 @@ from .skewness import Direction, MeasureKind, QuantileGrid, SkewMeasure, curve_t
 @dataclass(frozen=True)
 class XiKernel:
     """Quantile-covariance kernel: sample size plus the quantile densities g
-    at a grid's 2J+1 probabilities, in the order of ``QuantileGrid.probs``.
+    at the probabilities ``probs`` (a grid's ``QuantileGrid.probs``).
 
     ``g`` holds kernel estimates (inference) or exact quantile densities
-    (population oracles).
+    (population oracles).  The engine accepts the kernel only for a grid
+    with exactly these probabilities.
     """
 
     n: int
+    probs: np.ndarray
     g: np.ndarray
 
     def __post_init__(self):
         positive = np.asarray(self.g) > 0.0  # NaN fails too
-        if not positive.all():
-            raise ValueError(f"quantile densities must be positive, got {self.g!r}")
+        if np.shape(self.g) != np.shape(self.probs) or not positive.all():
+            raise ValueError(
+                f"need one positive quantile density per probability, got {self.g!r}"
+            )
 
     @classmethod
     def from_grid(cls, grid: QuantileGrid) -> "XiKernel":
         if grid.n is None:
             raise ValueError("grid has no sample size; use an explicit n")
-        return cls(n=grid.n, g=grid.g)
+        return cls(n=grid.n, probs=grid.probs, g=grid.g)
 
 
 def bridge_variance(probs: np.ndarray, v: np.ndarray) -> float:
@@ -88,8 +92,8 @@ def ratio_gradient(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
 
 
 def _delta_variance(k: XiKernel, grid: QuantileGrid, measure: SkewMeasure) -> float:
-    if np.shape(k.g) != grid.probs.shape:
-        raise ValueError("kernel densities do not match the grid's probabilities")
+    if not np.array_equal(k.probs, grid.probs):
+        raise ValueError("the kernel's probabilities are not the grid's")
     return bridge_variance(grid.probs, ratio_gradient(grid, measure) * k.g)
 
 

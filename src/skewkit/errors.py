@@ -27,13 +27,11 @@ class QuantileDensityError(SkewkitError):
 
     Happens under ties: tied order statistics leave zero spacings, and a
     kernel window that sees nothing else estimates zero.  The standard error
-    for the affected probability cannot be formed.  ``distinct`` and ``n``,
-    when given, count the sample's distinct values and its size.
+    for the affected probability cannot be formed.  ``distinct`` and ``n``
+    count the sample's distinct values and its size.
     """
 
-    def __init__(
-        self, probabilities, bandwidths, distinct: int | None = None, n: int | None = None
-    ):
+    def __init__(self, probabilities, bandwidths, distinct: int, n: int):
         self.probabilities = tuple(float(p) for p in probabilities)
         self.bandwidths = tuple(float(b) for b in bandwidths)
         self.distinct = distinct
@@ -41,13 +39,11 @@ class QuantileDensityError(SkewkitError):
         pairs = ", ".join(
             f"(p={p:g}, b={b:g})" for p, b in zip(self.probabilities, self.bandwidths)
         )
-        msg = f"non-positive quantile-density estimate at {pairs}"
-        if distinct is not None:
-            msg += (
-                f": the sample has {distinct} distinct values among n = {n}, and"
-                " ties leave zero spacings in the kernel window"
-            )
-        super().__init__(msg)
+        super().__init__(
+            f"non-positive quantile-density estimate at {pairs}: the sample has"
+            f" {distinct} distinct values among n = {n}, and ties leave zero"
+            " spacings in the kernel window"
+        )
 
 
 class MissingProbabilityError(SkewkitError):

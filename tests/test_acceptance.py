@@ -265,7 +265,7 @@ def test_criterion_4_covariance_oracle():
         ]
         # the library's delta-method cross-covariances, by polarization
         grid = population_grid(dist, base_probs=sorted({a, b}))
-        kernel = XiKernel(n=n, g=grid.g)
+        kernel = XiKernel(n=n, probs=grid.probs, g=grid.g)
         for family, kind, ra, rb in (
             ("gamma", MeasureKind.GAMMA, r1a, r1b),
             ("lambda", MeasureKind.LAMBDA, r2a, r2b),

@@ -156,11 +156,32 @@ def test_xi_missing_probability():
         sigma1_sq(XiKernel.from_grid(other), grid, 0.15)
 
 
+def test_kernel_from_an_equal_size_grid_is_rejected():
+    # same number of probabilities, different values: the kernel's densities
+    # would be read at the wrong p, so the engine refuses the pair
+    grid, k = _sample_grid_and_kernel()
+    for probs in ((0.15, 0.3), (0.35, 0.15)):
+        other, k_other = _sample_grid_and_kernel(probs=probs)
+        assert k_other.g.shape == k.g.shape
+        with pytest.raises(ValueError):
+            sigma1_sq(k_other, grid, 0.15)
+        with pytest.raises(ValueError):
+            sigma2_sq(k_other, grid, 0.15, Direction.LEFT)
+    auc = build_grid(SortedSample.from_data(np.arange(1.0, 201.0)), j_points=10)
+    shifted = population_grid(LogNormal(0.0, 1.0), base_probs=auc.base_probs + 0.01)
+    with pytest.raises(ValueError):
+        auc_variance(XiKernel(200, shifted.probs, shifted.g), auc, "gamma")
+    # the kernel of the grid itself is accepted
+    assert sigma1_sq(k, grid, 0.15) > 0.0
+
+
 def test_xi_kernel_rejects_nonpositive_density():
     with pytest.raises(ValueError):
-        XiKernel(n=10, g=np.array([1.0, 0.0, 2.0]))
+        XiKernel(n=10, probs=np.array([0.1, 0.9, 0.5]), g=np.array([1.0, 0.0, 2.0]))
     with pytest.raises(ValueError):
-        XiKernel(n=10, g=np.array([np.nan]))
+        XiKernel(n=10, probs=np.array([0.5]), g=np.array([np.nan]))
+    with pytest.raises(ValueError):
+        XiKernel(n=10, probs=np.array([0.1, 0.9, 0.5]), g=np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -405,7 +426,7 @@ def test_sigma1_matches_simulation_normal():
     p, n, reps = 0.25, 10_000, 20_000
     probs = np.array([p, 1 - p, 0.5])
     grid = population_grid(dist, base_probs=[p])
-    k = XiKernel(n=n, g=grid.g)
+    k = XiKernel(n=n, probs=grid.probs, g=grid.g)
     predicted = sigma1_sq(k, grid, p)
 
     rng = np.random.default_rng(160)
@@ -431,7 +452,7 @@ def test_auc_variance_matches_simulation_lognormal():
     pj = midpoint_probs(J)
     probs = np.concatenate([pj, 1 - pj, [0.5]])
     grid = population_grid(dist, j_points=J)
-    k = XiKernel(n=n, g=grid.g)
+    k = XiKernel(n=n, probs=grid.probs, g=grid.g)
     predicted = auc_variance(k, grid, "gamma")
 
     rng = np.random.default_rng(161)

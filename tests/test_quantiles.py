@@ -186,7 +186,9 @@ def density_loop_reference(sample, probs, rule=BandwidthRule()):
         out[i] = np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u), 0.0) @ spacings[lo:hi] / bw
     if np.any(out <= 0.0):
         bad = out <= 0.0
-        raise QuantileDensityError(probs[bad], np.broadcast_to(b, probs.shape)[bad])
+        raise QuantileDensityError(
+            probs[bad], np.broadcast_to(b, probs.shape)[bad], np.unique(x).size, n
+        )
     return out
 
 
@@ -198,6 +200,7 @@ def assert_density_matches_loop(sample, probs, rule=BandwidthRule()):
             quantile_density_profile(sample, probs, rule)
         assert info.value.probabilities == ref_err.probabilities
         assert info.value.bandwidths == ref_err.bandwidths
+        assert str(info.value) == str(ref_err)
         return
     got = quantile_density_profile(sample, probs, rule)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
