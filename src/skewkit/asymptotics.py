@@ -11,7 +11,8 @@ Writing B(p) = W(p) - p W(1) turns that into n Var = int_0^1 (T(t) - m)^2 dt,
 with T(t) = sum_{p_a > t} v_a and m = sum_a v_a p_a: an O(J) sum of squares
 (see bridge_variance).  Pointwise measures are the one-point case, so both
 kinds take one path.  All population quantities are replaced by sample
-plug-ins.
+plug-ins.  Every function takes a batch grid too (one row per sample) and
+returns one variance per row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .skewness import Direction, MeasureKind, QuantileGrid, SkewMeasure, curve_terms
+from .skewness import Direction, MeasureKind, QuantileGrid, SkewMeasure, _scalar, curve_terms
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,8 @@ class XiKernel:
 
     ``g`` holds kernel estimates (inference) or exact quantile densities
     (population oracles).  The engine accepts the kernel only for a grid
-    with exactly these probabilities.
+    with exactly these probabilities.  For a batch grid ``g`` has one row
+    per sample.
     """
 
     n: int
@@ -40,7 +42,7 @@ class XiKernel:
 
     def __post_init__(self):
         positive = np.asarray(self.g) > 0.0  # NaN fails too
-        if np.shape(self.g) != np.shape(self.probs) or not positive.all():
+        if np.shape(self.g)[-1:] != np.shape(self.probs) or not positive.all():
             raise ValueError(
                 f"need one positive quantile density per probability, got {self.g!r}"
             )
@@ -52,17 +54,19 @@ class XiKernel:
         return cls(n=grid.n, probs=grid.probs, g=grid.g)
 
 
-def bridge_variance(probs: np.ndarray, v: np.ndarray) -> float:
+def bridge_variance(probs: np.ndarray, v: np.ndarray):
     """Var(sum_a v_a B(p_a)) for a standard Brownian bridge B on [0, 1].
 
     Equals int_0^1 (T(t) - m)^2 dt with T(t) = sum_{p_a > t} v_a and
-    m = sum_a v_a p_a, so it is non-negative by construction.
+    m = sum_a v_a p_a, so it is non-negative by construction.  ``v`` may
+    hold one row of weights per sample; the result then has one entry per row.
     """
-    # T(t) is tail[i] on cell i between sorted probabilities, 0 past the last
+    # T(t) is tail[..., i] on cell i between sorted probabilities, 0 past the last
     order = np.argsort(probs)
-    tail = np.append(np.cumsum(v[order][::-1])[::-1], 0.0)
+    tail = np.cumsum(v[..., order[::-1]], axis=-1)[..., ::-1]
+    tail = np.concatenate([tail, np.zeros(tail.shape[:-1] + (1,))], axis=-1)
     cells = np.diff(probs[order], prepend=0.0, append=1.0)
-    return float(cells @ (tail - v @ probs) ** 2)
+    return _scalar((tail - (v @ probs)[..., None]) ** 2 @ cells)
 
 
 def ratio_gradient(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
@@ -84,10 +88,10 @@ def ratio_gradient(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
         dr_low, dr_high, dr_med = -1.0, 0.0, 1.0
     ratio = s / r
     scale = (grid.base_probs[j] if measure.weighted else 1.0) / (j.size * r)
-    grad = np.zeros(grid.probs.size)
-    grad[j] = scale * (1.0 - ratio * dr_low)
-    grad[grid.base_probs.size + j] = scale * (1.0 - ratio * dr_high)
-    grad[-1] = np.sum(scale * (-2.0 - ratio * dr_med))
+    grad = np.zeros(grid.x.shape)
+    grad[..., j] = scale * (1.0 - ratio * dr_low)
+    grad[..., grid.base_probs.size + j] = scale * (1.0 - ratio * dr_high)
+    grad[..., -1] = np.sum(scale * (-2.0 - ratio * dr_med), axis=-1)
     return grad
 
 
@@ -118,13 +122,14 @@ class VarianceEstimate:
     se: float
 
     @classmethod
-    def from_asymptotic(cls, measure: SkewMeasure, asymptotic: float, n: int) -> "VarianceEstimate":
-        if asymptotic < 0.0:
+    def from_asymptotic(cls, measure: SkewMeasure, asymptotic, n: int) -> "VarianceEstimate":
+        """``asymptotic`` is a float, or one value per row of a batch."""
+        if np.any(asymptotic < 0.0):
             raise NumericalError(
-                f"negative asymptotic variance {asymptotic:g} for {measure}"
+                f"negative asymptotic variance {np.min(asymptotic):g} for {measure}"
             )
         variance = asymptotic / n
-        return cls(measure=measure, variance=variance, se=float(np.sqrt(variance)))
+        return cls(measure=measure, variance=variance, se=_scalar(np.sqrt(variance)))
 
 
 def auc_variance(

@@ -21,6 +21,7 @@ from .inference import difference_interval, interval, point_estimate
 from .quantiles import DEFAULT_BANDWIDTH, SortedSample
 from .simulation import SimConfig, run_coverage
 from .skewness import (
+    AUC_KINDS,
     Direction,
     MeasureKind,
     SkewMeasure,
@@ -36,12 +37,6 @@ EXIT_DATA = 3
 EXIT_SIMULATION = 4
 
 STANDARD_PS = (0.05, 0.1, 0.15, 0.2, 0.25)
-_AUC_KINDS = (
-    MeasureKind.AUC_GAMMA,
-    MeasureKind.AUC_LAMBDA,
-    MeasureKind.AUC_GAMMA_STAR,
-    MeasureKind.AUC_LAMBDA_STAR,
-)
 
 
 class DataError(SkewkitError):
@@ -72,7 +67,7 @@ def expand_measures(
                 measures.append(SkewMeasure(MeasureKind.GAMMA, p=p, direction=direction))
             for p in STANDARD_PS:
                 measures.append(SkewMeasure(MeasureKind.LAMBDA, p=p, direction=direction))
-            for kind in _AUC_KINDS:
+            for kind in AUC_KINDS:
                 measures.append(SkewMeasure(kind, direction=direction, j_points=j_points))
             if include_b3:
                 measures.append(SkewMeasure(MeasureKind.B3))
@@ -200,7 +195,7 @@ def _estimate_rows(sample: SortedSample, measures, level, rule):
 def cmd_estimate(args) -> int:
     data = read_numeric_column(args.input, args.column)
     sample = SortedSample.from_data(data)
-    measures = expand_measures(args.measures, args.direction, include_b3=True)
+    measures = expand_measures(args.measures, args.direction, args.j, include_b3=True)
     rows = _estimate_rows(sample, measures, args.level, DEFAULT_BANDWIDTH)
     if args.format == "json":
         _emit_json({
@@ -225,7 +220,7 @@ def cmd_compare(args) -> int:
     col_b = args.column_b if args.column_b is not None else args.column
     sample_a = SortedSample.from_data(read_numeric_column(args.input_a, col_a))
     sample_b = SortedSample.from_data(read_numeric_column(args.input_b, col_b))
-    measures = expand_measures(args.measures, args.direction, include_b3=False)
+    measures = expand_measures(args.measures, args.direction, args.j, include_b3=False)
     if any(m.kind is MeasureKind.B3 for m in measures):
         raise ValueError("b3 has no standard error and cannot be compared")
     diffs = [
@@ -281,7 +276,7 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"{args.config}: {exc.strerror or exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"{args.config}: invalid JSON ({exc})") from exc
-    for key in ("dist", "n", "trials", "seed", "level", "threads", "bandwidth", "direction"):
+    for key in ("dist", "n", "trials", "seed", "level", "threads", "bandwidth", "direction", "j"):
         value = getattr(args, key, None)
         if value is not None:
             doc[key] = value
@@ -359,6 +354,10 @@ def _direction(text: str) -> Direction:
         raise argparse.ArgumentTypeError("direction must be 'right' or 'left'") from None
 
 
+def _add_j(parser):
+    parser.add_argument("--j", type=int, default=100, help="midpoint grid size for AUC kinds")
+
+
 def _add_format(parser):
     parser.add_argument(
         "--format", choices=("text", "json", "csv"), default="text",
@@ -378,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="distribution, e.g. 'lognormal(0,1)' or 'exp(1)'")
     p.add_argument("--measures", required=True,
                    help="comma list: gamma@0.25, lambda@0.05, auc_gamma, ..., b3, or 'all'")
-    p.add_argument("--j", type=int, default=100, help="midpoint grid size for AUC kinds")
+    _add_j(p)
     p.add_argument("--direction", type=_direction, default=Direction.RIGHT)
     _add_format(p)
     p.set_defaults(func=cmd_population)
@@ -388,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--column", required=True, help="column name or 0-based index")
     p.add_argument("--measures", required=True)
     p.add_argument("--level", type=float, default=0.95)
+    _add_j(p)
     p.add_argument("--direction", type=_direction, default=Direction.RIGHT)
     _add_format(p)
     p.set_defaults(func=cmd_estimate)
@@ -399,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--column-b", default=None, help="column for group B")
     p.add_argument("--measures", required=True)
     p.add_argument("--level", type=float, default=0.95)
+    _add_j(p)
     p.add_argument("--direction", type=_direction, default=Direction.RIGHT)
     _add_format(p)
     p.set_defaults(func=cmd_compare)
@@ -410,9 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--level", type=float, default=None)
-    p.add_argument("--threads", default=None, help="positive integer or 'auto'")
+    p.add_argument("--threads", default=None,
+                   help="positive integer or 'auto'; accepted, changes nothing")
     p.add_argument("--bandwidth", default=None, help="'default' or a fixed value in (0,0.5)")
     p.add_argument("--direction", default=None, choices=("right", "left"))
+    p.add_argument("--j", type=int, default=None,
+                   help="override: midpoint grid size for AUC kinds (default 100)")
     p.add_argument("--measures", default=None, help="override: comma list of measures")
     _add_format(p)
     p.set_defaults(func=cmd_simulate)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+import numpy as np
 from scipy import special
 
 from . import asymptotics, skewness
-from .errors import UnsupportedMeasureError
-from .quantiles import DEFAULT_BANDWIDTH, BandwidthRule, SortedSample
+from .errors import DegenerateScaleError, SkewkitError, UnsupportedMeasureError
+from .quantiles import DEFAULT_BANDWIDTH, BandwidthRule, SortedSample, density_error
 from .skewness import MeasureKind, SkewMeasure
 
 
@@ -123,6 +124,110 @@ def _estimator_variance(measure: SkewMeasure, grid, kernel) -> float:
     return base
 
 
+@dataclass(frozen=True)
+class IntervalRows:
+    """One measure's Wald intervals for every row of a batch of samples.
+
+    ``estimate``, ``se``, ``lower`` and ``upper`` hold one entry per row, NaN
+    where the row failed; ``errors`` maps each failed row to the error that
+    ``interval`` raises on that row's sample alone.
+    """
+
+    measure: SkewMeasure
+    estimate: np.ndarray
+    se: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    errors: dict[int, SkewkitError]
+
+
+def _row_errors(rows: SortedSample, grid, measure: SkewMeasure, rule) -> dict[int, SkewkitError]:
+    """Per row of the measure's own grid: QuantileDensityError if a density
+    is not positive, else DegenerateScaleError if a denominator is not."""
+    bad_g = grid.g <= 0.0
+    bad_r = skewness.denominators(grid, measure) <= 0.0
+    errors = {}
+    for t in np.flatnonzero(bad_g.any(axis=1) | bad_r.any(axis=1)):
+        if bad_g[t].any():
+            errors[int(t)] = density_error(rows.values[t], grid.probs, grid.g[t], rule)
+        else:
+            errors[int(t)] = DegenerateScaleError(grid.base_probs[bad_r[t]])
+    return errors
+
+
+def _measure_rows(rows, own, measure: SkewMeasure, z: float, rule) -> IntervalRows:
+    """The measure's intervals from its own grid ``own`` (see ``measure_grid``)."""
+    errors = _row_errors(rows, own, measure, rule)
+    ok = np.ones(own.x.shape[0], dtype=bool)
+    ok[list(errors)] = False
+    estimate = np.full(ok.size, np.nan)
+    se = estimate.copy()
+    if ok.any():
+        if errors:
+            own = replace(own, x=own.x[ok], g=own.g[ok])
+        if measure.is_auc:
+            estimate[ok] = skewness.estimate_auc(own, measure)
+        else:
+            estimate[ok] = skewness.estimate_pointwise(own, measure)
+        kernel = asymptotics.XiKernel.from_grid(own)
+        se[ok] = asymptotics.VarianceEstimate.from_asymptotic(
+            measure, _estimator_variance(measure, own, kernel), rows.n
+        ).se
+    half = z * se
+    return IntervalRows(measure, estimate, se, estimate - half, estimate + half, errors)
+
+
+def interval_rows(
+    rows: SortedSample,
+    measures,
+    level: float = 0.95,
+    rule: BandwidthRule = DEFAULT_BANDWIDTH,
+) -> list[IntervalRows]:
+    """Wald intervals for every measure on every row of a batch of samples.
+
+    One grid over the union of the measures' probabilities serves them
+    all; each measure reads its own probabilities from it, so a failure at
+    a probability that only another measure uses never fails it.
+    """
+    if not (0.0 < level < 1.0):
+        raise ValueError("confidence level must lie strictly inside (0, 1)")
+    if any(m.kind is MeasureKind.B3 for m in measures):
+        raise UnsupportedMeasureError("no standard error is defined for b3")
+    points = [skewness.midpoint_probs(m.j_points) if m.is_auc else [m.p] for m in measures]
+    base, where = np.unique(np.concatenate(points), return_inverse=True)
+    grid = skewness.grid_for_probs(rows, base, rule)
+    z = z_quantile(1.0 - 0.5 * (1.0 - level))
+    out, start = [], 0
+    for m, p in zip(measures, points):
+        own = skewness.measure_grid(grid, m, where[start : start + len(p)])
+        out.append(_measure_rows(rows, own, m, z, rule))
+        start += len(p)
+    return out
+
+
+def intervals(
+    sample: SortedSample,
+    measures,
+    level: float = 0.95,
+    rule: BandwidthRule = DEFAULT_BANDWIDTH,
+) -> list[IntervalEstimate]:
+    """``[interval(sample, m, level, rule) for m in measures]`` on one grid.
+
+    Raises the error of the first measure that fails.
+    """
+    if sample.values.ndim != 1:
+        raise ValueError("intervals takes one sample; use interval_rows for a batch")
+    out = []
+    for r in interval_rows(SortedSample(sample.values[None]), measures, level, rule):
+        if r.errors:
+            raise r.errors[0]
+        out.append(IntervalEstimate(
+            measure=r.measure, estimate=float(r.estimate[0]), se=float(r.se[0]),
+            level=level, lower=float(r.lower[0]), upper=float(r.upper[0]), n=sample.n,
+        ))
+    return out
+
+
 def interval(
     sample: SortedSample,
     measure: SkewMeasure,
@@ -134,33 +239,7 @@ def interval(
     The SE comes from the delta-method asymptotic variance with kernel
     quantile-density plug-ins, divided by n.
     """
-    if not (0.0 < level < 1.0):
-        raise ValueError("confidence level must lie strictly inside (0, 1)")
-    if measure.kind is MeasureKind.B3:
-        raise UnsupportedMeasureError("no standard error is defined for b3")
-
-    if measure.is_auc:
-        grid = skewness.build_grid(sample, measure.j_points, rule)
-        est = skewness.estimate_auc(grid, measure)
-    else:
-        grid = skewness.grid_for_probs(sample, [measure.p], rule)
-        est = skewness.estimate_pointwise(grid, measure)
-
-    kernel = asymptotics.XiKernel.from_grid(grid)
-    var = asymptotics.VarianceEstimate.from_asymptotic(
-        measure, _estimator_variance(measure, grid, kernel), sample.n
-    )
-    z = z_quantile(1.0 - 0.5 * (1.0 - level))
-    half = z * var.se
-    return IntervalEstimate(
-        measure=measure,
-        estimate=est,
-        se=var.se,
-        level=level,
-        lower=est - half,
-        upper=est + half,
-        n=sample.n,
-    )
+    return intervals(sample, [measure], level, rule)[0]
 
 
 def difference_interval(

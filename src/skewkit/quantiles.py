@@ -20,7 +20,12 @@ Z_975 = float(special.ndtri(0.975))
 
 @dataclass(frozen=True)
 class SortedSample:
-    """An ascending, finite data vector of size >= 4."""
+    """An ascending, finite data vector of size >= 4, or a batch of them.
+
+    ``values`` is one sample of shape (n,) or, from ``from_rows``, T samples
+    of equal size n stacked as the rows of a (T, n) array, each row sorted.
+    Every function of this module accepts either and works row by row.
+    """
 
     values: np.ndarray
 
@@ -29,16 +34,21 @@ class SortedSample:
         arr = np.asarray(data, dtype=float)
         if arr.ndim != 1:
             arr = arr.reshape(-1)
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.count_nonzero(~np.isfinite(arr)))
-            raise ValueError(f"sample contains {bad} non-finite value(s)")
-        if arr.size < 4:
-            raise ValueError(f"need at least 4 observations, got {arr.size}")
+        _check(arr)
         return cls(values=np.sort(arr))
+
+    @classmethod
+    def from_rows(cls, rows) -> "SortedSample":
+        """A batch of equal-size samples, one per row of ``rows``."""
+        arr = np.asarray(rows, dtype=float)
+        if arr.ndim != 2:
+            raise ValueError(f"need a 2-D array of samples, got shape {arr.shape}")
+        _check(arr)
+        return cls(values=np.sort(arr, axis=1))
 
     @property
     def n(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     def transformed(self, scale: float, shift: float) -> "SortedSample":
         """Affine image scale*x + shift (scale > 0 keeps the ordering)."""
@@ -47,29 +57,37 @@ class SortedSample:
         return SortedSample(values=self.values * scale + shift)
 
     def negated(self) -> "SortedSample":
-        return SortedSample(values=-self.values[::-1])
+        return SortedSample(values=-self.values[..., ::-1])
+
+
+def _check(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        bad = int(np.count_nonzero(~np.isfinite(arr)))
+        raise ValueError(f"sample contains {bad} non-finite value(s)")
+    if arr.shape[-1] < 4:
+        raise ValueError(f"need at least 4 observations, got {arr.shape[-1]}")
 
 
 def quantile_type8(sample: SortedSample, p):
     """Hyndman-Fan Type 8 sample quantile at probability p (scalar or array).
 
     Uses the plotting position h = (n + 1/3) p + 1/3, clamped to [1, n], and
-    linear interpolation between the two adjacent order statistics.
+    linear interpolation between the two adjacent order statistics.  For a
+    batch the result gains a leading row axis; each row is bit-identical to
+    the call on that row alone.
     """
     probs = np.asarray(p, dtype=float)
     if np.any(~((probs > 0.0) & (probs < 1.0))):  # NaN fails too
         raise ValueError("probability must lie strictly inside (0, 1)")
     x = sample.values
-    n = x.size
+    n = sample.n
     h = np.clip((n + 1.0 / 3.0) * probs + 1.0 / 3.0, 1.0, float(n))
     floor = np.floor(h).astype(np.intp)
     frac = h - floor
-    lower = x[floor - 1]
-    upper = x[np.minimum(floor + 1, n) - 1]  # h == n falls back on x_(n)
+    lower = x[..., floor - 1]
+    upper = x[..., np.minimum(floor + 1, n) - 1]  # h == n falls back on x_(n)
     result = lower + frac * (upper - lower)
-    if np.ndim(p) == 0:
-        return float(result)
-    return result
+    return float(result) if result.ndim == 0 else result
 
 
 def default_bandwidth(n: int, p):
@@ -115,6 +133,20 @@ def _epanechnikov(u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
+def _window_weights(lo: int, hi: int, n: int, p: float, b: float) -> np.ndarray:
+    """``_epanechnikov((k/n - p) / b)`` for the positions k = lo+1 .. hi of
+    one window, computed in place; max(., 0) equals the |u| < 1 test there
+    because u*u >= 1 exactly where it fails."""
+    w = np.arange(lo + 1, hi + 1, dtype=float)
+    w /= n
+    w -= p
+    w /= b
+    np.square(w, out=w)
+    np.subtract(1.0, w, out=w)
+    w *= 0.75
+    return np.maximum(w, 0.0, out=w)
+
+
 # Elements per gathered (probabilities x window) block: 256 KB per float
 # temporary, whatever n and the bandwidth.  A block holds at least one window.
 _GATHER_BUDGET = 1 << 15
@@ -127,7 +159,7 @@ def _positions_below(a: np.ndarray, n: int, inclusive: bool) -> np.ndarray:
     integer; one step against the exact float positions (k+1)/n corrects it.
     """
     guess = np.floor(a * n) if inclusive else np.ceil(a * n) - 1.0
-    c = np.clip(np.nan_to_num(guess, nan=n - 1.0), 0, n - 1).astype(np.intp)
+    c = np.maximum(np.fmin(guess, n - 1.0), 0.0).astype(np.intp)  # fmin takes NaN to n - 1
     below = np.less_equal if inclusive else np.less
     c -= (c > 0) & ~below(c / n, a)
     c += (c < n - 1) & below((c + 1) / n, a)
@@ -142,32 +174,66 @@ def quantile_density_profile(
     ghat(p) = sum_j (X_(j+1) - X_(j)) * k_b(j/n - p), the derivative of the
     Epanechnikov-smoothed empirical quantile function.  Only the spacings
     inside each window (p - b, p + b) are gathered, in blocks of at most
-    ``_GATHER_BUDGET`` elements.  Raises QuantileDensityError listing every
-    p whose estimate is not strictly positive (possible only under ties).
+    ``_GATHER_BUDGET`` elements over all rows; a block that holds one window
+    takes it as a slice.  The windows and kernel weights depend only on n,
+    the probabilities and the rule, so a batch shares them.
+
+    For one sample, raises QuantileDensityError listing every p whose
+    estimate is not strictly positive (possible only under ties).  For a
+    batch the (T, P) estimates come back unchecked: whether a non-positive
+    one fails anything depends on which measure uses it (``density_error``
+    builds the error for one row).
     """
     probs = np.asarray(probs, dtype=float)
     x = sample.values
-    n = x.size
+    rows = x.reshape(-1, sample.n)
+    n = sample.n
     b = rule.bandwidth(n, probs)
     lo = _positions_below(probs - b, n, inclusive=True)
     hi = _positions_below(probs + b, n, inclusive=False)
 
-    out = np.empty(probs.size)
-    rows = max(1, _GATHER_BUDGET // max(1, int((hi - lo).max(initial=0))))
-    for start in range(0, probs.size, rows):
-        sl = slice(start, start + rows)
-        # Row i gathers x[lo_i .. hi_i] and repeats x[hi_i] past its window,
+    out = np.empty((rows.shape[0], probs.size))
+    width = int((hi - lo).max(initial=0))
+    step = max(1, _GATHER_BUDGET // max(1, rows.shape[0] * width))
+    # With one window per block each window is a slice of the spacings; when
+    # the windows add up to the sample's size, take the spacings once.
+    whole = np.diff(rows, axis=1) if step == 1 and (hi - lo).sum() >= n else None
+    for start in range(0, probs.size, step):
+        sl = slice(start, start + step)
+        if step == 1:
+            lo_i, hi_i = int(lo[start]), int(hi[start])
+            if whole is None:
+                spacings = np.diff(rows[:, lo_i : hi_i + 1], axis=1)
+            else:
+                spacings = whole[:, lo_i:hi_i]
+            weights = _window_weights(lo_i, hi_i, n, probs[start], b[start])
+            out[:, start] = spacings @ weights / b[start]
+            continue
+        # Window i gathers x[lo_i .. hi_i] and repeats x[hi_i] past its end,
         # so that the padding spacings are exactly zero.
         span = np.arange(int((hi[sl] - lo[sl]).max(initial=0)) + 1)
         idx = np.minimum(lo[sl, None] + span, hi[sl, None])
         u = (idx[:, 1:] / n - probs[sl, None]) / b[sl, None]
-        out[sl] = np.einsum("ij,ij->i", _epanechnikov(u), np.diff(x[idx], axis=1)) / b[sl]
+        spacings = np.diff(np.take(rows, idx, axis=1), axis=2)
+        out[:, sl] = np.einsum("ij,tij->ti", _epanechnikov(u), spacings) / b[sl]
 
-    if np.any(out <= 0.0):
-        bad = out <= 0.0
-        distinct = int(np.count_nonzero(np.diff(x))) + 1
-        raise QuantileDensityError(probs[bad], b[bad], distinct, n)
-    return out
+    if x.ndim > 1:
+        return out
+    if np.any(out[0] <= 0.0):
+        raise density_error(x, probs, out[0], rule)
+    return out[0]
+
+
+def density_error(
+    values: np.ndarray, probs: np.ndarray, ghat: np.ndarray, rule: BandwidthRule
+) -> QuantileDensityError:
+    """The error for one sorted sample whose estimates ``ghat`` at ``probs``
+    are not all strictly positive."""
+    bad = ghat <= 0.0
+    n = values.size
+    distinct = int(np.count_nonzero(np.diff(values))) + 1
+    b = np.broadcast_to(rule.bandwidth(n, probs), probs.shape)
+    return QuantileDensityError(probs[bad], b[bad], distinct, n)
 
 
 def quantile_density_estimate(

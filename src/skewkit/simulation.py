@@ -1,29 +1,31 @@
 """Seeded Monte Carlo coverage studies.
 
 Each trial draws its own generator from the (master seed, trial index) pair,
-so trials are order-independent and the report is identical for any thread
-count.  Results land in arrays indexed by trial and are reduced in fixed
-index order.
+so trials are order-independent.  Trials run in chunks whose size is fixed
+by n: one (trials x n) array, sorted row by row, and one quantile grid per
+chunk serve every measure (see ``inference.interval_rows``).  Results land
+in arrays indexed by trial and are reduced in fixed index order, so equal
+configs give byte-identical reports.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import DistributionSpec, parse_distribution
-from .errors import SkewkitError
-from .inference import interval
+# ``interval`` is not called here; perfbench/tracer.py binds it on this module.
+from .inference import interval, interval_rows  # noqa: F401
 from .quantiles import BandwidthRule, DEFAULT_BANDWIDTH, SortedSample
 from .skewness import Direction, MeasureKind, SkewMeasure, parse_measure, population_measure
 
 MAX_FAILURE_RATE = 0.01
+# Sample values per chunk of trials: 2 MB per (trials x n) float array.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 def coverage_standard_error(trials: int, p0: float) -> float:
@@ -89,8 +91,8 @@ class SimConfig:
             raise ValueError(f"simulation config is missing required key {exc}") from None
 
     def to_dict(self) -> dict:
-        # Execution knobs (threads) are deliberately not echoed: the report
-        # content is identical for every thread count.
+        # threads is accepted for compatibility and changes nothing, so it
+        # is not echoed.
         bw = "default" if self.bandwidth.fixed is None else self.bandwidth.fixed
         return {
             "dist": repr(self.dist),
@@ -103,11 +105,6 @@ class SimConfig:
             "bandwidth": bw,
             "j": next((m.j_points for m in self.measures if m.is_auc), 100),
         }
-
-    def resolved_threads(self) -> int:
-        if self.threads == "auto":
-            return os.cpu_count() or 1
-        return int(self.threads)
 
 
 @dataclass(frozen=True)
@@ -168,20 +165,6 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial)))
 
 
-def _run_trial(cfg: SimConfig, trial: int, truths, covered, widths, failed, reasons: Counter):
-    rng = _trial_rng(cfg.seed, trial)
-    sample = SortedSample.from_data(cfg.dist.sample(cfg.n, rng))
-    for mi, (measure, truth) in enumerate(zip(cfg.measures, truths)):
-        try:
-            iv = interval(sample, measure, cfg.level, cfg.bandwidth)
-        except SkewkitError as exc:
-            failed[trial, mi] = True
-            reasons[type(exc).__name__] += 1
-            continue
-        covered[trial, mi] = iv.lower <= truth <= iv.upper
-        widths[trial, mi] = iv.upper - iv.lower
-
-
 def run_coverage(cfg: SimConfig) -> CoverageReport:
     """Estimate coverage probability and mean CI width for every measure.
 
@@ -195,34 +178,27 @@ def run_coverage(cfg: SimConfig) -> CoverageReport:
     covered = np.zeros((trials, n_measures), dtype=bool)
     widths = np.full((trials, n_measures), np.nan)
     failed = np.zeros((trials, n_measures), dtype=bool)
+    reasons = Counter()
 
-    workers = min(cfg.resolved_threads(), trials)
-    if workers <= 1:
-        reasons = Counter()
-        for t in range(trials):
-            _run_trial(cfg, t, truths, covered, widths, failed, reasons)
-    else:
-        chunk = max(1, -(-trials // (4 * workers)))
-        ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-
-        def run_range(bounds):
-            local = Counter()
-            for t in range(*bounds):
-                _run_trial(cfg, t, truths, covered, widths, failed, local)
-            return local
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_range, ranges))
-        reasons = Counter()
-        for part in partials:  # merge in submission order
-            reasons.update(part)
+    chunk = max(1, _CHUNK_ELEMENTS // cfg.n)
+    for lo in range(0, trials, chunk):
+        ts = slice(lo, min(lo + chunk, trials))
+        rows = SortedSample.from_rows(
+            [cfg.dist.sample(cfg.n, _trial_rng(cfg.seed, t)) for t in range(ts.start, ts.stop)]
+        )
+        for mi, res in enumerate(interval_rows(rows, cfg.measures, cfg.level, cfg.bandwidth)):
+            covered[ts, mi] = (res.lower <= truths[mi]) & (truths[mi] <= res.upper)
+            widths[ts, mi] = res.upper - res.lower
+            for t, exc in res.errors.items():
+                failed[lo + t, mi] = True
+                reasons[type(exc).__name__] += 1
 
     results = []
     for mi, (measure, truth) in enumerate(zip(cfg.measures, truths)):
         n_failed = int(failed[:, mi].sum())
         n_ok = trials - n_failed
         if n_ok > 0:
-            cov = float(covered[:, mi].sum()) / n_ok
+            cov = float((covered[:, mi] & ~failed[:, mi]).sum()) / n_ok
             width = float(np.where(failed[:, mi], 0.0, widths[:, mi]).sum()) / n_ok
         else:
             cov = float("nan")

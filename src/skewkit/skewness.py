@@ -53,12 +53,12 @@ _POINTWISE = {
     MeasureKind.GAMMA_STAR,
     MeasureKind.LAMBDA_STAR,
 }
-_AUC = {
+AUC_KINDS = (
     MeasureKind.AUC_GAMMA,
     MeasureKind.AUC_LAMBDA,
     MeasureKind.AUC_GAMMA_STAR,
     MeasureKind.AUC_LAMBDA_STAR,
-}
+)
 _LAMBDA_FAMILY = {
     MeasureKind.LAMBDA,
     MeasureKind.LAMBDA_STAR,
@@ -93,7 +93,7 @@ class SkewMeasure:
                 raise ValueError(f"{self.kind.value} needs a probability in (0, 0.5)")
         elif self.p is not None:
             raise ValueError(f"{self.kind.value} takes no probability parameter")
-        if self.kind in _AUC and self.j_points < 2:
+        if self.kind in AUC_KINDS and self.j_points < 2:
             raise ValueError("AUC kinds need at least 2 grid points")
 
     @property
@@ -102,7 +102,7 @@ class SkewMeasure:
 
     @property
     def is_auc(self) -> bool:
-        return self.kind in _AUC
+        return self.kind in AUC_KINDS
 
     @property
     def is_lambda_family(self) -> bool:
@@ -163,8 +163,9 @@ class QuantileGrid:
     ``probs`` holds every base probability p_j in (0, 0.5), then every
     1 - p_j in the same order, then 0.5; ``x`` and ``g`` hold the quantile
     and quantile-density values at those 2J+1 probabilities, each computed
-    exactly once.  ``n`` is None for population grids built from exact
-    distribution functions.
+    exactly once.  For a batch of samples ``x`` and ``g`` have one row per
+    sample, and every function of this module works row by row.  ``n`` is
+    None for population grids built from exact distribution functions.
     """
 
     probs: np.ndarray
@@ -179,15 +180,15 @@ class QuantileGrid:
 
     @property
     def x_low(self) -> np.ndarray:
-        return self.x[: self.x.size // 2]
+        return self.x[..., : self.probs.size // 2]
 
     @property
     def x_high(self) -> np.ndarray:
-        return self.x[self.x.size // 2 : -1]
+        return self.x[..., self.probs.size // 2 : -1]
 
     @property
-    def x_median(self) -> float:
-        return float(self.x[-1])
+    def x_median(self) -> np.ndarray:
+        return self.x[..., -1:]
 
     # -- vector views of the skewness curve's parts ----------------------------
     def s_values(self) -> np.ndarray:
@@ -213,6 +214,8 @@ def _sample_grid(sample, base, rule, j_points):
 def grid_for_probs(
     sample: SortedSample, base_probs, rule: BandwidthRule = DEFAULT_BANDWIDTH
 ) -> QuantileGrid:
+    """The grid at the given base probabilities.  For a batch of samples the
+    densities are left unchecked (see ``quantile_density_profile``)."""
     base = np.asarray(base_probs, dtype=float)
     if np.any(~((base > 0.0) & (base < 0.5))):
         raise ValueError("grid base probabilities must lie in (0, 0.5)")
@@ -246,13 +249,37 @@ def population_grid(dist, j_points: int | None = None, base_probs=None) -> Quant
     )
 
 
+def measure_grid(grid: QuantileGrid, measure: SkewMeasure, j: np.ndarray) -> QuantileGrid:
+    """The measure's own grid, taken from a grid over more probabilities.
+
+    ``j`` indexes the measure's curve points in ``grid.base_probs``: its
+    ``measure.p`` (pointwise kinds) or its ``measure.j_points`` midpoints in
+    ascending order (AUC kinds).  The result holds them, their complements
+    and 0.5, as ``grid_for_probs`` or ``build_grid`` would.
+    """
+    take = np.concatenate([j, grid.base_probs.size + j, [grid.probs.size - 1]])
+    return QuantileGrid(
+        grid.probs[take], grid.x[..., take], grid.g[..., take], grid.n,
+        measure.j_points if measure.is_auc else None,
+    )
+
+
+def denominators(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
+    """The measure's curve denominators r_j at every base probability: the
+    full range x_{1-p_j} - x_{p_j} (gamma family) or the half-range
+    x_{0.5} - x_{p_j} (right) or x_{1-p_j} - x_{0.5} (left) (lambda family)."""
+    if measure.is_lambda_family:
+        return grid.r2_values(measure.direction)
+    return grid.r1_values()
+
+
 def curve_terms(grid: QuantileGrid, measure: SkewMeasure) -> tuple[np.ndarray, ...]:
     """Grid indices j, numerators s_j and denominators r_j of the measure's curve.
 
     AUC kinds use every base probability, pointwise kinds the one equal to
-    ``measure.p``.  s_j = x_{1-p_j} + x_{p_j} - 2 x_{0.5}; r_j is the full
-    range x_{1-p_j} - x_{p_j} (gamma family) or the half-range
-    x_{0.5} - x_{p_j} (right) or x_{1-p_j} - x_{0.5} (left) (lambda family).
+    ``measure.p``.  s_j = x_{1-p_j} + x_{p_j} - 2 x_{0.5}; r_j is given by
+    ``denominators``.  Raises DegenerateScaleError naming every p_j where
+    some r_j <= 0.
     """
     if measure.is_pointwise:
         j = np.flatnonzero(grid.base_probs == measure.p)[:1]
@@ -260,13 +287,11 @@ def curve_terms(grid: QuantileGrid, measure: SkewMeasure) -> tuple[np.ndarray, .
             raise MissingProbabilityError(measure.p)
     else:
         j = np.arange(grid.base_probs.size)
-    s = grid.s_values()[j]
-    if measure.is_lambda_family:
-        r = grid.r2_values(measure.direction)[j]
-    else:
-        r = grid.r1_values()[j]
-    if np.any(r <= 0.0):
-        raise DegenerateScaleError(grid.base_probs[j][r <= 0.0])
+    s = grid.s_values()[..., j]
+    r = denominators(grid, measure)[..., j]
+    bad = r <= 0.0
+    if np.any(bad):
+        raise DegenerateScaleError(grid.base_probs[j][bad.reshape(-1, j.size).any(axis=0)])
     return j, s, r
 
 
@@ -280,11 +305,16 @@ def curve_values(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
     return curve
 
 
+def _scalar(value: np.ndarray):
+    """A float for one sample, the per-row array for a batch."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def estimate_pointwise(grid: QuantileGrid, measure: SkewMeasure) -> float:
     """Pointwise skewness estimate at the measure's probability."""
     if not measure.is_pointwise:
         raise ValueError(f"{measure} is not a pointwise measure")
-    return float(curve_values(grid, measure)[0])
+    return _scalar(curve_values(grid, measure)[..., 0])
 
 
 def estimate_auc(grid: QuantileGrid, measure: SkewMeasure) -> float:
@@ -299,7 +329,7 @@ def estimate_auc(grid: QuantileGrid, measure: SkewMeasure) -> float:
         raise ValueError(
             f"grid was not built on the measure's {measure.j_points}-point midpoint rule"
         )
-    return float(curve_values(grid, measure).mean() * 0.5)
+    return _scalar(curve_values(grid, measure).mean(axis=-1) * 0.5)
 
 
 def mean_skew(auc_value: float) -> float:

@@ -158,6 +158,32 @@ def test_estimate_count_data_names_ties(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_estimate_and_compare_j_changes_only_auc_rows(ln_file, capsys):
+    rows = {}
+    for j in ("100", "20"):
+        code, out, _ = run_cli(
+            capsys, "estimate", ln_file, "--column", "price", "--measures", "all",
+            "--j", j, "--format", "json",
+        )
+        assert code == 0
+        rows[j] = {e["measure"]: e for e in json.loads(out)["estimates"]}
+    default = run_cli(capsys, "estimate", ln_file, "--column", "price", "--measures", "all",
+                      "--format", "json")[1]
+    assert {e["measure"]: e for e in json.loads(default)["estimates"]} == rows["100"]
+    assert rows["20"].keys() == rows["100"].keys()
+    for label, entry in rows["20"].items():
+        if label.startswith("auc_"):
+            assert entry["estimate"] != rows["100"][label]["estimate"]
+        else:
+            assert entry == rows["100"][label]
+    code, out, _ = run_cli(
+        capsys, "compare", ln_file, ln_file, "--column", "price",
+        "--measures", "auc_gamma", "--j", "20", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["differences"][0]["a"]["estimate"] == rows["20"]["auc_gamma"]["estimate"]
+
+
 def test_estimate_bad_column_exits_3(ln_file, capsys):
     code, _, err = run_cli(
         capsys, "estimate", ln_file, "--column", "nope", "--measures", "b3",
@@ -332,6 +358,24 @@ def test_simulate_cli_overrides(tmp_path, capsys):
     assert rows[0] == ["measure", "truth", "coverage", "mean_width", "failures"]
 
 
+def test_simulate_j_flag_matches_config_key(tmp_path, capsys):
+    argv = ["--dist", "exp(1)", "--n", "50", "--trials", "2", "--seed", "1",
+            "--measures", "auc_gamma", "--format", "json"]
+    code, out, _ = run_cli(capsys, "simulate", *argv, "--j", "20")
+    assert code == 0
+    assert json.loads(out)["config"]["j"] == 20
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "dist": "exp(1)", "n": 50, "trials": 2, "seed": 1, "measures": ["auc_gamma"], "j": 20,
+    }))
+    code, from_file, _ = run_cli(capsys, "simulate", str(config), "--format", "json")
+    assert code == 0
+    assert from_file == out
+    code, default, _ = run_cli(capsys, "simulate", *argv)
+    assert json.loads(default)["config"]["j"] == 100
+    assert default != out
+
+
 def test_simulate_all_trials_failed_emits_valid_json(capsys):
     code, out, err = run_cli(
         capsys, "simulate", "--dist", "exp(1)", "--n", "10", "--trials", "3",
@@ -480,12 +524,15 @@ def test_population_json_round_trip(capsys):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate serves only population b3; the CLI must not pay for it
-    # at import
+    # scipy.integrate serves only population b3, and nothing uses
+    # scipy.sparse; the CLI must not pay for either at import
     env = dict(os.environ, PYTHONPATH=str(Path(skewkit.__file__).resolve().parents[1]))
-    probe = "import sys, skewkit.cli; print('scipy.integrate' in sys.modules)"
+    probe = (
+        "import sys, skewkit.cli; "
+        "print('scipy.integrate' in sys.modules, 'scipy.sparse' in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

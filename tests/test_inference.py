@@ -3,11 +3,14 @@ import pytest
 from scipy import special
 
 from skewkit import (
+    BandwidthRule,
     Direction,
+    QuantileDensityError,
     SortedSample,
     UnsupportedMeasureError,
     difference_interval,
     interval,
+    intervals,
     parse_measure,
     point_estimate,
     z_quantile,
@@ -160,3 +163,40 @@ def test_interval_to_dict_round_trip():
     assert doc["measure"] == "gamma@0.25"
     assert doc["lower"] == iv.lower and doc["upper"] == iv.upper
     assert doc["n"] == 250
+
+
+_ALL_KINDS = (
+    "gamma@0.05", "gamma@0.25", "lambda@0.1", "lambda@0.2", "gamma_star@0.15",
+    "lambda_star@0.1", "auc_gamma", "auc_lambda", "auc_gamma_star", "auc_lambda_star",
+)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("n", [60, 5000])
+def test_intervals_equal_one_interval_per_measure(direction, n):
+    s = _ln_sample(n, seed=n)
+    measures = [parse_measure(t, direction=direction) for t in _ALL_KINDS]
+    measures.append(parse_measure("auc_gamma", direction=direction, j_points=7))
+    got = intervals(s, measures, level=0.9)
+    assert [iv.measure for iv in got] == measures
+    for iv, m in zip(got, measures):
+        want = interval(s, m, level=0.9)
+        for field in ("estimate", "se", "lower", "upper"):
+            assert getattr(iv, field) == pytest.approx(getattr(want, field), rel=1e-13, abs=0.0)
+        assert (iv.level, iv.n) == (want.level, want.n)
+
+
+def test_intervals_raise_the_first_failing_measures_error():
+    # a 1e-4 bandwidth leaves the windows at p = 0.25 and 0.75 empty for
+    # n = 10; gamma@0.2 reads no density there and still has an interval
+    s = _ln_sample(10)
+    rule = BandwidthRule(fixed=1e-4)
+    ok, bad = parse_measure("gamma@0.2"), parse_measure("gamma@0.25")
+    assert intervals(s, [ok], rule=rule)[0] == interval(s, ok, rule=rule)
+    with pytest.raises(QuantileDensityError) as info:
+        interval(s, bad, rule=rule)
+    with pytest.raises(QuantileDensityError) as batch:
+        intervals(s, [ok, bad], rule=rule)
+    assert str(batch.value) == str(info.value)
+    with pytest.raises(UnsupportedMeasureError):
+        intervals(s, [ok, parse_measure("b3")])

@@ -14,7 +14,7 @@ from skewkit import (
     quantile_density_estimate,
     quantile_type8,
 )
-from skewkit.quantiles import _positions_below, quantile_density_profile
+from skewkit.quantiles import _positions_below, density_error, quantile_density_profile
 from skewkit.skewness import grid_for_probs, midpoint_probs
 
 
@@ -290,3 +290,54 @@ def test_density_nan_probability_matches_loop():
     got = quantile_density_profile(s, probs)
     assert math.isnan(want[1]) and math.isnan(got[1])
     assert got[0] == pytest.approx(want[0], rel=1e-13)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    rows=st.integers(min_value=1, max_value=8),
+    n=st.integers(min_value=4, max_value=3000),
+    probs=st.lists(
+        st.floats(min_value=1e-6, max_value=1.0 - 1e-6), min_size=1, max_size=20
+    ),
+    fixed=st.one_of(st.none(), st.floats(min_value=1e-5, max_value=0.49)),
+    tied=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_equals_rows_property(rows, n, probs, fixed, tied, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.poisson(2.0, size=(rows, n)) if tied else rng.standard_t(3.0, size=(rows, n))
+    batch = SortedSample.from_rows(data.astype(float))
+    probs = np.array(probs)
+    rule = BandwidthRule(fixed=fixed)
+    x = quantile_type8(batch, probs)
+    g = quantile_density_profile(batch, probs, rule)
+    assert x.shape == g.shape == (rows, probs.size)
+    for t in range(rows):
+        row = SortedSample(values=batch.values[t])
+        np.testing.assert_array_equal(x[t], quantile_type8(row, probs))
+        try:
+            want = density_loop_reference(row, probs, rule)
+        except QuantileDensityError as exc:
+            assert tuple(probs[g[t] <= 0.0]) == exc.probabilities
+            assert str(density_error(row.values, probs, g[t], rule)) == str(exc)
+        else:
+            np.testing.assert_allclose(g[t], want, rtol=1e-13, atol=0.0)
+
+
+def test_batch_gather_budget_counts_every_row():
+    # 64 rows x a 2000-spacing window exceed the budget: one window per block,
+    # each taken as a slice, for every row at once
+    rng = np.random.default_rng(12)
+    batch = SortedSample.from_rows(rng.exponential(size=(64, 4000)))
+    probs = np.array([0.1, 0.5, 0.9])
+    rule = BandwidthRule(fixed=0.25)
+    g = quantile_density_profile(batch, probs, rule)
+    for t in (0, 17, 63):
+        row = SortedSample(values=batch.values[t])
+        np.testing.assert_allclose(g[t], density_loop_reference(row, probs, rule), rtol=1e-13)
+    assert quantile_type8(batch, 0.5).shape == (64,)
+    # one sample, windows wider than the budget: sliced from the spacings of
+    # the whole sample when the windows cover it, one by one when they do not
+    s = SortedSample.from_data(rng.lognormal(size=40_000))
+    for probs in (np.array([0.5]), np.array([0.3, 0.5, 0.7])):
+        assert_density_matches_loop(s, probs, BandwidthRule(fixed=0.3))

@@ -1,17 +1,28 @@
+import json
 import math
+from collections import Counter
+from dataclasses import dataclass, replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from skewkit import (
     BandwidthRule,
     DegenerateScaleError,
+    Direction,
+    Exponential,
     LogNormal,
     SimConfig,
+    SkewkitError,
+    SortedSample,
     coverage_standard_error,
+    interval,
     parse_measure,
     population_measure,
     run_coverage,
 )
+from skewkit.skewness import build_grid, curve_terms, grid_for_probs
 from skewkit import simulation as simulation_module
 
 
@@ -105,15 +116,19 @@ def test_truth_uses_population_values():
 
 
 def test_failures_are_counted_not_dropped(monkeypatch):
-    real_interval = simulation_module.interval
+    real_rows = simulation_module.interval_rows
 
-    def flaky(sample, measure, level, rule):
+    def flaky(rows, measures, level, rule):
         # deterministically poison a fifth of the trials for one measure
-        if measure.label() == "lambda@0.1" and int(sample.values[0] * 1e6) % 5 == 0:
-            raise DegenerateScaleError([measure.p])
-        return real_interval(sample, measure, level, rule)
+        out = real_rows(rows, measures, level, rule)
+        poisoned = [t for t, row in enumerate(rows.values) if int(row[0] * 1e6) % 5 == 0]
+        for i, (m, r) in enumerate(zip(measures, out)):
+            if m.label() == "lambda@0.1":
+                errors = {**r.errors, **{t: DegenerateScaleError([m.p]) for t in poisoned}}
+                out[i] = replace(r, errors=errors)
+        return out
 
-    monkeypatch.setattr(simulation_module, "interval", flaky)
+    monkeypatch.setattr(simulation_module, "interval_rows", flaky)
     report = run_coverage(_config(trials=50))
     by_label = {r.measure.label(): r for r in report.results}
     lam = by_label["lambda@0.1"]
@@ -123,6 +138,93 @@ def test_failures_are_counted_not_dropped(monkeypatch):
     # denominator excludes failures
     assert 0.0 <= lam.coverage <= 1.0
     assert report.failure_rate_exceeded  # > 1% of 50 trials
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class RoundedExponential(Exponential):
+    """Exponential draws rounded to a coarse step: ties in every sample."""
+
+    step: float = 0.25
+
+    def sample(self, n, rng):
+        return np.round(super().sample(n, rng) / self.step) * self.step
+
+
+def own_grid_error(sample, measure):
+    """The error of the measure's own one-sample grid: the density check of
+    the grid build first, then the scale check of the curve."""
+    try:
+        if measure.is_auc:
+            grid = build_grid(sample, measure.j_points)
+        else:
+            grid = grid_for_probs(sample, [measure.p])
+        curve_terms(grid, measure)
+    except SkewkitError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("n, step", [(12, 0.25), (40, 0.5)])
+def test_tie_failures_match_a_row_by_row_loop(n, step):
+    measures = tuple(parse_measure(t) for t in (
+        "gamma@0.05", "gamma@0.25", "lambda@0.05", "lambda@0.1", "lambda@0.25",
+        "auc_gamma", "auc_lambda_star",
+    )) + (parse_measure("lambda@0.25", direction=Direction.LEFT),)
+    dist = RoundedExponential(1.0, step=step)
+    cfg = _config(dist=dist, n=n, trials=30, measures=measures, seed=9)
+    draws = [dist.sample(n, simulation_module._trial_rng(9, t)) for t in range(30)]
+    batch = simulation_module.interval_rows(SortedSample.from_rows(draws), measures, 0.95, cfg.bandwidth)
+    loop = Counter()
+    for t, draw in enumerate(draws):
+        for m, rows in zip(measures, batch):
+            sample = SortedSample.from_data(draw)
+            want = own_grid_error(sample, m)
+            try:
+                iv = interval(sample, m)
+            except SkewkitError as exc:
+                loop[m, type(exc).__name__] += 1
+                for err in (rows.errors[t], want):
+                    assert type(err) is type(exc) and str(err) == str(exc)
+            else:
+                assert want is None
+                assert t not in rows.errors
+                assert rows.estimate[t] == pytest.approx(iv.estimate, rel=1e-13)
+                assert rows.se[t] == pytest.approx(iv.se, rel=1e-13)
+    assert loop[measures[0], "QuantileDensityError"] > 0
+    assert sum(v for (m, kind), v in loop.items() if kind == "DegenerateScaleError") > 0
+    assert sum(len(rows.errors) for rows in batch) == sum(loop.values())
+
+    report = run_coverage(cfg)
+    assert [r.failures for r in report.results] == [
+        sum(v for (m, _), v in loop.items() if m == measure) for measure in measures
+    ]
+    tally = Counter()
+    for (_, kind), v in loop.items():
+        tally[kind] += v
+    assert report.failure_reasons == dict(tally)
+
+
+GOLDEN = sorted((Path(__file__).parent / "data").glob("coverage_*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
+def test_reports_match_the_per_trial_engine(path):
+    # reports recorded with the engine that ran one interval per (trial, measure)
+    want = json.loads(path.read_text())
+    report = run_coverage(SimConfig.from_dict(want["config"]))
+    got = json.loads(report.to_json())
+    assert got["config"] == want["config"]
+    assert got["failure_reasons"] == want["failure_reasons"]
+    for g, w in zip(got["results"], want["results"], strict=True):
+        assert {k: g[k] for k in ("measure", "truth", "coverage", "failures")} == {
+            k: w[k] for k in ("measure", "truth", "coverage", "failures")
+        }
+        if w["mean_width"] is None:
+            assert g["mean_width"] is None
+        else:
+            assert g["mean_width"] == pytest.approx(w["mean_width"], rel=1e-12, abs=0.0)
+    again = run_coverage(SimConfig.from_dict({**want["config"], "threads": 3}))
+    assert again.to_json() == report.to_json()
 
 
 def test_width_shrinks_with_sample_size():
