@@ -65,7 +65,7 @@ def bridge_variance(probs: np.ndarray, v: np.ndarray):
     order = np.argsort(probs)
     tail = np.cumsum(v[..., order[::-1]], axis=-1)[..., ::-1]
     tail = np.concatenate([tail, np.zeros(tail.shape[:-1] + (1,))], axis=-1)
-    cells = np.diff(probs[order], prepend=0.0, append=1.0)
+    cells = np.diff(np.concatenate(([0.0], probs[order], [1.0])))
     return _scalar((tail - (v @ probs)[..., None]) ** 2 @ cells)
 
 

@@ -194,7 +194,9 @@ def interval_rows(
     if any(m.kind is MeasureKind.B3 for m in measures):
         raise UnsupportedMeasureError("no standard error is defined for b3")
     points = [skewness.midpoint_probs(m.j_points) if m.is_auc else [m.p] for m in measures]
-    base, where = np.unique(np.concatenate(points), return_inverse=True)
+    wanted = np.concatenate(points)
+    base = np.unique(wanted)
+    where = np.searchsorted(base, wanted)
     grid = skewness.grid_for_probs(rows, base, rule)
     z = z_quantile(1.0 - 0.5 * (1.0 - level))
     out, start = [], 0

@@ -129,22 +129,20 @@ class BandwidthRule:
 DEFAULT_BANDWIDTH = BandwidthRule()
 
 
-def _epanechnikov(u: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u), 0.0)
+def _kernel_weights(k: np.ndarray, n: int, p, b) -> np.ndarray:
+    """Epanechnikov weights 0.75 (1 - u^2) at u = (k/n - p) / b where |u| < 1,
+    else 0, for integer positions k; one new array, computed in place.
 
-
-def _window_weights(lo: int, hi: int, n: int, p: float, b: float) -> np.ndarray:
-    """``_epanechnikov((k/n - p) / b)`` for the positions k = lo+1 .. hi of
-    one window, computed in place; max(., 0) equals the |u| < 1 test there
-    because u*u >= 1 exactly where it fails."""
-    w = np.arange(lo + 1, hi + 1, dtype=float)
-    w /= n
-    w -= p
-    w /= b
-    np.square(w, out=w)
-    np.subtract(1.0, w, out=w)
-    w *= 0.75
-    return np.maximum(w, 0.0, out=w)
+    Clipping with ``fmax`` is exact: u*u >= 1 exactly where |u| >= 1, and
+    fmax takes a NaN u to 0.
+    """
+    u = k / n
+    u -= p
+    u /= b
+    np.square(u, out=u)
+    np.subtract(1.0, u, out=u)
+    u *= 0.75
+    return np.fmax(u, 0.0, out=u)
 
 
 # Elements per gathered (probabilities x window) block: 256 KB per float
@@ -206,16 +204,16 @@ def quantile_density_profile(
                 spacings = np.diff(rows[:, lo_i : hi_i + 1], axis=1)
             else:
                 spacings = whole[:, lo_i:hi_i]
-            weights = _window_weights(lo_i, hi_i, n, probs[start], b[start])
+            weights = _kernel_weights(np.arange(lo_i + 1, hi_i + 1), n, probs[start], b[start])
             out[:, start] = spacings @ weights / b[start]
             continue
         # Window i gathers x[lo_i .. hi_i] and repeats x[hi_i] past its end,
         # so that the padding spacings are exactly zero.
         span = np.arange(int((hi[sl] - lo[sl]).max(initial=0)) + 1)
         idx = np.minimum(lo[sl, None] + span, hi[sl, None])
-        u = (idx[:, 1:] / n - probs[sl, None]) / b[sl, None]
+        weights = _kernel_weights(idx[:, 1:], n, probs[sl, None], b[sl, None])
         spacings = np.diff(np.take(rows, idx, axis=1), axis=2)
-        out[:, sl] = np.einsum("ij,tij->ti", _epanechnikov(u), spacings) / b[sl]
+        out[:, sl] = np.einsum("ij,tij->ti", weights, spacings) / b[sl]
 
     if x.ndim > 1:
         return out
