@@ -276,7 +276,8 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"{args.config}: {exc.strerror or exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"{args.config}: invalid JSON ({exc})") from exc
-    for key in ("dist", "n", "trials", "seed", "level", "threads", "bandwidth", "direction", "j"):
+    keys = ("dist", "n", "trials", "seed", "level", "threads", "bandwidth", "direction", "j")
+    for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             doc[key] = value

@@ -290,6 +290,13 @@ def test_density_nan_probability_matches_loop():
     got = quantile_density_profile(s, probs)
     assert math.isnan(want[1]) and math.isnan(got[1])
     assert got[0] == pytest.approx(want[0], rel=1e-13)
+    # with a fixed bandwidth the empty window estimates exactly 0: both raise
+    rule = BandwidthRule(fixed=0.05)
+    with pytest.raises(QuantileDensityError) as want_err:
+        density_loop_reference(s, probs, rule)
+    with pytest.raises(QuantileDensityError) as got_err:
+        quantile_density_profile(s, probs, rule)
+    assert str(got_err.value) == str(want_err.value)
 
 
 @settings(max_examples=100, deadline=None, database=None)

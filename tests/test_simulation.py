@@ -173,26 +173,28 @@ def test_tie_failures_match_a_row_by_row_loop(n, step):
     dist = RoundedExponential(1.0, step=step)
     cfg = _config(dist=dist, n=n, trials=30, measures=measures, seed=9)
     draws = [dist.sample(n, simulation_module._trial_rng(9, t)) for t in range(30)]
-    batch = simulation_module.interval_rows(SortedSample.from_rows(draws), measures, 0.95, cfg.bandwidth)
+    batch = simulation_module.interval_rows(
+        SortedSample.from_rows(draws), measures, 0.95, cfg.bandwidth
+    )
     loop = Counter()
     for t, draw in enumerate(draws):
-        for m, rows in zip(measures, batch):
-            sample = SortedSample.from_data(draw)
+        sample = SortedSample.from_data(draw)
+        for m, res in zip(measures, batch):
             want = own_grid_error(sample, m)
             try:
                 iv = interval(sample, m)
             except SkewkitError as exc:
                 loop[m, type(exc).__name__] += 1
-                for err in (rows.errors[t], want):
+                for err in (res.errors[t], want):
                     assert type(err) is type(exc) and str(err) == str(exc)
             else:
                 assert want is None
-                assert t not in rows.errors
-                assert rows.estimate[t] == pytest.approx(iv.estimate, rel=1e-13)
-                assert rows.se[t] == pytest.approx(iv.se, rel=1e-13)
+                assert t not in res.errors
+                assert res.estimate[t] == pytest.approx(iv.estimate, rel=1e-13)
+                assert res.se[t] == pytest.approx(iv.se, rel=1e-13)
     assert loop[measures[0], "QuantileDensityError"] > 0
     assert sum(v for (m, kind), v in loop.items() if kind == "DegenerateScaleError") > 0
-    assert sum(len(rows.errors) for rows in batch) == sum(loop.values())
+    assert sum(len(res.errors) for res in batch) == sum(loop.values())
 
     report = run_coverage(cfg)
     assert [r.failures for r in report.results] == [
