@@ -26,10 +26,8 @@ from .inference import (
     DifferenceEstimate,
     Estimate,
     IntervalEstimate,
-    IntervalRows,
     difference_interval,
     interval,
-    interval_rows,
     intervals,
     point_estimate,
     z_quantile,
@@ -69,8 +67,8 @@ __all__ = [
     "Direction", "MeasureKind", "SkewMeasure", "QuantileGrid", "parse_measure",
     "midpoint_probs", "build_grid", "estimate_pointwise", "estimate_auc",
     "estimate_b3", "mean_skew", "population_measure",
-    "Estimate", "IntervalEstimate", "IntervalRows", "DifferenceEstimate", "interval",
-    "intervals", "interval_rows", "difference_interval", "point_estimate", "z_quantile",
+    "Estimate", "IntervalEstimate", "DifferenceEstimate", "interval",
+    "intervals", "difference_interval", "point_estimate", "z_quantile",
     "SimConfig", "CoverageReport", "run_coverage", "coverage_standard_error",
     "__version__",
 ]

@@ -191,6 +191,9 @@ def interval_rows(
     """
     if not (0.0 < level < 1.0):
         raise ValueError("confidence level must lie strictly inside (0, 1)")
+    measures = list(measures)
+    if not measures:
+        raise ValueError("at least one measure is required")
     if any(m.kind is MeasureKind.B3 for m in measures):
         raise UnsupportedMeasureError("no standard error is defined for b3")
     points = [skewness.midpoint_probs(m.j_points) if m.is_auc else [m.p] for m in measures]

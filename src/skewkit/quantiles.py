@@ -129,14 +129,13 @@ class BandwidthRule:
 DEFAULT_BANDWIDTH = BandwidthRule()
 
 
-def _kernel_weights(k: np.ndarray, n: int, p, b) -> np.ndarray:
+def _kernel_weights(u: np.ndarray, p, b) -> np.ndarray:
     """Epanechnikov weights 0.75 (1 - u^2) at u = (k/n - p) / b where |u| < 1,
-    else 0, for integer positions k; one new array, computed in place.
+    else 0, computed in place in ``u``, which holds the positions k/n.
 
     Clipping with ``fmax`` is exact: u*u >= 1 exactly where |u| >= 1, and
     fmax takes a NaN u to 0.
     """
-    u = k / n
     u -= p
     u /= b
     np.square(u, out=u)
@@ -193,25 +192,21 @@ def quantile_density_profile(
     out = np.empty((rows.shape[0], probs.size))
     width = int((hi - lo).max(initial=0))
     step = max(1, _GATHER_BUDGET // max(1, rows.shape[0] * width))
-    # With one window per block each window is a slice of the spacings; when
-    # the windows add up to the sample's size, take the spacings once.
-    whole = np.diff(rows, axis=1) if step == 1 and (hi - lo).sum() >= n else None
     for start in range(0, probs.size, step):
         sl = slice(start, start + step)
         if step == 1:
             lo_i, hi_i = int(lo[start]), int(hi[start])
-            if whole is None:
-                spacings = np.diff(rows[:, lo_i : hi_i + 1], axis=1)
-            else:
-                spacings = whole[:, lo_i:hi_i]
-            weights = _kernel_weights(np.arange(lo_i + 1, hi_i + 1), n, probs[start], b[start])
+            spacings = np.diff(rows[:, lo_i : hi_i + 1], axis=1)
+            positions = np.arange(lo_i + 1, hi_i + 1, dtype=float)
+            positions /= n
+            weights = _kernel_weights(positions, probs[start], b[start])
             out[:, start] = spacings @ weights / b[start]
             continue
         # Window i gathers x[lo_i .. hi_i] and repeats x[hi_i] past its end,
         # so that the padding spacings are exactly zero.
         span = np.arange(int((hi[sl] - lo[sl]).max(initial=0)) + 1)
         idx = np.minimum(lo[sl, None] + span, hi[sl, None])
-        weights = _kernel_weights(idx[:, 1:], n, probs[sl, None], b[sl, None])
+        weights = _kernel_weights(idx[:, 1:] / n, probs[sl, None], b[sl, None])
         spacings = np.diff(np.take(rows, idx, axis=1), axis=2)
         out[:, sl] = np.einsum("ij,tij->ti", weights, spacings) / b[sl]
 

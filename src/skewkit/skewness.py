@@ -187,20 +187,21 @@ class QuantileGrid:
         return self.x[..., self.probs.size // 2 : -1]
 
     @property
-    def x_median(self) -> np.ndarray:
-        return self.x[..., -1:]
+    def x_median(self):
+        """The median: a float for one sample, one value per row for a batch."""
+        return _scalar(self.x[..., -1])
 
     # -- vector views of the skewness curve's parts ----------------------------
     def s_values(self) -> np.ndarray:
-        return self.x_high + self.x_low - 2.0 * self.x_median
+        return self.x_high + self.x_low - 2.0 * self.x[..., -1:]
 
     def r1_values(self) -> np.ndarray:
         return self.x_high - self.x_low
 
     def r2_values(self, direction: Direction = Direction.RIGHT) -> np.ndarray:
         if direction is Direction.LEFT:
-            return self.x_high - self.x_median
-        return self.x_median - self.x_low
+            return self.x_high - self.x[..., -1:]
+        return self.x[..., -1:] - self.x_low
 
 
 def _sample_grid(sample, base, rule, j_points):

@@ -15,6 +15,7 @@ from skewkit import (
     point_estimate,
     z_quantile,
 )
+from skewkit.inference import interval_rows
 
 
 def test_z_quantile_examples():
@@ -200,3 +201,11 @@ def test_intervals_raise_the_first_failing_measures_error():
     assert str(batch.value) == str(info.value)
     with pytest.raises(UnsupportedMeasureError):
         intervals(s, [ok, parse_measure("b3")])
+
+
+def test_intervals_reject_an_empty_measure_list():
+    s = _ln_sample(50)
+    with pytest.raises(ValueError, match="at least one measure"):
+        intervals(s, [])
+    with pytest.raises(ValueError, match="at least one measure"):
+        interval_rows(SortedSample(s.values[None]), ())

@@ -343,8 +343,8 @@ def test_batch_gather_budget_counts_every_row():
         row = SortedSample(values=batch.values[t])
         np.testing.assert_allclose(g[t], density_loop_reference(row, probs, rule), rtol=1e-13)
     assert quantile_type8(batch, 0.5).shape == (64,)
-    # one sample, windows wider than the budget: sliced from the spacings of
-    # the whole sample when the windows cover it, one by one when they do not
+    # one sample, windows wider than the budget: each window sliced on its own,
+    # whether or not the windows together cover the sample
     s = SortedSample.from_data(rng.lognormal(size=40_000))
     for probs in (np.array([0.5]), np.array([0.3, 0.5, 0.7])):
         assert_density_matches_loop(s, probs, BandwidthRule(fixed=0.3))

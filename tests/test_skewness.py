@@ -86,6 +86,7 @@ def test_build_grid_small_example():
     assert np.allclose(grid.base_probs, [0.125, 0.375])
     assert np.array_equal(grid.probs, [0.125, 0.375, 0.875, 0.625, 0.5])
     assert grid.x.shape == grid.g.shape == (5,)
+    assert type(grid.x_median) is float and grid.x_median == quantile_type8(s, 0.5)
 
 
 def test_grid_quantiles_match_direct_calls_bitwise():
