@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .skewness import Direction, MeasureKind, QuantileGrid, SkewMeasure, _scalar, curve_terms
 
 
@@ -111,25 +110,6 @@ def sigma2_sq(
 ) -> float:
     """n Var of the lambda_p estimator (delta method, plug-in form)."""
     return _delta_variance(k, grid, SkewMeasure(MeasureKind.LAMBDA, p=p, direction=direction))
-
-
-@dataclass(frozen=True)
-class VarianceEstimate:
-    """Estimator-scale variance (asymptotic value / n) and its square root."""
-
-    measure: SkewMeasure
-    variance: float
-    se: float
-
-    @classmethod
-    def from_asymptotic(cls, measure: SkewMeasure, asymptotic, n: int) -> "VarianceEstimate":
-        """``asymptotic`` is a float, or one value per row of a batch."""
-        if np.any(asymptotic < 0.0):
-            raise NumericalError(
-                f"negative asymptotic variance {np.min(asymptotic):g} for {measure}"
-            )
-        variance = asymptotic / n
-        return cls(measure=measure, variance=variance, se=_scalar(np.sqrt(variance)))
 
 
 def auc_variance(

@@ -17,7 +17,8 @@ import numpy as np
 
 from .distributions import parse_distribution
 from .errors import SkewkitError
-from .inference import difference_interval, interval, point_estimate
+# ``interval`` is not called here; perfbench/tracer.py binds it on this module.
+from .inference import difference_interval, interval, intervals, point_estimate  # noqa: F401
 from .quantiles import DEFAULT_BANDWIDTH, SortedSample
 from .simulation import SimConfig, run_coverage
 from .skewness import (
@@ -181,14 +182,18 @@ def cmd_population(args) -> int:
 
 
 def _estimate_rows(sample: SortedSample, measures, level, rule):
-    rows = []
+    """One row per measure.  One ``intervals`` call at the first non-b3 measure
+    serves every interval and raises the first failing measure's error."""
+    rows, ivs = [], None
     for m in measures:
         if m.kind is MeasureKind.B3:
-            est = point_estimate(sample, m, rule)
-            rows.append((m, est.value, None, None))
-        else:
-            iv = interval(sample, m, level, rule)
-            rows.append((m, iv.estimate, iv.lower, iv.upper))
+            rows.append((m, point_estimate(sample, m, rule).value, None, None))
+            continue
+        if ivs is None:
+            rest = [other for other in measures if other.kind is not MeasureKind.B3]
+            ivs = iter(intervals(sample, rest, level, rule))
+        iv = next(ivs)
+        rows.append((m, iv.estimate, iv.lower, iv.upper))
     return rows
 
 
@@ -300,8 +305,9 @@ def cmd_simulate(args) -> int:
     elif args.format == "csv":
         header = ["measure", "truth", "coverage", "mean_width", "failures"]
         rows = [
-            [r.measure.label(), _fmt(r.truth), f"{r.coverage:.4f}",
-             _fmt(r.mean_width), str(r.failures)]
+            [r.measure.label(), _fmt(r.truth),
+             "-" if np.isnan(r.coverage) else f"{r.coverage:.4f}",
+             "-" if np.isnan(r.mean_width) else _fmt(r.mean_width), str(r.failures)]
             for r in report.results
         ]
         _emit_csv(header, rows)

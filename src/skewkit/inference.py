@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -11,7 +11,7 @@ from scipy import special
 from . import asymptotics, skewness
 from .errors import DegenerateScaleError, SkewkitError, UnsupportedMeasureError
 from .quantiles import DEFAULT_BANDWIDTH, BandwidthRule, SortedSample, density_error
-from .skewness import MeasureKind, SkewMeasure
+from .skewness import Direction, MeasureKind, SkewMeasure
 
 
 def z_quantile(alpha: float) -> float:
@@ -102,28 +102,6 @@ def point_estimate(
     return Estimate(measure=measure, value=value, se=None, n=sample.n)
 
 
-def _estimator_variance(measure: SkewMeasure, grid, kernel) -> float:
-    """Asymptotic (times-n) variance of the measure's estimator.
-
-    AUC kinds carry the 0.5/J midpoint cell width, so the double sum for the
-    plain (1/J)-mean statistic is scaled by 1/4.
-    """
-    if measure.is_auc:
-        family = "lambda" if measure.is_lambda_family else "gamma"
-        double_sum = asymptotics.auc_variance(
-            kernel, grid, family=family, weighted=measure.weighted,
-            direction=measure.direction,
-        )
-        return 0.25 * double_sum
-    if measure.is_lambda_family:
-        base = asymptotics.sigma2_sq(kernel, grid, measure.p, measure.direction)
-    else:
-        base = asymptotics.sigma1_sq(kernel, grid, measure.p)
-    if measure.weighted:
-        base *= measure.p**2
-    return base
-
-
 @dataclass(frozen=True)
 class IntervalRows:
     """One measure's Wald intervals for every row of a batch of samples.
@@ -141,40 +119,78 @@ class IntervalRows:
     errors: dict[int, SkewkitError]
 
 
-def _row_errors(rows: SortedSample, grid, measure: SkewMeasure, rule) -> dict[int, SkewkitError]:
-    """Per row of the measure's own grid: QuantileDensityError if a density
-    is not positive, else DegenerateScaleError if a denominator is not."""
-    bad_g = grid.g <= 0.0
-    bad_r = skewness.denominators(grid, measure) <= 0.0
-    errors = {}
-    for t in np.flatnonzero(bad_g.any(axis=1) | bad_r.any(axis=1)):
-        if bad_g[t].any():
-            errors[int(t)] = density_error(rows.values[t], grid.probs, grid.g[t], rule)
-        else:
-            errors[int(t)] = DegenerateScaleError(grid.base_probs[bad_r[t]])
-    return errors
+# Derivatives of a curve denominator r with respect to (x_p, x_{1-p}, x_{0.5}):
+# the full range (gamma family) or the half-range on the measure's side
+# (lambda family).  r itself is this linear form, evaluated exactly.
+_SLOPES = {"range": (-1.0, 1.0, 0.0), Direction.RIGHT: (-1.0, 0.0, 1.0),
+           Direction.LEFT: (0.0, 1.0, -1.0)}
 
 
-def _measure_rows(rows, own, measure: SkewMeasure, z: float, rule) -> IntervalRows:
-    """The measure's intervals from its own grid ``own`` (see ``measure_grid``)."""
-    errors = _row_errors(rows, own, measure, rule)
-    ok = np.ones(own.x.shape[0], dtype=bool)
-    ok[list(errors)] = False
-    estimate = np.full(ok.size, np.nan)
-    se = estimate.copy()
-    if ok.any():
-        if errors:
-            own = replace(own, x=own.x[ok], g=own.g[ok])
-        if measure.is_auc:
-            estimate[ok] = skewness.estimate_auc(own, measure)
+def _three_point_variance(p, q, vl, vh, vm):
+    """``asymptotics.bridge_variance([p, q, 0.5], [vl, vh, vm])`` elementwise,
+    for p < 0.5 < q: the cells between the sorted points are p, 0.5 - p,
+    q - 0.5 and 1 - q."""
+    m = vl * p + vh * q + vm * 0.5
+    t1 = vh + vm
+    t0 = t1 + vl
+    low = (t0 - m) ** 2 * p + (t1 - m) ** 2 * (0.5 - p)
+    return low + (vh - m) ** 2 * (q - 0.5) + m**2 * (1.0 - q)
+
+
+def _group_rows(rows, grid, measures, take, z: float, rule) -> list[IntervalRows]:
+    """Intervals of measures that share one layout on ``grid``.
+
+    ``take`` indexes each measure's own probabilities in ``grid.probs``:
+    its P curve points, their complements and 0.5, one row per measure
+    (pointwise kinds, P = 1) or one row shared by all (AUC kinds of one J).
+    Every array below is (measures, rows, points).
+    """
+    n_pts = take.shape[1] // 2
+    probs = grid.probs[take][:, None]
+    x = np.moveaxis(grid.x[:, take], 1, 0)
+    g = np.moveaxis(grid.g[:, take], 1, 0)
+    slopes = [_SLOPES[m.direction if m.is_lambda_family else "range"] for m in measures]
+    al, ah, am = np.array(slopes).T[:, :, None, None]
+    weighted = np.array([m.weighted for m in measures])[:, None, None]
+    weight = np.where(weighted, probs[..., :n_pts], 1.0)
+    xl, xh, xm = x[..., :n_pts], x[..., n_pts:-1], x[..., -1:]
+
+    bad_g = (g <= 0.0).any(axis=-1)
+    r = al * xl + ah * xh + am * xm
+    bad_r = r <= 0.0
+    failed = bad_g | bad_r.any(axis=-1)
+    # d(s/r) = (ds - (s/r) dr) / r with ds = (1, 1, -2); every curve point
+    # weighs weight / P in the measure.
+    ratio = (xh + xl - 2.0 * xm) / r
+    scale = weight / (n_pts * r)
+    v = g * np.concatenate([
+        scale * (1.0 - ratio * al),
+        scale * (1.0 - ratio * ah),
+        np.sum(scale * (-2.0 - ratio * am), axis=-1, keepdims=True),
+    ], axis=-1)
+    if n_pts == 1:
+        estimate = (weight * ratio)[..., 0]
+        variance = _three_point_variance(probs[..., 0], probs[..., 1], *np.moveaxis(v, -1, 0))
+    else:
+        # the AUC carries the 0.5 / J cell width of the midpoint rule
+        estimate = (weight * ratio).mean(axis=-1) * 0.5
+        variance = 0.25 * asymptotics.bridge_variance(grid.probs[take[0]], v)
+    estimate = np.where(failed, np.nan, estimate)
+    se = np.where(failed, np.nan, np.sqrt(variance / rows.n))
+    lower, upper = estimate - z * se, estimate + z * se
+
+    errors = [{} for _ in measures]
+    # an AUC group shares one row of ``take`` and of ``bad_g``
+    for k, t in zip(*map(list, np.nonzero(failed))):
+        own = take[k % len(take)]
+        if bad_g[k % len(bad_g), t]:
+            errors[k][t] = density_error(rows.values[t], grid.probs[own], grid.g[t, own], rule)
         else:
-            estimate[ok] = skewness.estimate_pointwise(own, measure)
-        kernel = asymptotics.XiKernel.from_grid(own)
-        se[ok] = asymptotics.VarianceEstimate.from_asymptotic(
-            measure, _estimator_variance(measure, own, kernel), rows.n
-        ).se
-    half = z * se
-    return IntervalRows(measure, estimate, se, estimate - half, estimate + half, errors)
+            errors[k][t] = DegenerateScaleError(grid.probs[own[:n_pts]][bad_r[k, t]])
+    return [
+        IntervalRows(m, estimate[k], se[k], lower[k], upper[k], errors[k])
+        for k, m in enumerate(measures)
+    ]
 
 
 def interval_rows(
@@ -186,8 +202,10 @@ def interval_rows(
     """Wald intervals for every measure on every row of a batch of samples.
 
     One grid over the union of the measures' probabilities serves them
-    all; each measure reads its own probabilities from it, so a failure at
-    a probability that only another measure uses never fails it.
+    all.  The variances take one vectorised pass per point set: one for
+    every pointwise measure, one per AUC grid size J.  Each measure reads
+    its own probabilities, so a failure at a probability that only another
+    measure uses never fails it.
     """
     if not (0.0 < level < 1.0):
         raise ValueError("confidence level must lie strictly inside (0, 1)")
@@ -196,18 +214,21 @@ def interval_rows(
         raise ValueError("at least one measure is required")
     if any(m.kind is MeasureKind.B3 for m in measures):
         raise UnsupportedMeasureError("no standard error is defined for b3")
-    points = [skewness.midpoint_probs(m.j_points) if m.is_auc else [m.p] for m in measures]
-    wanted = np.concatenate(points)
-    base = np.unique(wanted)
-    where = np.searchsorted(base, wanted)
+    # one group of measures per point set: every pointwise measure, each AUC J
+    keys = [m.j_points if m.is_auc else 0 for m in measures]
+    points = {k: skewness.midpoint_probs(k) for k in dict.fromkeys(keys) if k}
+    base = np.unique(np.concatenate([[m.p for m in measures if m.is_pointwise], *points.values()]))
     grid = skewness.grid_for_probs(rows, base, rule)
     z = z_quantile(1.0 - 0.5 * (1.0 - level))
-    out, start = [], 0
-    for m, p in zip(measures, points):
-        own = skewness.measure_grid(grid, m, where[start : start + len(p)])
-        out.append(_measure_rows(rows, own, m, z, rule))
-        start += len(p)
-    return out
+    out = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for key in dict.fromkeys(keys):
+            idx = [i for i, k in enumerate(keys) if k == key]
+            probs = points[key] if key else [measures[i].p for i in idx]
+            j = np.searchsorted(base, probs).reshape((1, -1) if key else (-1, 1))
+            take = np.concatenate([j, base.size + j, np.full((len(j), 1), 2 * base.size)], axis=1)
+            out.update(zip(idx, _group_rows(rows, grid, [measures[i] for i in idx], take, z, rule)))
+    return [out[i] for i in range(len(measures))]
 
 
 def intervals(

@@ -153,10 +153,13 @@ class CoverageReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     def render_text(self) -> str:
-        """Aligned table with the coverage(width) cell layout, e.g. 0.961(1.98)."""
+        """Aligned table with the coverage(width) cell layout, e.g. 0.961(1.98);
+        a measure whose every trial failed reads -(-) and the failure count."""
         lines = [f"{'measure':<18} {'truth':>12}  cp(w)"]
         for r in self.results:
             cell = f"{r.coverage:.3f}({r.mean_width:.3g})"
+            if np.isnan(r.coverage):  # every trial failed
+                cell = f"-(-) {r.failures} failed"
             lines.append(f"{r.measure.label():<18} {r.truth:>12.6g}  {cell}")
         return "\n".join(lines)
 

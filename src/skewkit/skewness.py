@@ -165,12 +165,13 @@ class QuantileGrid:
     and quantile-density values at those 2J+1 probabilities, each computed
     exactly once.  For a batch of samples ``x`` and ``g`` have one row per
     sample, and every function of this module works row by row.  ``n`` is
-    None for population grids built from exact distribution functions.
+    None for population grids built from exact distribution functions, and
+    ``g`` is None on grids built with ``densities=False``.
     """
 
     probs: np.ndarray
     x: np.ndarray
-    g: np.ndarray
+    g: np.ndarray | None
     n: int | None
     j_points: int | None
 
@@ -232,8 +233,14 @@ def build_grid(
     return _sample_grid(sample, midpoint_probs(j_points), rule, j_points)
 
 
-def population_grid(dist, j_points: int | None = None, base_probs=None) -> QuantileGrid:
-    """Exact-quantile grid for a distribution (population plug-in path)."""
+def population_grid(
+    dist, j_points: int | None = None, base_probs=None, densities: bool = True
+) -> QuantileGrid:
+    """Exact-quantile grid for a distribution (population plug-in path).
+
+    With ``densities=False`` the quantile densities are not evaluated and
+    ``g`` is None: the estimates never read them.
+    """
     if base_probs is None:
         if j_points is None:
             j_points = DEFAULT_GRID_POINTS
@@ -242,27 +249,9 @@ def population_grid(dist, j_points: int | None = None, base_probs=None) -> Quant
         base = np.asarray(base_probs, dtype=float)
         j_points = None
     probs = _grid_probs(base)
-    return QuantileGrid(
-        probs,
-        np.asarray(dist.quantile(probs), dtype=float),
-        np.asarray(dist.quantile_density(probs), dtype=float),
-        None, j_points,
-    )
-
-
-def measure_grid(grid: QuantileGrid, measure: SkewMeasure, j: np.ndarray) -> QuantileGrid:
-    """The measure's own grid, taken from a grid over more probabilities.
-
-    ``j`` indexes the measure's curve points in ``grid.base_probs``: its
-    ``measure.p`` (pointwise kinds) or its ``measure.j_points`` midpoints in
-    ascending order (AUC kinds).  The result holds them, their complements
-    and 0.5, as ``grid_for_probs`` or ``build_grid`` would.
-    """
-    take = np.concatenate([j, grid.base_probs.size + j, [grid.probs.size - 1]])
-    return QuantileGrid(
-        grid.probs[take], grid.x[..., take], grid.g[..., take], grid.n,
-        measure.j_points if measure.is_auc else None,
-    )
+    x = np.asarray(dist.quantile(probs), dtype=float)
+    g = np.asarray(dist.quantile_density(probs), dtype=float) if densities else None
+    return QuantileGrid(probs, x, g, None, j_points)
 
 
 def denominators(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
@@ -372,5 +361,6 @@ def population_measure(dist, measure: SkewMeasure) -> float:
             raise ValueError(f"b3 needs a finite mean; {dist} has none")
         return (mu - float(dist.quantile(0.5))) / median_absolute_moment(dist)
     if measure.is_auc:
-        return estimate_auc(population_grid(dist, j_points=measure.j_points), measure)
-    return estimate_pointwise(population_grid(dist, base_probs=[measure.p]), measure)
+        return estimate_auc(population_grid(dist, measure.j_points, densities=False), measure)
+    grid = population_grid(dist, base_probs=[measure.p], densities=False)
+    return estimate_pointwise(grid, measure)

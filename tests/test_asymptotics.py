@@ -13,7 +13,6 @@ from skewkit import (
     midpoint_probs,
 )
 from skewkit.asymptotics import (
-    VarianceEstimate,
     XiKernel,
     auc_variance,
     bridge_variance,
@@ -21,7 +20,7 @@ from skewkit.asymptotics import (
     sigma1_sq,
     sigma2_sq,
 )
-from skewkit.errors import MissingProbabilityError, NumericalError
+from skewkit.errors import MissingProbabilityError
 from skewkit.skewness import (
     MeasureKind,
     SkewMeasure,
@@ -392,15 +391,6 @@ def test_auc_variance_two_point_grid_equals_mean_of_cells():
         for a in grid.base_probs for b in grid.base_probs
     ]
     assert auc_variance(k, grid, "gamma") == pytest.approx(np.mean(cells), rel=1e-13)
-
-
-def test_variance_estimate_rejects_negative():
-    m = parse_measure("auc_gamma")
-    with pytest.raises(NumericalError):
-        VarianceEstimate.from_asymptotic(m, -1e-3, 100)
-    v = VarianceEstimate.from_asymptotic(m, 2.0, 50)
-    assert v.variance == pytest.approx(0.04)
-    assert v.se == pytest.approx(0.2)
 
 
 # --- Monte Carlo oracles at the scale the estimator displays call for -------

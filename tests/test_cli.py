@@ -184,6 +184,41 @@ def test_estimate_and_compare_j_changes_only_auc_rows(ln_file, capsys):
     assert json.loads(out)["differences"][0]["a"]["estimate"] == rows["20"]["auc_gamma"]["estimate"]
 
 
+ESTIMATE_ALL = Path(__file__).parent / "data" / "estimate_all_lognormal.json"
+
+
+def test_estimate_all_json_matches_the_per_measure_loop(ln_file, capsys):
+    # recorded when estimate ran one interval (one grid) per measure
+    want = json.loads(ESTIMATE_ALL.read_text())
+    code, out, _ = run_cli(
+        capsys, "estimate", ln_file, "--column", "price", "--measures", "all", "--format", "json",
+    )
+    assert code == 0
+    got = json.loads(out)
+    assert got.pop("input") == ln_file
+    assert {k: v for k, v in got.items() if k != "estimates"} == {
+        k: v for k, v in want.items() if k != "estimates"
+    }
+    for g, w in zip(got["estimates"], want["estimates"], strict=True):
+        assert g["measure"] == w["measure"]
+        for key in ("estimate", "lower", "upper"):
+            if w[key] is None:
+                assert g[key] is None
+            else:
+                assert g[key] == pytest.approx(w[key], rel=1e-12, abs=0.0), (w["measure"], key)
+
+
+@pytest.mark.parametrize("measures, message", [
+    ("b3,gamma@0.25", "constant sample has zero MAD"),
+    ("gamma@0.25,b3,auc_gamma", "non-positive quantile-density estimate at (p=0.25"),
+])
+def test_estimate_raises_the_first_failing_measures_error(tmp_path, capsys, measures, message):
+    path = write_csv(tmp_path / "flat.csv", np.full(20, 3.0))
+    code, _, err = run_cli(capsys, "estimate", path, "--column", "x", "--measures", measures)
+    assert code == EXIT_DATA
+    assert message in err
+
+
 def test_estimate_bad_column_exits_3(ln_file, capsys):
     code, _, err = run_cli(
         capsys, "estimate", ln_file, "--column", "nope", "--measures", "b3",
@@ -391,6 +426,24 @@ def test_simulate_all_trials_failed_emits_valid_json(capsys):
     result = json.loads(out, parse_constant=reject)["results"][0]
     assert result["coverage"] is None and result["mean_width"] is None
     assert result["failures"] == 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_simulate_all_trials_failed_renders_dashes(capsys, fmt):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--dist", "exp(1)", "--n", "10", "--trials", "20", "--seed", "1",
+        "--measures", "auc_gamma,lambda@0.1", "--bandwidth", "0.04", "--format", fmt,
+    )
+    assert code == EXIT_SIMULATION
+    assert "nan" not in out
+    if fmt == "csv":
+        rows = {r[0]: r for r in csv.reader(io.StringIO(out))}
+        assert rows["auc_gamma"][2:] == ["-", "-", "20"]
+        assert rows["lambda@0.1"][4] == "0" and float(rows["lambda@0.1"][2]) > 0.0
+    else:
+        lines = {line.split()[0]: line for line in out.splitlines()[1:]}
+        assert lines["auc_gamma"].endswith("-(-) 20 failed")
+        assert lines["lambda@0.1"].rstrip().endswith(")")
 
 
 def test_simulate_invalid_config_exits_2(tmp_path, capsys):

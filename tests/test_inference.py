@@ -1,5 +1,12 @@
+import math
+import warnings
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from skewkit import (
@@ -15,7 +22,16 @@ from skewkit import (
     point_estimate,
     z_quantile,
 )
+from skewkit.asymptotics import bridge_variance, ratio_gradient
+from skewkit.errors import SkewkitError
 from skewkit.inference import interval_rows
+from skewkit.skewness import (
+    MeasureKind,
+    build_grid,
+    estimate_auc,
+    estimate_pointwise,
+    grid_for_probs,
+)
 
 
 def test_z_quantile_examples():
@@ -209,3 +225,87 @@ def test_intervals_reject_an_empty_measure_list():
         intervals(s, [])
     with pytest.raises(ValueError, match="at least one measure"):
         interval_rows(SortedSample(s.values[None]), ())
+
+
+# --- the grouped engine against the per-measure path ------------------------
+
+def _reference(sample, measure, rule):
+    """One measure on one sample by its own grid: estimate and SE, or the
+    error (the density check of the grid build, then the curve's scale
+    check).  Star pointwise kinds take the unweighted gradient times p^2,
+    AUC kinds a quarter of the bridge variance (the 0.5 / J cell width)."""
+    try:
+        if measure.is_auc:
+            grid = build_grid(sample, measure.j_points, rule)
+            value = estimate_auc(grid, measure)
+            variance = 0.25 * bridge_variance(grid.probs, ratio_gradient(grid, measure) * grid.g)
+        else:
+            grid = grid_for_probs(sample, [measure.p], rule)
+            value = estimate_pointwise(grid, measure)
+            plain = replace(measure, kind=MeasureKind(measure.kind.value.removesuffix("_star")))
+            variance = bridge_variance(grid.probs, ratio_gradient(grid, plain) * grid.g)
+            if measure.weighted:
+                variance *= measure.p**2
+    except SkewkitError as exc:
+        return exc
+    return value, math.sqrt(variance / sample.n)
+
+
+_POINTWISE_KINDS = ("gamma", "lambda", "gamma_star", "lambda_star")
+_AUC_KINDS = ("auc_gamma", "auc_lambda", "auc_gamma_star", "auc_lambda_star")
+
+
+def _check_against_reference(seed, t, n, step, bandwidth, ps, js):
+    """interval_rows on T rows against ``_reference`` row by row; returns the
+    failed (row, measure) cells counted by error type."""
+    rng = np.random.default_rng(seed)
+    draws = np.exp(rng.standard_normal((t, n)))
+    if step:
+        draws = np.round(draws / step) * step
+    rule = BandwidthRule(fixed=bandwidth)
+    measures = []
+    for direction in Direction:
+        for i, kind in enumerate(_POINTWISE_KINDS):
+            measures.append(parse_measure(f"{kind}@{ps[i % len(ps)]}", direction=direction))
+        for i, kind in enumerate(_AUC_KINDS):
+            measures.append(parse_measure(kind, direction=direction, j_points=js[i % len(js)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = interval_rows(SortedSample.from_rows(draws), measures, 0.95, rule)
+    failed = Counter()
+    for row, draw in enumerate(draws):
+        sample = SortedSample.from_data(draw)
+        for m, res in zip(measures, batch):
+            want = _reference(sample, m, rule)
+            if isinstance(want, SkewkitError):
+                failed[type(want).__name__] += 1
+                got = res.errors[row]
+                assert (type(got), str(got)) == (type(want), str(want)), m
+                assert np.isnan(res.estimate[row]) and np.isnan(res.se[row])
+            else:
+                assert row not in res.errors, m
+                assert res.estimate[row] == pytest.approx(want[0], rel=1e-13, abs=0.0), m
+                assert res.se[row] == pytest.approx(want[1], rel=1e-13, abs=0.0), m
+    return failed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(1, 8),
+    n=st.integers(12, 3000),
+    step=st.sampled_from([None, 0.1, 0.5]),
+    bandwidth=st.sampled_from([None, 0.002, 0.05, 0.3]),
+    ps=st.lists(st.sampled_from([0.0025, 0.025, 0.05, 0.1, 0.25, 0.375, 0.49]), min_size=1,
+                max_size=4),
+    js=st.lists(st.sampled_from([2, 7, 100]), min_size=1, max_size=3, unique=True),
+)
+def test_grouped_engine_matches_the_per_measure_path(seed, t, n, step, bandwidth, ps, js):
+    _check_against_reference(seed, t, n, step, bandwidth, ps, js)
+
+
+def test_grouped_engine_failures_match_the_per_measure_path():
+    # tied rows at small n: density failures, scale failures and good cells
+    failed = _check_against_reference(5, 8, 12, 0.5, None, [0.05, 0.25, 0.375], [2, 7, 100])
+    assert failed["QuantileDensityError"] > 0 and failed["DegenerateScaleError"] > 0
+    assert sum(failed.values()) < 8 * 16

@@ -304,3 +304,31 @@ def test_grid_build_reports_failing_probability():
     assert 0.1 in info.value.probabilities
     assert (info.value.distinct, info.value.n) == (4, 53)
     assert "4 distinct values among n = 53" in str(info.value)
+
+
+ONE_PER_FAMILY = [
+    Normal(2.0, 1.0), LogNormal(0.0, 1.0), Exponential(1.0), ChiSquare(5.0), ParetoII(1.0, 4.0),
+    Weibull(2.0), Gamma(2.0), Beta(2.0, 5.0), FisherF(2.0, 8.0),
+]
+
+
+@pytest.mark.parametrize("dist", ONE_PER_FAMILY, ids=repr)
+def test_population_measure_reads_no_quantile_density(dist, monkeypatch):
+    measures = [SkewMeasure(MeasureKind.B3)] + [
+        parse_measure(tok, direction=d)
+        for d in Direction
+        for tok in ("gamma@0.1", "lambda@0.25", "gamma_star@0.05", "lambda_star@0.2",
+                    "auc_gamma", "auc_lambda", "auc_gamma_star", "auc_lambda_star")
+    ]
+    # the density-carrying grid gives bit-identical truths
+    want = [population_measure(dist, measures[0])] + [
+        estimate_auc(population_grid(dist, j_points=m.j_points), m) if m.is_auc
+        else estimate_pointwise(population_grid(dist, base_probs=[m.p]), m)
+        for m in measures[1:]
+    ]
+
+    def no_density(self, p):
+        raise AssertionError("population_measure evaluated a quantile density")
+
+    monkeypatch.setattr(type(dist), "quantile_density", no_density)
+    assert [population_measure(dist, m) for m in measures] == want
