@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .skewness import Direction, MeasureKind, QuantileGrid, SkewMeasure, _scalar, curve_terms
+from .skewness import (
+    Direction, MeasureKind, QuantileGrid, SkewMeasure, _scalar, curve_terms, denominator_slopes,
+)
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,7 @@ def ratio_gradient(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
     j, s, r = curve_terms(grid, measure)
     # d(s/r) = (ds - (s/r) dr) / r, with ds = (1, 1, -2) and dr the derivative
     # of the denominator with respect to (x_{p_j}, x_{1-p_j}, x_{0.5}).
-    if not measure.is_lambda_family:
-        dr_low, dr_high, dr_med = -1.0, 1.0, 0.0
-    elif measure.direction is Direction.LEFT:
-        dr_low, dr_high, dr_med = 0.0, 1.0, -1.0
-    else:
-        dr_low, dr_high, dr_med = -1.0, 0.0, 1.0
+    dr_low, dr_high, dr_med = denominator_slopes(measure)
     ratio = s / r
     scale = (grid.base_probs[j] if measure.weighted else 1.0) / (j.size * r)
     grad = np.zeros(grid.x.shape)

@@ -18,7 +18,9 @@ import numpy as np
 from .distributions import parse_distribution
 from .errors import SkewkitError
 # ``interval`` is not called here; perfbench/tracer.py binds it on this module.
-from .inference import difference_interval, interval, intervals, point_estimate  # noqa: F401
+from .inference import (  # noqa: F401
+    difference_interval, interval, interval_rows, point_estimate,
+)
 from .quantiles import DEFAULT_BANDWIDTH, SortedSample
 from .simulation import SimConfig, run_coverage
 from .skewness import (
@@ -182,18 +184,23 @@ def cmd_population(args) -> int:
 
 
 def _estimate_rows(sample: SortedSample, measures, level, rule):
-    """One row per measure.  One ``intervals`` call at the first non-b3 measure
-    serves every interval and raises the first failing measure's error."""
-    rows, ivs = [], None
+    """One row per measure, in order; raises the first failing measure's error.
+
+    b3 takes ``point_estimate``.  The first other measure computes every
+    interval with one ``interval_rows`` call, and each later one takes its own.
+    """
+    rest = [m for m in measures if m.kind is not MeasureKind.B3]
+    rows, pending = [], None
     for m in measures:
         if m.kind is MeasureKind.B3:
             rows.append((m, point_estimate(sample, m, rule).value, None, None))
             continue
-        if ivs is None:
-            rest = [other for other in measures if other.kind is not MeasureKind.B3]
-            ivs = iter(intervals(sample, rest, level, rule))
-        iv = next(ivs)
-        rows.append((m, iv.estimate, iv.lower, iv.upper))
+        if pending is None:
+            pending = interval_rows(SortedSample(sample.values[None]), rest, level, rule)
+        r = pending.pop(0)
+        if r.errors:
+            raise r.errors[0]
+        rows.append((m, float(r.estimate[0]), float(r.lower[0]), float(r.upper[0])))
     return rows
 
 

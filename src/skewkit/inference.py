@@ -11,7 +11,7 @@ from scipy import special
 from . import asymptotics, skewness
 from .errors import DegenerateScaleError, SkewkitError, UnsupportedMeasureError
 from .quantiles import DEFAULT_BANDWIDTH, BandwidthRule, SortedSample, density_error
-from .skewness import Direction, MeasureKind, SkewMeasure
+from .skewness import MeasureKind, SkewMeasure
 
 
 def z_quantile(alpha: float) -> float:
@@ -119,13 +119,6 @@ class IntervalRows:
     errors: dict[int, SkewkitError]
 
 
-# Derivatives of a curve denominator r with respect to (x_p, x_{1-p}, x_{0.5}):
-# the full range (gamma family) or the half-range on the measure's side
-# (lambda family).  r itself is this linear form, evaluated exactly.
-_SLOPES = {"range": (-1.0, 1.0, 0.0), Direction.RIGHT: (-1.0, 0.0, 1.0),
-           Direction.LEFT: (0.0, 1.0, -1.0)}
-
-
 def _three_point_variance(p, q, vl, vh, vm):
     """``asymptotics.bridge_variance([p, q, 0.5], [vl, vh, vm])`` elementwise,
     for p < 0.5 < q: the cells between the sorted points are p, 0.5 - p,
@@ -149,7 +142,7 @@ def _group_rows(rows, grid, measures, take, z: float, rule) -> list[IntervalRows
     probs = grid.probs[take][:, None]
     x = np.moveaxis(grid.x[:, take], 1, 0)
     g = np.moveaxis(grid.g[:, take], 1, 0)
-    slopes = [_SLOPES[m.direction if m.is_lambda_family else "range"] for m in measures]
+    slopes = [skewness.denominator_slopes(m) for m in measures]
     al, ah, am = np.array(slopes).T[:, :, None, None]
     weighted = np.array([m.weighted for m in measures])[:, None, None]
     weight = np.where(weighted, probs[..., :n_pts], 1.0)

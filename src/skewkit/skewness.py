@@ -164,9 +164,9 @@ class QuantileGrid:
     1 - p_j in the same order, then 0.5; ``x`` and ``g`` hold the quantile
     and quantile-density values at those 2J+1 probabilities, each computed
     exactly once.  For a batch of samples ``x`` and ``g`` have one row per
-    sample, and every function of this module works row by row.  ``n`` is
-    None for population grids built from exact distribution functions, and
-    ``g`` is None on grids built with ``densities=False``.
+    sample, and every function of this module works row by row.  Population
+    grids, built from exact distribution functions, have ``n`` and ``g``
+    None: their estimates never read a quantile density.
     """
 
     probs: np.ndarray
@@ -192,17 +192,9 @@ class QuantileGrid:
         """The median: a float for one sample, one value per row for a batch."""
         return _scalar(self.x[..., -1])
 
-    # -- vector views of the skewness curve's parts ----------------------------
     def s_values(self) -> np.ndarray:
+        """The skewness curve's numerators x_{1-p_j} + x_{p_j} - 2 x_{0.5}."""
         return self.x_high + self.x_low - 2.0 * self.x[..., -1:]
-
-    def r1_values(self) -> np.ndarray:
-        return self.x_high - self.x_low
-
-    def r2_values(self, direction: Direction = Direction.RIGHT) -> np.ndarray:
-        if direction is Direction.LEFT:
-            return self.x_high - self.x[..., -1:]
-        return self.x[..., -1:] - self.x_low
 
 
 def _sample_grid(sample, base, rule, j_points):
@@ -233,14 +225,9 @@ def build_grid(
     return _sample_grid(sample, midpoint_probs(j_points), rule, j_points)
 
 
-def population_grid(
-    dist, j_points: int | None = None, base_probs=None, densities: bool = True
-) -> QuantileGrid:
-    """Exact-quantile grid for a distribution (population plug-in path).
-
-    With ``densities=False`` the quantile densities are not evaluated and
-    ``g`` is None: the estimates never read them.
-    """
+def population_grid(dist, j_points: int | None = None, base_probs=None) -> QuantileGrid:
+    """Exact-quantile grid for a distribution (population plug-in path),
+    without quantile densities."""
     if base_probs is None:
         if j_points is None:
             j_points = DEFAULT_GRID_POINTS
@@ -250,17 +237,26 @@ def population_grid(
         j_points = None
     probs = _grid_probs(base)
     x = np.asarray(dist.quantile(probs), dtype=float)
-    g = np.asarray(dist.quantile_density(probs), dtype=float) if densities else None
-    return QuantileGrid(probs, x, g, None, j_points)
+    return QuantileGrid(probs, x, None, None, j_points)
+
+
+def denominator_slopes(measure: SkewMeasure) -> tuple[float, float, float]:
+    """Coefficients of the measure's curve denominator r_j on
+    (x_{p_j}, x_{1-p_j}, x_{0.5}): the full range x_{1-p_j} - x_{p_j} (gamma
+    family) or the half-range x_{0.5} - x_{p_j} (right) or x_{1-p_j} - x_{0.5}
+    (left) (lambda family).  r_j is linear, so these are its derivatives too."""
+    if not measure.is_lambda_family:
+        return -1.0, 1.0, 0.0
+    if measure.direction is Direction.LEFT:
+        return 0.0, 1.0, -1.0
+    return -1.0, 0.0, 1.0
 
 
 def denominators(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
-    """The measure's curve denominators r_j at every base probability: the
-    full range x_{1-p_j} - x_{p_j} (gamma family) or the half-range
-    x_{0.5} - x_{p_j} (right) or x_{1-p_j} - x_{0.5} (left) (lambda family)."""
-    if measure.is_lambda_family:
-        return grid.r2_values(measure.direction)
-    return grid.r1_values()
+    """The measure's curve denominators r_j at every base probability (see
+    ``denominator_slopes``); exact, as every coefficient is 0 or +-1."""
+    al, ah, am = denominator_slopes(measure)
+    return al * grid.x_low + ah * grid.x_high + am * grid.x[..., -1:]
 
 
 def curve_terms(grid: QuantileGrid, measure: SkewMeasure) -> tuple[np.ndarray, ...]:
@@ -361,6 +357,6 @@ def population_measure(dist, measure: SkewMeasure) -> float:
             raise ValueError(f"b3 needs a finite mean; {dist} has none")
         return (mu - float(dist.quantile(0.5))) / median_absolute_moment(dist)
     if measure.is_auc:
-        return estimate_auc(population_grid(dist, measure.j_points, densities=False), measure)
-    grid = population_grid(dist, base_probs=[measure.p], densities=False)
+        return estimate_auc(population_grid(dist, measure.j_points), measure)
+    grid = population_grid(dist, base_probs=[measure.p])
     return estimate_pointwise(grid, measure)

@@ -265,7 +265,7 @@ def test_criterion_4_covariance_oracle():
         ]
         # the library's delta-method cross-covariances, by polarization
         grid = population_grid(dist, base_probs=sorted({a, b}))
-        kernel = XiKernel(n=n, probs=grid.probs, g=grid.g)
+        kernel = XiKernel(n=n, probs=grid.probs, g=dist.quantile_density(grid.probs))
         for family, kind, ra, rb in (
             ("gamma", MeasureKind.GAMMA, r1a, r1b),
             ("lambda", MeasureKind.LAMBDA, r2a, r2b),
@@ -363,7 +363,7 @@ def test_criterion_6_property_suites():
     for _ in range(20):
         s = SortedSample.from_data(rng.exponential(size=int(rng.integers(30, 500))))
         grid = build_grid(s, 100)
-        gam = grid.s_values() / grid.r1_values()
+        gam = grid.s_values() / (grid.x_high - grid.x_low)
         bound_ok &= bool(np.all(np.abs(gam) <= 1.0 + 1e-12))
         bound_ok &= abs(estimate(s, parse_measure("auc_gamma"))) <= 0.5 + 1e-12
     checks["gamma bound |g_p| <= 1, |AUC_gamma| <= 0.5"] = bound_ok

@@ -24,6 +24,7 @@ from skewkit.errors import MissingProbabilityError
 from skewkit.skewness import (
     MeasureKind,
     SkewMeasure,
+    denominators,
     grid_for_probs,
     parse_measure,
     population_grid,
@@ -82,7 +83,8 @@ def sigma_cross(k, grid, p, q, family="gamma", direction=Direction.RIGHT):
     expanded by hand into the covariances of s and r."""
     lam = family == "lambda"
     den = (lambda x: combo_r2(x, direction)) if lam else combo_r1
-    r_all = grid.r2_values(direction) if lam else grid.r1_values()
+    m = SkewMeasure(MeasureKind.LAMBDA if lam else MeasureKind.GAMMA, p=p, direction=direction)
+    r_all = denominators(grid, m)
     base = [float(b) for b in grid.base_probs]
 
     def plug(x):
@@ -163,9 +165,10 @@ def test_xi_missing_probability():
         with pytest.raises(ValueError):
             sigma2_sq(k_other, grid, 0.15, Direction.LEFT)
     auc = build_grid(SortedSample.from_data(np.arange(1.0, 201.0)), j_points=10)
-    shifted = population_grid(LogNormal(0.0, 1.0), base_probs=auc.base_probs + 0.01)
+    shifted = np.concatenate([auc.base_probs, 1.0 - auc.base_probs, [0.5]]) + 0.01
+    g_shifted = LogNormal(0.0, 1.0).quantile_density(shifted)
     with pytest.raises(ValueError):
-        auc_variance(XiKernel(200, shifted.probs, shifted.g), auc, "gamma")
+        auc_variance(XiKernel(200, shifted, g_shifted), auc, "gamma")
     # the kernel of the grid itself is accepted
     assert sigma1_sq(k, grid, 0.15) > 0.0
 
@@ -412,7 +415,7 @@ def test_sigma1_matches_simulation_normal():
     p, n, reps = 0.25, 10_000, 20_000
     probs = np.array([p, 1 - p, 0.5])
     grid = population_grid(dist, base_probs=[p])
-    k = XiKernel(n=n, probs=grid.probs, g=grid.g)
+    k = XiKernel(n=n, probs=grid.probs, g=dist.quantile_density(grid.probs))
     predicted = sigma1_sq(k, grid, p)
 
     rng = np.random.default_rng(160)
@@ -438,7 +441,7 @@ def test_auc_variance_matches_simulation_lognormal():
     pj = midpoint_probs(J)
     probs = np.concatenate([pj, 1 - pj, [0.5]])
     grid = population_grid(dist, j_points=J)
-    k = XiKernel(n=n, probs=grid.probs, g=grid.g)
+    k = XiKernel(n=n, probs=grid.probs, g=dist.quantile_density(grid.probs))
     predicted = auc_variance(k, grid, "gamma")
 
     rng = np.random.default_rng(161)

@@ -208,12 +208,25 @@ def test_estimate_all_json_matches_the_per_measure_loop(ln_file, capsys):
                 assert g[key] == pytest.approx(w[key], rel=1e-12, abs=0.0), (w["measure"], key)
 
 
-@pytest.mark.parametrize("measures, message", [
-    ("b3,gamma@0.25", "constant sample has zero MAD"),
-    ("gamma@0.25,b3,auc_gamma", "non-positive quantile-density estimate at (p=0.25"),
+ESTIMATE_SAMPLES = {
+    "flat": np.full(20, 3.0),
+    # a tied lower tail: gamma@0.45 and b3 pass, lambda@0.05 and auc_gamma fail
+    "tied": np.concatenate([
+        np.full(30, 1.0), 1.0 + np.random.default_rng(3).exponential(size=70),
+    ]),
+}
+
+
+@pytest.mark.parametrize("sample, measures, message", [
+    ("flat", "b3,gamma@0.25", "constant sample has zero MAD"),
+    ("flat", "gamma@0.25,b3,auc_gamma", "non-positive quantile-density estimate at (p=0.25"),
+    ("tied", "gamma@0.45,b3,lambda@0.05,auc_gamma", "estimate at (p=0.05, b="),
+    ("tied", "gamma@0.45,b3,auc_gamma,lambda@0.05", "estimate at (p=0.0025, b="),
 ])
-def test_estimate_raises_the_first_failing_measures_error(tmp_path, capsys, measures, message):
-    path = write_csv(tmp_path / "flat.csv", np.full(20, 3.0))
+def test_estimate_raises_the_first_failing_measures_error(
+    tmp_path, capsys, sample, measures, message
+):
+    path = write_csv(tmp_path / f"{sample}.csv", ESTIMATE_SAMPLES[sample])
     code, _, err = run_cli(capsys, "estimate", path, "--column", "x", "--measures", measures)
     assert code == EXIT_DATA
     assert message in err

@@ -32,6 +32,8 @@ from skewkit import (
 from skewkit.errors import MissingProbabilityError
 from skewkit.skewness import (
     MeasureKind,
+    QuantileGrid,
+    denominators,
     estimate,
     grid_for_probs,
     population_grid,
@@ -109,12 +111,17 @@ def test_s_r_identities():
     s = SortedSample.from_data([10.0, 20.0, 30.0, 40.0, 50.0])
     grid = grid_for_probs(s, [0.25])
     assert grid.s_values()[0] == pytest.approx(0.0, abs=1e-12)  # symmetric sample
-    assert grid.r1_values()[0] == pytest.approx(80.0 / 3.0, abs=1e-9)
+    r1 = denominators(grid, parse_measure("gamma@0.25"))
+    assert r1[0] == pytest.approx(80.0 / 3.0, abs=1e-9)
     rng = np.random.default_rng(5)
     t = SortedSample.from_data(rng.exponential(size=100))
     g = grid_for_probs(t, [0.1, 0.3])
-    total = g.r2_values(Direction.RIGHT) + g.r2_values(Direction.LEFT)
-    np.testing.assert_allclose(total, g.r1_values(), rtol=1e-12)
+    halves = [
+        denominators(g, SkewMeasure(MeasureKind.LAMBDA, p=0.1, direction=d)) for d in Direction
+    ]
+    np.testing.assert_allclose(sum(halves), g.x_high - g.x_low, rtol=1e-12)
+    np.testing.assert_array_equal(halves[0], g.x_median - g.x_low)
+    np.testing.assert_array_equal(halves[1], g.x_high - g.x_median)
     with pytest.raises(MissingProbabilityError):
         estimate_pointwise(g, parse_measure("gamma@0.2"))
 
@@ -184,7 +191,7 @@ def test_b3_matches_ratio_of_midpoint_sums():
     # population b3 equals lim (1/J) sum S_p / (1/J) sum R_1p
     for dist in (LogNormal(0.0, 1.0), Exponential(1.0), ChiSquare(5.0), Beta(2.0, 5.0)):
         grid = population_grid(dist, j_points=1000)
-        ratio = grid.s_values().mean() / grid.r1_values().mean()
+        ratio = grid.s_values().mean() / (grid.x_high - grid.x_low).mean()
         b3 = population_measure(dist, parse_measure("b3"))
         assert ratio == pytest.approx(b3, abs=1e-3)
 
@@ -194,7 +201,7 @@ def test_gamma_family_bounds():
     for _ in range(25):
         s = SortedSample.from_data(rng.exponential(size=int(rng.integers(20, 400))))
         grid = build_grid(s, j_points=100)
-        gammas = grid.s_values() / grid.r1_values()
+        gammas = grid.s_values() / (grid.x_high - grid.x_low)
         assert np.all(np.abs(gammas) <= 1.0 + 1e-12)
         auc = estimate_auc(grid, parse_measure("auc_gamma"))
         assert abs(auc) <= 0.5 + 1e-12  # integral of a [-1, 1] curve over [0, 0.5]
@@ -320,10 +327,17 @@ def test_population_measure_reads_no_quantile_density(dist, monkeypatch):
         for tok in ("gamma@0.1", "lambda@0.25", "gamma_star@0.05", "lambda_star@0.2",
                     "auc_gamma", "auc_lambda", "auc_gamma_star", "auc_lambda_star")
     ]
-    # the density-carrying grid gives bit-identical truths
+
+    def grid_with_densities(base, j_points):
+        # the population grid as it was built with quantile densities
+        probs = np.concatenate([base, 1.0 - base, [0.5]])
+        return QuantileGrid(
+            probs, dist.quantile(probs), dist.quantile_density(probs), None, j_points,
+        )
+
     want = [population_measure(dist, measures[0])] + [
-        estimate_auc(population_grid(dist, j_points=m.j_points), m) if m.is_auc
-        else estimate_pointwise(population_grid(dist, base_probs=[m.p]), m)
+        estimate_auc(grid_with_densities(midpoint_probs(m.j_points), m.j_points), m) if m.is_auc
+        else estimate_pointwise(grid_with_densities(np.array([m.p]), None), m)
         for m in measures[1:]
     ]
 
