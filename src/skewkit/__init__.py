@@ -36,7 +36,6 @@ from .quantiles import (
     BandwidthRule,
     SortedSample,
     default_bandwidth,
-    quantile_density_estimate,
     quantile_type8,
 )
 from .simulation import CoverageReport, SimConfig, coverage_standard_error, run_coverage
@@ -49,7 +48,6 @@ from .skewness import (
     estimate_auc,
     estimate_b3,
     estimate_pointwise,
-    mean_skew,
     midpoint_probs,
     parse_measure,
     population_measure,
@@ -63,10 +61,9 @@ __all__ = [
     "SkewkitError", "DegenerateScaleError", "QuantileDensityError",
     "MissingProbabilityError", "UnsupportedMeasureError", "NumericalError",
     "SortedSample", "BandwidthRule", "quantile_type8", "default_bandwidth",
-    "quantile_density_estimate",
     "Direction", "MeasureKind", "SkewMeasure", "QuantileGrid", "parse_measure",
     "midpoint_probs", "build_grid", "estimate_pointwise", "estimate_auc",
-    "estimate_b3", "mean_skew", "population_measure",
+    "estimate_b3", "population_measure",
     "Estimate", "IntervalEstimate", "DifferenceEstimate", "interval",
     "intervals", "difference_interval", "point_estimate", "z_quantile",
     "SimConfig", "CoverageReport", "run_coverage", "coverage_standard_error",

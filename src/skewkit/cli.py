@@ -193,7 +193,7 @@ def _estimate_rows(sample: SortedSample, measures, level, rule):
     rows, pending = [], None
     for m in measures:
         if m.kind is MeasureKind.B3:
-            rows.append((m, point_estimate(sample, m, rule).value, None, None))
+            rows.append((m, point_estimate(sample, m).value, None, None))
             continue
         if pending is None:
             pending = interval_rows(SortedSample(sample.values[None]), rest, level, rule)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -37,8 +37,10 @@ def _match_shape(value, template):
 class DistributionSpec:
     """Base class for the parametric families.
 
-    Subclasses implement ``_quantile``, ``_cdf``, ``_pdf`` and ``mean`` on
-    float arrays; the public wrappers validate domains and preserve scalars.
+    Subclasses are frozen dataclasses whose fields are the family's
+    parameters, in the order its ``repr`` and parser use.  They implement
+    ``_quantile``, ``_cdf``, ``_pdf`` and ``mean`` on float arrays; the
+    public wrappers validate domains and preserve scalars.
     """
 
     name = "distribution"
@@ -91,18 +93,9 @@ class DistributionSpec:
         np.maximum(u, _TINY, out=u)  # keep u strictly inside (0, 1)
         return self._quantile(u)
 
-    def _params(self) -> tuple[float, ...]:
-        raise NotImplementedError
-
     def __repr__(self):
-        args = ",".join(f"{v:g}" for v in self._params())
+        args = ",".join(f"{getattr(self, f.name):g}" for f in fields(self))
         return f"{self.name}({args})"
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self._params() == other._params()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self._params()))
 
 
 def _require_positive(**kwargs):
@@ -111,7 +104,7 @@ def _require_positive(**kwargs):
             raise ValueError(f"{label} must be strictly positive, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class Normal(DistributionSpec):
     mu: float
     sigma: float
@@ -133,11 +126,8 @@ class Normal(DistributionSpec):
     def mean(self):
         return self.mu
 
-    def _params(self):
-        return (self.mu, self.sigma)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class LogNormal(DistributionSpec):
     mu: float
     sigma: float
@@ -165,11 +155,8 @@ class LogNormal(DistributionSpec):
     def mean(self):
         return math.exp(self.mu + 0.5 * self.sigma**2)
 
-    def _params(self):
-        return (self.mu, self.sigma)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class Exponential(DistributionSpec):
     rate: float
     name = "exp"
@@ -189,11 +176,8 @@ class Exponential(DistributionSpec):
     def mean(self):
         return 1.0 / self.rate
 
-    def _params(self):
-        return (self.rate,)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class ChiSquare(DistributionSpec):
     df: float
     name = "chisq"
@@ -218,11 +202,8 @@ class ChiSquare(DistributionSpec):
     def mean(self):
         return self.df
 
-    def _params(self):
-        return (self.df,)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class ParetoII(DistributionSpec):
     """Lomax form: F(x) = 1 - (1 + x/scale)^(-shape) on x >= 0."""
 
@@ -252,11 +233,8 @@ class ParetoII(DistributionSpec):
             return math.inf
         return self.scale / (self.shape - 1.0)
 
-    def _params(self):
-        return (self.scale, self.shape)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class Weibull(DistributionSpec):
     shape: float
     name = "weibull"
@@ -281,11 +259,8 @@ class Weibull(DistributionSpec):
     def mean(self):
         return math.gamma(1.0 + 1.0 / self.shape)
 
-    def _params(self):
-        return (self.shape,)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class Gamma(DistributionSpec):
     shape: float
     name = "gamma"
@@ -310,11 +285,8 @@ class Gamma(DistributionSpec):
     def mean(self):
         return self.shape
 
-    def _params(self):
-        return (self.shape,)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class Beta(DistributionSpec):
     a: float
     b: float
@@ -345,11 +317,8 @@ class Beta(DistributionSpec):
     def mean(self):
         return self.a / (self.a + self.b)
 
-    def _params(self):
-        return (self.a, self.b)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class FisherF(DistributionSpec):
     d1: float
     d2: float
@@ -388,9 +357,6 @@ class FisherF(DistributionSpec):
             return math.inf
         return self.d2 / (self.d2 - 2.0)
 
-    def _params(self):
-        return (self.d1, self.d2)
-
 
 def median_absolute_moment(dist: DistributionSpec) -> float:
     """E|X - median|, evaluated as a quantile-function integral.
@@ -413,15 +379,8 @@ def median_absolute_moment(dist: DistributionSpec) -> float:
 
 
 _FAMILY_PARSERS = {
-    "normal": (Normal, 2),
-    "lognormal": (LogNormal, 2),
-    "exp": (Exponential, 1),
-    "chisq": (ChiSquare, 1),
-    "pareto2": (ParetoII, 2),
-    "weibull": (Weibull, 1),
-    "gamma": (Gamma, 1),
-    "beta": (Beta, 2),
-    "f": (FisherF, 2),
+    cls.name: (cls, len(fields(cls)))
+    for cls in (Normal, LogNormal, Exponential, ChiSquare, ParetoII, Weibull, Gamma, Beta, FisherF)
 }
 
 _SPEC_RE = re.compile(r"^\s*([a-z0-9_]+)\s*\(\s*([^()]*)\s*\)\s*$")

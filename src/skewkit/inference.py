@@ -94,11 +94,10 @@ class DifferenceEstimate:
         }
 
 
-def point_estimate(
-    sample: SortedSample, measure: SkewMeasure, rule: BandwidthRule = DEFAULT_BANDWIDTH
-) -> Estimate:
-    """Point estimate without interval machinery (the only route for b3)."""
-    value = skewness.estimate(sample, measure, rule)
+def point_estimate(sample: SortedSample, measure: SkewMeasure) -> Estimate:
+    """Point estimate without interval machinery (the only route for b3);
+    it reads quantiles only, never a quantile density."""
+    value = skewness.estimate(sample, measure)
     return Estimate(measure=measure, value=value, se=None, n=sample.n)
 
 

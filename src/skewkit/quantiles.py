@@ -228,11 +228,3 @@ def density_error(
     b = np.broadcast_to(rule.bandwidth(n, probs), probs.shape)
     return QuantileDensityError(probs[bad], b[bad], distinct, n)
 
-
-def quantile_density_estimate(
-    sample: SortedSample, p: float, rule: BandwidthRule = DEFAULT_BANDWIDTH
-) -> float:
-    """Single-probability kernel estimate of 1/f(x_p)."""
-    if not (0.0 < p < 1.0):
-        raise ValueError("probability must lie strictly inside (0, 1)")
-    return float(quantile_density_profile(sample, np.array([p]), rule)[0])

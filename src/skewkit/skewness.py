@@ -7,7 +7,11 @@ skewness curve over p in [0, 0.5] with a J-point midpoint rule; b3 is the
 
 Convention: AUC values are the *integral* of the curve, i.e. the midpoint sum
 carries the cell width 0.5/J.  The companion "mean skew" reading of an AUC
-figure is half of it (see :func:`mean_skew`).
+figure is half of it (see ``IntervalEstimate.mean_skew``).
+
+Point values read quantiles only: ``estimate`` and ``population_measure``
+build the measure's own grid from a quantile function (Type 8 on the sample,
+or the distribution's).  Only intervals read quantile densities.
 """
 
 from __future__ import annotations
@@ -164,9 +168,9 @@ class QuantileGrid:
     1 - p_j in the same order, then 0.5; ``x`` and ``g`` hold the quantile
     and quantile-density values at those 2J+1 probabilities, each computed
     exactly once.  For a batch of samples ``x`` and ``g`` have one row per
-    sample, and every function of this module works row by row.  Population
-    grids, built from exact distribution functions, have ``n`` and ``g``
-    None: their estimates never read a quantile density.
+    sample, and every function of this module works row by row.  The grids
+    of point values (sample estimates and population values) have ``n`` and
+    ``g`` None: a point value never reads a quantile density.
     """
 
     probs: np.ndarray
@@ -225,19 +229,20 @@ def build_grid(
     return _sample_grid(sample, midpoint_probs(j_points), rule, j_points)
 
 
+def _quantile_grid(quantile, base, j_points=None) -> QuantileGrid:
+    """The grid of ``quantile`` (a quantile function of an array of
+    probabilities) at the base probabilities, without quantile densities."""
+    probs = _grid_probs(np.asarray(base, dtype=float))
+    return QuantileGrid(probs, np.asarray(quantile(probs), dtype=float), None, None, j_points)
+
+
 def population_grid(dist, j_points: int | None = None, base_probs=None) -> QuantileGrid:
     """Exact-quantile grid for a distribution (population plug-in path),
     without quantile densities."""
-    if base_probs is None:
-        if j_points is None:
-            j_points = DEFAULT_GRID_POINTS
-        base = midpoint_probs(j_points)
-    else:
-        base = np.asarray(base_probs, dtype=float)
-        j_points = None
-    probs = _grid_probs(base)
-    x = np.asarray(dist.quantile(probs), dtype=float)
-    return QuantileGrid(probs, x, None, None, j_points)
+    if base_probs is not None:
+        return _quantile_grid(dist.quantile, base_probs)
+    j_points = DEFAULT_GRID_POINTS if j_points is None else j_points
+    return _quantile_grid(dist.quantile, midpoint_probs(j_points), j_points)
 
 
 def denominator_slopes(measure: SkewMeasure) -> tuple[float, float, float]:
@@ -318,11 +323,6 @@ def estimate_auc(grid: QuantileGrid, measure: SkewMeasure) -> float:
     return _scalar(curve_values(grid, measure).mean(axis=-1) * 0.5)
 
 
-def mean_skew(auc_value: float) -> float:
-    """Half the AUC: the mean-skewness reading of an AUC figure."""
-    return 0.5 * auc_value
-
-
 def estimate_b3(sample: SortedSample) -> float:
     """(mean - median) / E|X - median| with the Type-8 median plug-in."""
     med = quantile_type8(sample, 0.5)
@@ -332,15 +332,21 @@ def estimate_b3(sample: SortedSample) -> float:
     return (float(sample.values.mean()) - med) / mad
 
 
-def estimate(sample: SortedSample, measure: SkewMeasure, rule: BandwidthRule = DEFAULT_BANDWIDTH) -> float:
-    """Point estimate of any measure from a sorted sample."""
+def _point_value(quantile, measure: SkewMeasure) -> float:
+    """A pointwise or AUC measure from its own grid of the quantile function
+    ``quantile``; no quantile density is involved."""
+    if measure.is_auc:
+        grid = _quantile_grid(quantile, midpoint_probs(measure.j_points), measure.j_points)
+        return estimate_auc(grid, measure)
+    return estimate_pointwise(_quantile_grid(quantile, [measure.p]), measure)
+
+
+def estimate(sample: SortedSample, measure: SkewMeasure) -> float:
+    """Point estimate of any measure from a sorted sample: Type-8 quantiles
+    only, so ties never fail it unless a denominator vanishes."""
     if measure.kind is MeasureKind.B3:
         return estimate_b3(sample)
-    if measure.is_auc:
-        grid = build_grid(sample, measure.j_points, rule)
-        return estimate_auc(grid, measure)
-    grid = grid_for_probs(sample, [measure.p], rule)
-    return estimate_pointwise(grid, measure)
+    return _point_value(lambda probs: quantile_type8(sample, probs), measure)
 
 
 def population_measure(dist, measure: SkewMeasure) -> float:
@@ -356,7 +362,4 @@ def population_measure(dist, measure: SkewMeasure) -> float:
         if not math.isfinite(mu):
             raise ValueError(f"b3 needs a finite mean; {dist} has none")
         return (mu - float(dist.quantile(0.5))) / median_absolute_moment(dist)
-    if measure.is_auc:
-        return estimate_auc(population_grid(dist, measure.j_points), measure)
-    grid = population_grid(dist, base_probs=[measure.p])
-    return estimate_pointwise(grid, measure)
+    return _point_value(dist.quantile, measure)

@@ -194,6 +194,23 @@ def test_parse_distribution_round_trip():
     assert parse_distribution(repr(LogNormal(0.0, 1.0))) == LogNormal(0.0, 1.0)
 
 
+def test_repr_equality_and_hash_follow_the_parameters():
+    # reports echo repr(dist), so its format is pinned byte for byte
+    dists = [
+        Normal(-1e-5, 3e7), LogNormal(0.0, 1.0), Exponential(1.5), ChiSquare(5.0),
+        ParetoII(1.0, 3.5), Weibull(2.0), Gamma(0.7), Beta(0.25, 1.0 / 3.0), FisherF(5.0, 12.0),
+    ]
+    assert [repr(d) for d in dists] == [
+        "normal(-1e-05,3e+07)", "lognormal(0,1)", "exp(1.5)", "chisq(5)", "pareto2(1,3.5)",
+        "weibull(2)", "gamma(0.7)", "beta(0.25,0.333333)", "f(5,12)",
+    ]
+    assert Normal(0, 1) == Normal(0.0, 1.0) and hash(Normal(0, 1)) == hash(Normal(0.0, 1.0))
+    assert Normal(0.0, 1.0) != LogNormal(0.0, 1.0)
+    assert Weibull(2.0) != Gamma(2.0) and Weibull(2.0) != Weibull(3.0)
+    exact = [d for d in dists if not isinstance(d, Beta)]  # %g rounds 1/3
+    assert len({*dists, *(parse_distribution(repr(d)) for d in exact)}) == len(dists)
+
+
 def test_parse_distribution_errors():
     for bad in ("cauchy(0,1)", "normal(2)", "exp()", "exp(a)", "exp"):
         with pytest.raises(ValueError):

@@ -11,7 +11,9 @@ from scipy import special
 
 from skewkit import (
     BandwidthRule,
+    DegenerateScaleError,
     Direction,
+    LogNormal,
     QuantileDensityError,
     SortedSample,
     UnsupportedMeasureError,
@@ -20,8 +22,10 @@ from skewkit import (
     intervals,
     parse_measure,
     point_estimate,
+    population_measure,
     z_quantile,
 )
+from skewkit import quantiles, skewness
 from skewkit.asymptotics import bridge_variance, ratio_gradient
 from skewkit.errors import SkewkitError
 from skewkit.inference import interval_rows
@@ -74,6 +78,41 @@ def test_point_estimate_b3_has_no_se():
     assert est.se is None
     assert est.n == 200
     assert est.value > 0.0  # lognormal data is right-skewed
+
+
+def test_point_estimates_on_count_data_read_quantiles_only():
+    # 10 distinct values among 500: every kernel window at these p holds
+    # ties, so only an interval, which needs quantile densities, fails there.
+    s = SortedSample.from_data(np.random.default_rng(0).poisson(3, 500))
+    assert point_estimate(s, parse_measure("gamma@0.25")).value == 0.0
+    assert point_estimate(s, parse_measure("lambda@0.05")).value == 0.5
+    with pytest.raises(QuantileDensityError):
+        interval(s, parse_measure("gamma@0.25"))
+    # x_p = x_{1-p} = 3 from p = 0.4175 on, so the gamma denominator vanishes
+    with pytest.raises(DegenerateScaleError) as info:
+        point_estimate(s, parse_measure("auc_gamma"))
+    assert min(info.value.probabilities) == 0.4175
+    assert max(info.value.probabilities) == 0.4975
+    mad = np.abs(s.values - 3.0).mean()
+    assert point_estimate(s, parse_measure("b3")).value == (s.values.mean() - 3.0) / mad
+
+
+def test_point_values_never_read_a_quantile_density(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point value read a quantile density")
+
+    measures = [parse_measure(t) for t in (
+        "gamma@0.1", "lambda@0.2", "gamma_star@0.05", "lambda_star@0.25",
+        "auc_gamma", "auc_lambda", "auc_gamma_star", "auc_lambda_star", "b3",
+    )]
+    s, dist = _ln_sample(300), LogNormal(0.0, 1.0)
+    expected = [(point_estimate(s, m).value, population_measure(dist, m)) for m in measures]
+    monkeypatch.setattr(quantiles, "quantile_density_profile", refuse)
+    monkeypatch.setattr(skewness, "quantile_density_profile", refuse)
+    with pytest.raises(AssertionError):
+        interval(s, measures[0])
+    got = [(point_estimate(s, m).value, population_measure(dist, m)) for m in measures]
+    assert got == expected
 
 
 def test_interval_affine_invariance():

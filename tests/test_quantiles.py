@@ -11,7 +11,6 @@ from skewkit import (
     QuantileDensityError,
     SortedSample,
     default_bandwidth,
-    quantile_density_estimate,
     quantile_type8,
 )
 from skewkit.quantiles import _positions_below, density_error, quantile_density_profile
@@ -113,7 +112,7 @@ def _median_ghat(draw, n=10_000, reps=11, p=0.5):
     vals = []
     for rep in range(reps):
         s = SortedSample.from_data(draw(np.random.default_rng((77, rep)), n))
-        vals.append(quantile_density_estimate(s, p))
+        vals.append(quantile_density_profile(s, np.array([p]))[0])
     return float(np.median(vals))
 
 
@@ -157,15 +156,9 @@ def test_quantile_density_ties_raise():
     values = np.concatenate([np.full(50, 5.0), [6.0, 7.0, 8.0]])
     s = SortedSample.from_data(values)
     with pytest.raises(QuantileDensityError) as info:
-        quantile_density_estimate(s, 0.1)
+        quantile_density_profile(s, np.array([0.1]))[0]
     assert info.value.probabilities == (0.1,)
     assert info.value.bandwidths[0] > 0.0
-
-
-def test_quantile_density_rejects_bad_p():
-    s = SortedSample.from_data([1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        quantile_density_estimate(s, 1.2)
 
 
 # --- the windowed gather against the per-probability loop it replaced -------

@@ -23,7 +23,6 @@ from skewkit import (
     estimate_auc,
     estimate_b3,
     estimate_pointwise,
-    mean_skew,
     midpoint_probs,
     parse_measure,
     population_measure,
@@ -167,10 +166,6 @@ def test_auc_grid_resolution_must_match():
     grid = build_grid(s, j_points=50)
     with pytest.raises(ValueError):
         estimate_auc(grid, parse_measure("auc_gamma"))  # J defaults to 100
-
-
-def test_mean_skew_is_half_the_auc():
-    assert mean_skew(0.35) == 0.175
 
 
 def test_b3_hand_examples():
