@@ -27,6 +27,7 @@ from .inference import (
     Estimate,
     IntervalEstimate,
     difference_interval,
+    difference_intervals,
     interval,
     intervals,
     point_estimate,
@@ -65,7 +66,7 @@ __all__ = [
     "midpoint_probs", "build_grid", "estimate_pointwise", "estimate_auc",
     "estimate_b3", "population_measure",
     "Estimate", "IntervalEstimate", "DifferenceEstimate", "interval",
-    "intervals", "difference_interval", "point_estimate", "z_quantile",
+    "intervals", "difference_interval", "difference_intervals", "point_estimate", "z_quantile",
     "SimConfig", "CoverageReport", "run_coverage", "coverage_standard_error",
     "__version__",
 ]

@@ -3,14 +3,19 @@
 Everything rests on the large-sample quantile covariance
 n Cov(xhat_p, xhat_q) =~ (min(p,q) - pq) g(p) g(q), with g the quantile
 density: the covariance of a Brownian bridge B weighted by g (Shorack &
-Wellner 1986).  Every measure is the mean of its skewness curve s_j / r_j
-(times p_j for the star kinds) over its grid points, a smooth function of
-the quantiles at the grid probabilities p_a, so by the delta method its
-n Var is Var(sum_a v_a B(p_a)) with v_a = d(measure)/d x_{p_a} * g(p_a).
-Writing B(p) = W(p) - p W(1) turns that into n Var = int_0^1 (T(t) - m)^2 dt,
-with T(t) = sum_{p_a > t} v_a and m = sum_a v_a p_a: an O(J) sum of squares
-(see bridge_variance).  Pointwise measures are the one-point case, so both
-kinds take one path.  All population quantities are replaced by sample
+Wellner 1986).  Every measure is a cell width times the mean of its skewness
+curve w_j s_j / r_j over its curve points p_1 < ... < p_P, read on the
+ascending point layout p_1..p_P, 0.5, 1 - p_P..1 - p_1 (see
+``skewness.point_layout`` and ``skewness.curve``).  By the delta method its
+n Var is the width squared times Var(sum_a v_a B(p_a)), with
+v_a = d(curve mean)/d x_{p_a} * g(p_a) (``gradient``).  Writing
+B(p) = W(p) - p W(1) turns that into n Var = int_0^1 (T(t) - m)^2 dt, with
+T(t) = sum_{p_a > t} v_a and m = sum_a v_a p_a: an O(P) sum of squares over
+the layout (``bridge_variance``).  Pointwise measures are the one-point
+case, so both kinds take one path.  ``inference.interval_rows`` runs it for
+every interval; ``sigma1_sq``, ``sigma2_sq`` and ``auc_variance`` run it for
+one measure on a grid and a kernel, so the oracles that check them check
+the production gradient.  All population quantities are replaced by sample
 plug-ins.  Every function takes a batch grid too (one row per sample) and
 returns one variance per row.
 """
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .skewness import (
-    Direction, MeasureKind, QuantileGrid, SkewMeasure, _scalar, curve_terms, denominator_slopes,
+    Direction, MeasureKind, QuantileGrid, SkewMeasure, _scalar, denominator_slopes, measure_curve,
 )
 
 
@@ -58,43 +63,42 @@ class XiKernel:
 def bridge_variance(probs: np.ndarray, v: np.ndarray):
     """Var(sum_a v_a B(p_a)) for a standard Brownian bridge B on [0, 1].
 
+    ``probs`` ascend on the last axis and broadcast against ``v``, which may
+    hold one row of weights per sample; the result has one entry per row.
     Equals int_0^1 (T(t) - m)^2 dt with T(t) = sum_{p_a > t} v_a and
-    m = sum_a v_a p_a, so it is non-negative by construction.  ``v`` may
-    hold one row of weights per sample; the result then has one entry per row.
+    m = sum_a v_a p_a, so it is non-negative by construction.
     """
-    # T(t) is tail[..., i] on cell i between sorted probabilities, 0 past the last
-    order = np.argsort(probs)
-    tail = np.cumsum(v[..., order[::-1]], axis=-1)[..., ::-1]
-    tail = np.concatenate([tail, np.zeros(tail.shape[:-1] + (1,))], axis=-1)
-    cells = np.diff(np.concatenate(([0.0], probs[order], [1.0])))
-    return _scalar((tail - (v @ probs)[..., None]) ** 2 @ cells)
+    # T(t) is tail[..., a] on the cell (p_{a-1}, p_a] (p_0 = 0) and 0 past p_P
+    tail = np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
+    m = np.einsum("...a,...a->...", v, probs)
+    dev = tail - m[..., None]
+    cells = probs.copy()
+    cells[..., 1:] -= probs[..., :-1]
+    past_last = m * m * (1.0 - probs[..., -1])
+    return _scalar(np.einsum("...a,...a,...a->...", dev, dev, cells) + past_last)
 
 
-def ratio_gradient(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
-    """Gradient of sum_j w_j s_j / r_j over the quantiles at ``grid.probs``.
-
-    The sum runs over the measure's curve points (see ``curve_terms``), with
-    w_j = (p_j for star kinds, else 1) / (number of points): the measure
-    itself for AUC kinds up to the 0.5 cell width, and the unweighted ratio
-    for pointwise kinds.  Entries off the measure's points are zero.
-    """
-    j, s, r = curve_terms(grid, measure)
-    # d(s/r) = (ds - (s/r) dr) / r, with ds = (1, 1, -2) and dr the derivative
-    # of the denominator with respect to (x_{p_j}, x_{1-p_j}, x_{0.5}).
-    dr_low, dr_high, dr_med = denominator_slopes(measure)
+def gradient(weight: np.ndarray, s: np.ndarray, r: np.ndarray, slopes) -> np.ndarray:
+    """Gradient of the curve mean (1/P) sum_j w_j s_j / r_j with respect to
+    the quantiles on the point layout, from the terms of ``skewness.curve``."""
+    # d(s/r) = (ds - (s/r) dr) / r, with ds = (1, 1, -2) and dr the slopes on
+    # (x_{p_j}, x_{1-p_j}, x_{0.5})
+    al, ah, am = slopes
     ratio = s / r
-    scale = (grid.base_probs[j] if measure.weighted else 1.0) / (j.size * r)
-    grad = np.zeros(grid.x.shape)
-    grad[..., j] = scale * (1.0 - ratio * dr_low)
-    grad[..., grid.base_probs.size + j] = scale * (1.0 - ratio * dr_high)
-    grad[..., -1] = np.sum(scale * (-2.0 - ratio * dr_med), axis=-1)
-    return grad
+    scale = weight / (ratio.shape[-1] * r)
+    return np.concatenate([
+        scale * (1.0 - ratio * al),
+        np.sum(scale * (-2.0 - ratio * am), axis=-1, keepdims=True),
+        (scale * (1.0 - ratio * ah))[..., ::-1],
+    ], axis=-1)
 
 
 def _delta_variance(k: XiKernel, grid: QuantileGrid, measure: SkewMeasure) -> float:
+    """n Var of the measure's curve mean: one gradient through the bridge form."""
     if not np.array_equal(k.probs, grid.probs):
         raise ValueError("the kernel's probabilities are not the grid's")
-    return bridge_variance(grid.probs, ratio_gradient(grid, measure) * k.g)
+    take, probs, terms = measure_curve(grid, measure)
+    return bridge_variance(probs, k.g[..., take] * gradient(*terms, denominator_slopes(measure)))
 
 
 def sigma1_sq(k: XiKernel, grid: QuantileGrid, p: float) -> float:

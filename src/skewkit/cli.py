@@ -19,7 +19,7 @@ from .distributions import parse_distribution
 from .errors import SkewkitError
 # ``interval`` is not called here; perfbench/tracer.py binds it on this module.
 from .inference import (  # noqa: F401
-    difference_interval, interval, interval_rows, point_estimate,
+    difference_intervals, interval, interval_rows, point_estimate,
 )
 from .quantiles import DEFAULT_BANDWIDTH, SortedSample
 from .simulation import SimConfig, run_coverage
@@ -235,10 +235,7 @@ def cmd_compare(args) -> int:
     measures = expand_measures(args.measures, args.direction, args.j, include_b3=False)
     if any(m.kind is MeasureKind.B3 for m in measures):
         raise ValueError("b3 has no standard error and cannot be compared")
-    diffs = [
-        difference_interval(sample_a, sample_b, m, args.level, DEFAULT_BANDWIDTH)
-        for m in measures
-    ]
+    diffs = difference_intervals(sample_a, sample_b, measures, args.level, DEFAULT_BANDWIDTH)
     if args.format == "json":
         _emit_json({
             "command": "compare",
@@ -247,34 +244,23 @@ def cmd_compare(args) -> int:
             "level": args.level,
             "differences": [d.to_dict() for d in diffs],
         })
+    elif args.format == "csv":
+        _emit_csv(
+            ["measure", "estimate_a", "lower_a", "upper_a", "estimate_b", "lower_b", "upper_b",
+             "difference", "lower", "upper"],
+            [[d.measure.label(), *map(_fmt, (
+                d.a.estimate, d.a.lower, d.a.upper, d.b.estimate, d.b.lower, d.b.upper,
+                d.difference, d.lower, d.upper,
+            ))] for d in diffs],
+        )
     else:
-        header = [
-            "measure", "estimate_a", "ci_a", "estimate_b", "ci_b",
-            "difference", "ci_diff",
-        ]
-        body = []
-        for d in diffs:
-            body.append([
-                d.measure.label(),
-                _fmt(d.a.estimate), f"({_fmt(d.a.lower)}, {_fmt(d.a.upper)})",
-                _fmt(d.b.estimate), f"({_fmt(d.b.lower)}, {_fmt(d.b.upper)})",
-                _fmt(d.difference), f"({_fmt(d.lower)}, {_fmt(d.upper)})",
-            ])
-        if args.format == "csv":
-            flat_header = [
-                "measure", "estimate_a", "lower_a", "upper_a",
-                "estimate_b", "lower_b", "upper_b",
-                "difference", "lower", "upper",
-            ]
-            flat = [
-                [d.measure.label(), _fmt(d.a.estimate), _fmt(d.a.lower), _fmt(d.a.upper),
-                 _fmt(d.b.estimate), _fmt(d.b.lower), _fmt(d.b.upper),
-                 _fmt(d.difference), _fmt(d.lower), _fmt(d.upper)]
-                for d in diffs
-            ]
-            _emit_csv(flat_header, flat)
-        else:
-            _emit_table(header, body)
+        _emit_table(
+            ["measure", "estimate_a", "ci_a", "estimate_b", "ci_b", "difference", "ci_diff"],
+            [[d.measure.label(),
+              _fmt(d.a.estimate), f"({_fmt(d.a.lower)}, {_fmt(d.a.upper)})",
+              _fmt(d.b.estimate), f"({_fmt(d.b.lower)}, {_fmt(d.b.upper)})",
+              _fmt(d.difference), f"({_fmt(d.lower)}, {_fmt(d.upper)})"] for d in diffs],
+        )
     return EXIT_OK
 
 

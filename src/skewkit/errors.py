@@ -27,8 +27,10 @@ class QuantileDensityError(SkewkitError):
 
     Happens under ties: tied order statistics leave zero spacings, and a
     kernel window that sees nothing else estimates zero.  The standard error
-    for the affected probability cannot be formed.  ``distinct`` and ``n``
-    count the sample's distinct values and its size.
+    for the affected probability cannot be formed.  ``probabilities`` and
+    ``bandwidths`` list every failing pair; the message names the first
+    few and the last.  ``distinct`` and ``n`` count the sample's distinct
+    values and its size.
     """
 
     def __init__(self, probabilities, bandwidths, distinct: int, n: int):
@@ -36,12 +38,14 @@ class QuantileDensityError(SkewkitError):
         self.bandwidths = tuple(float(b) for b in bandwidths)
         self.distinct = distinct
         self.n = n
-        pairs = ", ".join(
-            f"(p={p:g}, b={b:g})" for p, b in zip(self.probabilities, self.bandwidths)
-        )
+        pairs = [f"(p={p:g}, b={b:g})" for p, b in zip(self.probabilities, self.bandwidths)]
+        if len(pairs) > 4:
+            pairs = pairs[:3] + ["...", pairs[-1]]
+        count = len(self.probabilities)
         super().__init__(
-            f"non-positive quantile-density estimate at {pairs}: the sample has"
-            f" {distinct} distinct values among n = {n}, and ties leave zero"
+            f"non-positive quantile-density estimate at {', '.join(pairs)}"
+            f" ({count} {'probability' if count == 1 else 'probabilities'}): the sample"
+            f" has {distinct} distinct values among n = {n}, and ties leave zero"
             " spacings in the kernel window"
         )
 

@@ -118,67 +118,40 @@ class IntervalRows:
     errors: dict[int, SkewkitError]
 
 
-def _three_point_variance(p, q, vl, vh, vm):
-    """``asymptotics.bridge_variance([p, q, 0.5], [vl, vh, vm])`` elementwise,
-    for p < 0.5 < q: the cells between the sorted points are p, 0.5 - p,
-    q - 0.5 and 1 - q."""
-    m = vl * p + vh * q + vm * 0.5
-    t1 = vh + vm
-    t0 = t1 + vl
-    low = (t0 - m) ** 2 * p + (t1 - m) ** 2 * (0.5 - p)
-    return low + (vh - m) ** 2 * (q - 0.5) + m**2 * (1.0 - q)
-
-
 def _group_rows(rows, grid, measures, take, z: float, rule) -> list[IntervalRows]:
-    """Intervals of measures that share one layout on ``grid``.
+    """Intervals of measures that share one point count on ``grid``.
 
-    ``take`` indexes each measure's own probabilities in ``grid.probs``:
-    its P curve points, their complements and 0.5, one row per measure
-    (pointwise kinds, P = 1) or one row shared by all (AUC kinds of one J).
-    Every array below is (measures, rows, points).
+    ``take`` indexes each measure's point layout in ``grid.probs`` (see
+    ``skewness.point_layout``), one row per measure (pointwise kinds, P = 1)
+    or one row shared by all (AUC kinds of one J).  Every array below is
+    (measures, rows, points).
     """
-    n_pts = take.shape[1] // 2
     probs = grid.probs[take][:, None]
     x = np.moveaxis(grid.x[:, take], 1, 0)
     g = np.moveaxis(grid.g[:, take], 1, 0)
-    slopes = [skewness.denominator_slopes(m) for m in measures]
-    al, ah, am = np.array(slopes).T[:, :, None, None]
     weighted = np.array([m.weighted for m in measures])[:, None, None]
-    weight = np.where(weighted, probs[..., :n_pts], 1.0)
-    xl, xh, xm = x[..., :n_pts], x[..., n_pts:-1], x[..., -1:]
-
+    slopes = np.array([skewness.denominator_slopes(m) for m in measures]).T[:, :, None, None]
+    weight, s, r = skewness.curve(x, probs, weighted, slopes)
+    v = g * asymptotics.gradient(weight, s, r, slopes)
+    # the estimate is the cell width times the curve mean: the midpoint rule
+    # gives each of an AUC's J points 0.5 / J, so 0.5 times their mean
+    width = 0.5 if measures[0].is_auc else 1.0
     bad_g = (g <= 0.0).any(axis=-1)
-    r = al * xl + ah * xh + am * xm
     bad_r = r <= 0.0
     failed = bad_g | bad_r.any(axis=-1)
-    # d(s/r) = (ds - (s/r) dr) / r with ds = (1, 1, -2); every curve point
-    # weighs weight / P in the measure.
-    ratio = (xh + xl - 2.0 * xm) / r
-    scale = weight / (n_pts * r)
-    v = g * np.concatenate([
-        scale * (1.0 - ratio * al),
-        scale * (1.0 - ratio * ah),
-        np.sum(scale * (-2.0 - ratio * am), axis=-1, keepdims=True),
-    ], axis=-1)
-    if n_pts == 1:
-        estimate = (weight * ratio)[..., 0]
-        variance = _three_point_variance(probs[..., 0], probs[..., 1], *np.moveaxis(v, -1, 0))
-    else:
-        # the AUC carries the 0.5 / J cell width of the midpoint rule
-        estimate = (weight * ratio).mean(axis=-1) * 0.5
-        variance = 0.25 * asymptotics.bridge_variance(grid.probs[take[0]], v)
-    estimate = np.where(failed, np.nan, estimate)
-    se = np.where(failed, np.nan, np.sqrt(variance / rows.n))
+    estimate = np.where(failed, np.nan, width * (weight * (s / r)).mean(axis=-1))
+    se = np.where(failed, np.nan, width * np.sqrt(asymptotics.bridge_variance(probs, v) / rows.n))
     lower, upper = estimate - z * se, estimate + z * se
 
     errors = [{} for _ in measures]
-    # an AUC group shares one row of ``take`` and of ``bad_g``
+    # an AUC group shares one row of ``take``, ``probs`` and ``bad_g``
     for k, t in zip(*map(list, np.nonzero(failed))):
-        own = take[k % len(take)]
         if bad_g[k % len(bad_g), t]:
+            own = np.sort(take[k % len(take)])  # grid order
             errors[k][t] = density_error(rows.values[t], grid.probs[own], grid.g[t, own], rule)
         else:
-            errors[k][t] = DegenerateScaleError(grid.probs[own[:n_pts]][bad_r[k, t]])
+            low = probs[k % len(probs), 0, : r.shape[-1]]
+            errors[k][t] = DegenerateScaleError(low[bad_r[k, t]])
     return [
         IntervalRows(m, estimate[k], se[k], lower[k], upper[k], errors[k])
         for k, m in enumerate(measures)
@@ -216,9 +189,9 @@ def interval_rows(
     with np.errstate(divide="ignore", invalid="ignore"):
         for key in dict.fromkeys(keys):
             idx = [i for i, k in enumerate(keys) if k == key]
-            probs = points[key] if key else [measures[i].p for i in idx]
-            j = np.searchsorted(base, probs).reshape((1, -1) if key else (-1, 1))
-            take = np.concatenate([j, base.size + j, np.full((len(j), 1), 2 * base.size)], axis=1)
+            # one row of points per pointwise measure, one shared row per AUC J
+            probs = points[key][None] if key else [[measures[i].p] for i in idx]
+            take = skewness.point_layout(np.searchsorted(base, probs), base.size)
             out.update(zip(idx, _group_rows(rows, grid, [measures[i] for i in idx], take, z, rule)))
     return [out[i] for i in range(len(measures))]
 
@@ -260,6 +233,35 @@ def interval(
     return intervals(sample, [measure], level, rule)[0]
 
 
+def difference_intervals(
+    sample_a: SortedSample,
+    sample_b: SortedSample,
+    measures,
+    level: float = 0.95,
+    rule: BandwidthRule = DEFAULT_BANDWIDTH,
+) -> list[DifferenceEstimate]:
+    """Intervals for the between-sample differences of the measures, from
+    one ``intervals`` call per sample.
+
+    The two samples are independent, so se^2 is the sum of the per-sample
+    estimator variances.  Raises the error of the first measure that fails
+    on ``sample_a``, then on ``sample_b``.
+    """
+    measures = list(measures)
+    per_a = intervals(sample_a, measures, level, rule)
+    per_b = intervals(sample_b, measures, level, rule)
+    z = z_quantile(1.0 - 0.5 * (1.0 - level))
+    out = []
+    for m, ia, ib in zip(measures, per_a, per_b):
+        diff = ia.estimate - ib.estimate
+        se = math.sqrt(ia.se**2 + ib.se**2)
+        out.append(DifferenceEstimate(
+            measure=m, a=ia, b=ib, difference=diff, se=se, level=level,
+            lower=diff - z * se, upper=diff + z * se,
+        ))
+    return out
+
+
 def difference_interval(
     sample_a: SortedSample,
     sample_b: SortedSample,
@@ -267,23 +269,6 @@ def difference_interval(
     level: float = 0.95,
     rule: BandwidthRule = DEFAULT_BANDWIDTH,
 ) -> DifferenceEstimate:
-    """Interval for the between-sample difference of one measure.
-
-    The two samples are independent, so se^2 is the sum of the per-sample
-    estimator variances.
-    """
-    ia = interval(sample_a, measure, level, rule)
-    ib = interval(sample_b, measure, level, rule)
-    diff = ia.estimate - ib.estimate
-    se = math.sqrt(ia.se**2 + ib.se**2)
-    z = z_quantile(1.0 - 0.5 * (1.0 - level))
-    return DifferenceEstimate(
-        measure=measure,
-        a=ia,
-        b=ib,
-        difference=diff,
-        se=se,
-        level=level,
-        lower=diff - z * se,
-        upper=diff + z * se,
-    )
+    """Interval for the between-sample difference of one measure (see
+    ``difference_intervals``)."""
+    return difference_intervals(sample_a, sample_b, [measure], level, rule)[0]

@@ -196,10 +196,6 @@ class QuantileGrid:
         """The median: a float for one sample, one value per row for a batch."""
         return _scalar(self.x[..., -1])
 
-    def s_values(self) -> np.ndarray:
-        """The skewness curve's numerators x_{1-p_j} + x_{p_j} - 2 x_{0.5}."""
-        return self.x_high + self.x_low - 2.0 * self.x[..., -1:]
-
 
 def _sample_grid(sample, base, rule, j_points):
     probs = _grid_probs(base)
@@ -257,43 +253,64 @@ def denominator_slopes(measure: SkewMeasure) -> tuple[float, float, float]:
     return -1.0, 0.0, 1.0
 
 
-def denominators(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
-    """The measure's curve denominators r_j at every base probability (see
-    ``denominator_slopes``); exact, as every coefficient is 0 or +-1."""
-    al, ah, am = denominator_slopes(measure)
-    return al * grid.x_low + ah * grid.x_high + am * grid.x[..., -1:]
+def point_layout(j: np.ndarray, size: int) -> np.ndarray:
+    """Indices into the probabilities [base, 1 - base, 0.5] of a grid with
+    ``size`` base probabilities of the point layout p_1..p_P, 0.5,
+    1 - p_P..1 - p_1, where p_1 < ... < p_P are the base probabilities at
+    ``j``: the layout's probabilities ascend.  Leading axes of ``j`` give one
+    layout each."""
+    n_pts = j.shape[-1]
+    take = np.empty(j.shape[:-1] + (2 * n_pts + 1,), dtype=np.intp)
+    take[..., :n_pts] = j
+    take[..., n_pts] = 2 * size
+    take[..., :n_pts:-1] = size + j
+    return take
 
 
-def curve_terms(grid: QuantileGrid, measure: SkewMeasure) -> tuple[np.ndarray, ...]:
-    """Grid indices j, numerators s_j and denominators r_j of the measure's curve.
+def curve_terms(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
+    """The measure's point layout on ``grid``: every base probability for
+    AUC kinds, the one equal to ``measure.p`` for pointwise kinds."""
+    size = grid.base_probs.size
+    if measure.is_auc:
+        return point_layout(np.arange(size), size)
+    j = np.flatnonzero(grid.base_probs == measure.p)[:1]
+    if j.size == 0:
+        raise MissingProbabilityError(measure.p)
+    return point_layout(j, size)
 
-    AUC kinds use every base probability, pointwise kinds the one equal to
-    ``measure.p``.  s_j = x_{1-p_j} + x_{p_j} - 2 x_{0.5}; r_j is given by
-    ``denominators``.  Raises DegenerateScaleError naming every p_j where
-    some r_j <= 0.
-    """
-    if measure.is_pointwise:
-        j = np.flatnonzero(grid.base_probs == measure.p)[:1]
-        if j.size == 0:
-            raise MissingProbabilityError(measure.p)
-    else:
-        j = np.arange(grid.base_probs.size)
-    s = grid.s_values()[..., j]
-    r = denominators(grid, measure)[..., j]
-    bad = r <= 0.0
-    if np.any(bad):
-        raise DegenerateScaleError(grid.base_probs[j][bad.reshape(-1, j.size).any(axis=0)])
-    return j, s, r
+
+def curve(x: np.ndarray, probs: np.ndarray, weighted, slopes) -> tuple[np.ndarray, ...]:
+    """The terms of the skewness curve w_j s_j / r_j from quantiles ``x`` at
+    probabilities ``probs`` on the point layout (see ``point_layout``): the
+    weights w_j (p_j where ``weighted``, else 1), the numerators
+    s_j = x_{1-p_j} + x_{p_j} - 2 x_{0.5} and the denominators r_j given by
+    ``slopes`` (see ``denominator_slopes``).  ``weighted`` and the slopes may
+    hold one entry per measure on a leading axis."""
+    n_pts = x.shape[-1] // 2
+    xl, xm, xh = x[..., :n_pts], x[..., n_pts : n_pts + 1], x[..., :n_pts:-1]
+    al, ah, am = slopes
+    weight = np.where(weighted, probs[..., :n_pts], 1.0)
+    return weight, xh + xl - 2.0 * xm, al * xl + ah * xh + am * xm
+
+
+def measure_curve(grid: QuantileGrid, measure: SkewMeasure):
+    """The measure's point layout on ``grid``, its probabilities and its
+    ``curve`` terms; raises DegenerateScaleError naming every p_j where some
+    r_j <= 0."""
+    take = curve_terms(grid, measure)
+    probs = grid.probs[take]
+    terms = curve(grid.x[..., take], probs, measure.weighted, denominator_slopes(measure))
+    bad = terms[2] <= 0.0
+    if bad.any():
+        n_pts = bad.shape[-1]
+        raise DegenerateScaleError(probs[:n_pts][bad.reshape(-1, n_pts).any(axis=0)])
+    return take, probs, terms
 
 
 def curve_values(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
-    """The skewness curve s_j / r_j at the measure's grid points, times p_j
-    for weighted (star) kinds."""
-    j, s, r = curve_terms(grid, measure)
-    curve = s / r
-    if measure.weighted:
-        curve = grid.base_probs[j] * curve
-    return curve
+    """The skewness curve w_j s_j / r_j at the measure's grid points."""
+    weight, s, r = measure_curve(grid, measure)[2]
+    return weight * (s / r)
 
 
 def _scalar(value: np.ndarray):

@@ -16,7 +16,7 @@ from skewkit.asymptotics import (
     XiKernel,
     auc_variance,
     bridge_variance,
-    ratio_gradient,
+    gradient,
     sigma1_sq,
     sigma2_sq,
 )
@@ -24,8 +24,9 @@ from skewkit.errors import MissingProbabilityError
 from skewkit.skewness import (
     MeasureKind,
     SkewMeasure,
-    denominators,
+    denominator_slopes,
     grid_for_probs,
+    measure_curve,
     parse_measure,
     population_grid,
 )
@@ -83,13 +84,16 @@ def sigma_cross(k, grid, p, q, family="gamma", direction=Direction.RIGHT):
     expanded by hand into the covariances of s and r."""
     lam = family == "lambda"
     den = (lambda x: combo_r2(x, direction)) if lam else combo_r1
-    m = SkewMeasure(MeasureKind.LAMBDA if lam else MeasureKind.GAMMA, p=p, direction=direction)
-    r_all = denominators(grid, m)
     base = [float(b) for b in grid.base_probs]
 
     def plug(x):
         i = base.index(x)
-        return r_all[i], grid.s_values()[i] / r_all[i]
+        lo, hi, med = grid.x_low[i], grid.x_high[i], grid.x_median
+        if not lam:
+            r = hi - lo
+        else:
+            r = med - lo if direction is Direction.RIGHT else hi - med
+        return r, (hi + lo - 2.0 * med) / r
 
     rp, cp = plug(p)
     rq, cq = plug(q)
@@ -124,10 +128,19 @@ def bridge_cov(k, combo_a, combo_b):
 
 
 def library_cross(grid, kernel, ma, mb):
-    """n Cov of two measures' estimators from the library's gradients."""
-    va = ratio_gradient(grid, ma) * kernel.g
-    vb = ratio_gradient(grid, mb) * kernel.g
-    return (bridge_variance(grid.probs, va + vb) - bridge_variance(grid.probs, va - vb)) / 4.0
+    """n Cov of two measures' estimators from the engine's gradients, each
+    spread over the sorted grid (zero off the measure's own points)."""
+    order = np.argsort(grid.probs)
+
+    def weights(m):
+        take, _, terms = measure_curve(grid, m)
+        v = np.zeros(grid.probs.size)
+        v[take] = gradient(*terms, denominator_slopes(m)) * kernel.g[take]
+        return v[order]
+
+    va, vb = weights(ma), weights(mb)
+    probs = grid.probs[order]
+    return (bridge_variance(probs, va + vb) - bridge_variance(probs, va - vb)) / 4.0
 
 
 def test_xi_examples():
@@ -211,6 +224,44 @@ def test_covariance_expansions_match_engine(seed):
         want, magnitude = cov_engine(k, combo, combo)
         got = bridge_var(k, combo)
         assert abs(got - want) <= max(1e-14 * abs(want), 5e-15 * magnitude)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_bridge_variance_rows_equal_row_by_row_calls(shared):
+    # probability rows per measure (K, 1, P) or per measure and sample (K, T, P)
+    rng = np.random.default_rng(19)
+    K, T, P = 4, 6, 9
+    probs = np.sort(rng.uniform(0.01, 0.99, size=(K, 1 if shared else T, P)), axis=-1)
+    v = rng.normal(size=(K, T, P))
+    got = bridge_variance(probs, v)
+    assert got.shape == (K, T)
+    for k in range(K):
+        for t in range(T):
+            want = bridge_variance(probs[k, 0 if shared else t], v[k, t])
+            assert got[k, t] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_every_variance_reaches_the_one_gradient(monkeypatch):
+    from skewkit import asymptotics, inference
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("gradient reached")
+
+    s = SortedSample.from_data(np.random.default_rng(8).lognormal(size=300))
+    rows = SortedSample(s.values[None])
+    point, auc = grid_for_probs(s, [0.1]), build_grid(s, j_points=20)
+    monkeypatch.setattr(asymptotics, "gradient", refuse)
+    for call in (
+        lambda: inference.interval(s, parse_measure("gamma_star@0.1")),
+        lambda: inference.interval(s, parse_measure("auc_lambda", j_points=20)),
+        lambda: inference.interval_rows(rows, [parse_measure("lambda@0.1")]),
+        lambda: inference.interval_rows(rows, [parse_measure("auc_gamma", j_points=20)]),
+        lambda: sigma1_sq(XiKernel.from_grid(point), point, 0.1),
+        lambda: sigma2_sq(XiKernel.from_grid(point), point, 0.1, Direction.LEFT),
+        lambda: auc_variance(XiKernel.from_grid(auc), auc, "lambda", weighted=True),
+    ):
+        with pytest.raises(RuntimeError, match="gradient reached"):
+            call()
 
 
 def test_cov_r1_r1_variance_specialization():

@@ -11,7 +11,9 @@ import pytest
 from scipy import special
 
 import skewkit
-from skewkit.cli import EXIT_DATA, EXIT_SIMULATION, EXIT_USAGE, main, read_numeric_column
+from skewkit.cli import (
+    EXIT_DATA, EXIT_SIMULATION, EXIT_USAGE, expand_measures, main, read_numeric_column,
+)
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +158,54 @@ def test_estimate_count_data_names_ties(tmp_path, capsys):
     assert f"{distinct} distinct values among n = 500" in err
     assert "ties leave zero spacings in the kernel window" in err
     assert "Traceback" not in err
+
+
+def test_density_error_on_count_data_stays_short(tmp_path, capsys):
+    # an AUC on Poisson(3) counts fails at most of its 201 probabilities; the
+    # message names the count, the first few and the last, the error all
+    values = np.random.default_rng(0).poisson(3.0, size=500)
+    path = write_csv(tmp_path / "pois.csv", values)
+    code, _, err = run_cli(capsys, "estimate", path, "--column", "x", "--measures", "auc_gamma")
+    assert code == EXIT_DATA
+    assert len(err.encode()) < 400
+    sample = skewkit.SortedSample.from_data(values.astype(float))
+    with pytest.raises(skewkit.QuantileDensityError) as info:
+        skewkit.interval(sample, skewkit.parse_measure("auc_gamma"))
+    probs, bands = info.value.probabilities, info.value.bandwidths
+    assert len(probs) == len(bands) == 113
+    assert "(113 probabilities)" in err
+    assert f"(p={probs[0]:g}, b={bands[0]:g}), (p={probs[1]:g}" in err
+    assert f"..., (p={probs[-1]:g}, b={bands[-1]:g}) (113" in err
+
+
+def test_compare_all_json_matches_the_per_measure_difference_loop(tmp_path, capsys):
+    rng = np.random.default_rng(77)
+    fa = write_csv(tmp_path / "a.csv", rng.lognormal(size=700))
+    fb = write_csv(tmp_path / "b.csv", rng.gamma(2.0, size=900))
+    code, out, _ = run_cli(
+        capsys, "compare", fa, fb, "--column", "x", "--measures", "all", "--format", "json",
+    )
+    assert code == 0
+    got = json.loads(out)["differences"]
+    sa, sb = (skewkit.SortedSample.from_data(read_numeric_column(f, "x")) for f in (fa, fb))
+    want = [
+        skewkit.difference_interval(sa, sb, m).to_dict()
+        for m in expand_measures("all", include_b3=False)
+    ]
+    assert [d["measure"] for d in got] == [d["measure"] for d in want]
+
+    def close(g, w):
+        if isinstance(w, dict):
+            assert g.keys() == w.keys()
+            for key in w:
+                close(g[key], w[key])
+        elif isinstance(w, float):
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+        else:
+            assert g == w
+
+    for g, w in zip(got, want):
+        close(g, w)
 
 
 def test_estimate_and_compare_j_changes_only_auc_rows(ln_file, capsys):

@@ -1,7 +1,6 @@
 import math
 import warnings
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from skewkit import (
     SortedSample,
     UnsupportedMeasureError,
     difference_interval,
+    difference_intervals,
     interval,
     intervals,
     parse_measure,
@@ -26,11 +26,10 @@ from skewkit import (
     z_quantile,
 )
 from skewkit import quantiles, skewness
-from skewkit.asymptotics import bridge_variance, ratio_gradient
+from skewkit.asymptotics import XiKernel, auc_variance, sigma1_sq, sigma2_sq
 from skewkit.errors import SkewkitError
 from skewkit.inference import interval_rows
 from skewkit.skewness import (
-    MeasureKind,
     build_grid,
     estimate_auc,
     estimate_pointwise,
@@ -258,6 +257,16 @@ def test_intervals_raise_the_first_failing_measures_error():
         intervals(s, [ok, parse_measure("b3")])
 
 
+def test_difference_intervals_raise_sample_a_errors_first():
+    # A fails only at its second measure, B at both: A's error comes first
+    tied = np.concatenate([np.full(30, 1.0), 1.0 + np.random.default_rng(3).exponential(size=70)])
+    a, b = SortedSample.from_data(tied), SortedSample.from_data(np.full(20, 3.0))
+    measures = [parse_measure("gamma@0.45"), parse_measure("lambda@0.05")]
+    with pytest.raises(QuantileDensityError) as info:
+        difference_intervals(a, b, measures)
+    assert info.value.probabilities[0] == 0.05 and info.value.n == 100
+
+
 def test_intervals_reject_an_empty_measure_list():
     s = _ln_sample(50)
     with pytest.raises(ValueError, match="at least one measure"):
@@ -271,18 +280,24 @@ def test_intervals_reject_an_empty_measure_list():
 def _reference(sample, measure, rule):
     """One measure on one sample by its own grid: estimate and SE, or the
     error (the density check of the grid build, then the curve's scale
-    check).  Star pointwise kinds take the unweighted gradient times p^2,
-    AUC kinds a quarter of the bridge variance (the 0.5 / J cell width)."""
+    check).  Star pointwise kinds take p^2 times the plain variance, AUC
+    kinds a quarter of ``auc_variance`` (the 0.5 / J cell width)."""
+    family = "lambda" if measure.is_lambda_family else "gamma"
     try:
         if measure.is_auc:
             grid = build_grid(sample, measure.j_points, rule)
             value = estimate_auc(grid, measure)
-            variance = 0.25 * bridge_variance(grid.probs, ratio_gradient(grid, measure) * grid.g)
+            variance = 0.25 * auc_variance(
+                XiKernel.from_grid(grid), grid, family, measure.weighted, measure.direction
+            )
         else:
             grid = grid_for_probs(sample, [measure.p], rule)
             value = estimate_pointwise(grid, measure)
-            plain = replace(measure, kind=MeasureKind(measure.kind.value.removesuffix("_star")))
-            variance = bridge_variance(grid.probs, ratio_gradient(grid, plain) * grid.g)
+            k = XiKernel.from_grid(grid)
+            if measure.is_lambda_family:
+                variance = sigma2_sq(k, grid, measure.p, measure.direction)
+            else:
+                variance = sigma1_sq(k, grid, measure.p)
             if measure.weighted:
                 variance *= measure.p**2
     except SkewkitError as exc:

@@ -22,7 +22,7 @@ from skewkit import (
     population_measure,
     run_coverage,
 )
-from skewkit.skewness import build_grid, curve_terms, grid_for_probs
+from skewkit.skewness import build_grid, curve_values, grid_for_probs
 from skewkit import simulation as simulation_module
 
 
@@ -158,7 +158,7 @@ def own_grid_error(sample, measure):
             grid = build_grid(sample, measure.j_points)
         else:
             grid = grid_for_probs(sample, [measure.p])
-        curve_terms(grid, measure)
+        curve_values(grid, measure)
     except SkewkitError as exc:
         return exc
     return None

@@ -32,9 +32,10 @@ from skewkit.errors import MissingProbabilityError
 from skewkit.skewness import (
     MeasureKind,
     QuantileGrid,
-    denominators,
+    curve_values,
     estimate,
     grid_for_probs,
+    measure_curve,
     population_grid,
 )
 
@@ -109,15 +110,17 @@ def test_grid_quantiles_monotone_over_key_set():
 def test_s_r_identities():
     s = SortedSample.from_data([10.0, 20.0, 30.0, 40.0, 50.0])
     grid = grid_for_probs(s, [0.25])
-    assert grid.s_values()[0] == pytest.approx(0.0, abs=1e-12)  # symmetric sample
-    r1 = denominators(grid, parse_measure("gamma@0.25"))
+    _, s_p, r1 = measure_curve(grid, parse_measure("gamma@0.25"))[2]
+    assert s_p[0] == pytest.approx(0.0, abs=1e-12)  # symmetric sample
     assert r1[0] == pytest.approx(80.0 / 3.0, abs=1e-9)
     rng = np.random.default_rng(5)
     t = SortedSample.from_data(rng.exponential(size=100))
     g = grid_for_probs(t, [0.1, 0.3])
-    halves = [
-        denominators(g, SkewMeasure(MeasureKind.LAMBDA, p=0.1, direction=d)) for d in Direction
-    ]
+    halves = np.array([
+        [measure_curve(g, SkewMeasure(MeasureKind.LAMBDA, p=p, direction=d))[2][2][0]
+         for p in (0.1, 0.3)]
+        for d in Direction
+    ])
     np.testing.assert_allclose(sum(halves), g.x_high - g.x_low, rtol=1e-12)
     np.testing.assert_array_equal(halves[0], g.x_median - g.x_low)
     np.testing.assert_array_equal(halves[1], g.x_high - g.x_median)
@@ -186,7 +189,8 @@ def test_b3_matches_ratio_of_midpoint_sums():
     # population b3 equals lim (1/J) sum S_p / (1/J) sum R_1p
     for dist in (LogNormal(0.0, 1.0), Exponential(1.0), ChiSquare(5.0), Beta(2.0, 5.0)):
         grid = population_grid(dist, j_points=1000)
-        ratio = grid.s_values().mean() / (grid.x_high - grid.x_low).mean()
+        s_values = grid.x_high + grid.x_low - 2.0 * grid.x_median
+        ratio = s_values.mean() / (grid.x_high - grid.x_low).mean()
         b3 = population_measure(dist, parse_measure("b3"))
         assert ratio == pytest.approx(b3, abs=1e-3)
 
@@ -196,7 +200,7 @@ def test_gamma_family_bounds():
     for _ in range(25):
         s = SortedSample.from_data(rng.exponential(size=int(rng.integers(20, 400))))
         grid = build_grid(s, j_points=100)
-        gammas = grid.s_values() / (grid.x_high - grid.x_low)
+        gammas = curve_values(grid, parse_measure("auc_gamma"))
         assert np.all(np.abs(gammas) <= 1.0 + 1e-12)
         auc = estimate_auc(grid, parse_measure("auc_gamma"))
         assert abs(auc) <= 0.5 + 1e-12  # integral of a [-1, 1] curve over [0, 0.5]
@@ -306,6 +310,41 @@ def test_grid_build_reports_failing_probability():
     assert 0.1 in info.value.probabilities
     assert (info.value.distinct, info.value.n) == (4, 53)
     assert "4 distinct values among n = 53" in str(info.value)
+
+
+def test_density_error_message_names_the_count_the_first_few_and_the_last():
+    one = QuantileDensityError([0.25], [0.1], 4, 53)
+    assert "estimate at (p=0.25, b=0.1) (1 probability): the sample has 4" in str(one)
+    four = QuantileDensityError([0.1, 0.2, 0.3, 0.4], [1, 2, 3, 4], 4, 53)
+    assert "(p=0.3, b=3), (p=0.4, b=4) (4 probabilities)" in str(four)
+    five = QuantileDensityError([0.1, 0.2, 0.3, 0.4, 0.5], [1, 2, 3, 4, 5], 4, 53)
+    assert (
+        "at (p=0.1, b=1), (p=0.2, b=2), (p=0.3, b=3), ..., (p=0.5, b=5) (5 probabilities):"
+        in str(five)
+    )
+    assert five.probabilities == (0.1, 0.2, 0.3, 0.4, 0.5) and five.bandwidths == (1, 2, 3, 4, 5)
+
+
+def test_point_values_and_intervals_reach_the_one_curve_algebra(monkeypatch):
+    from skewkit import inference, skewness
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("curve algebra reached")
+
+    s = SortedSample.from_data(np.random.default_rng(8).lognormal(size=300))
+    dist = LogNormal(0.0, 1.0)
+    auc = parse_measure("auc_lambda_star", j_points=20)
+    monkeypatch.setattr(skewness, "curve", refuse)
+    for m in (parse_measure("gamma@0.1"), auc):
+        for call in (
+            lambda: inference.point_estimate(s, m),
+            lambda: population_measure(dist, m),
+            lambda: inference.interval(s, m),
+        ):
+            with pytest.raises(RuntimeError, match="curve algebra reached"):
+                call()
+    with pytest.raises(RuntimeError, match="curve algebra reached"):
+        curve_values(population_grid(dist, j_points=20), auc)
 
 
 ONE_PER_FAMILY = [
