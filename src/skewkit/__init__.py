@@ -51,7 +51,9 @@ from .skewness import (
     estimate_pointwise,
     midpoint_probs,
     parse_measure,
+    point_values,
     population_measure,
+    population_measures,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +66,7 @@ __all__ = [
     "SortedSample", "BandwidthRule", "quantile_type8", "default_bandwidth",
     "Direction", "MeasureKind", "SkewMeasure", "QuantileGrid", "parse_measure",
     "midpoint_probs", "build_grid", "estimate_pointwise", "estimate_auc",
-    "estimate_b3", "population_measure",
+    "estimate_b3", "point_values", "population_measure", "population_measures",
     "Estimate", "IntervalEstimate", "DifferenceEstimate", "interval",
     "intervals", "difference_interval", "difference_intervals", "point_estimate", "z_quantile",
     "SimConfig", "CoverageReport", "run_coverage", "coverage_standard_error",

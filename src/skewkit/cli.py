@@ -31,7 +31,7 @@ from .skewness import (
     curve_values,
     parse_measure,
     population_grid,
-    population_measure,
+    population_measures,
 )
 
 EXIT_OK = 0
@@ -168,7 +168,7 @@ def _emit_json(payload: dict) -> None:
 def cmd_population(args) -> int:
     dist = args.dist
     measures = expand_measures(args.measures, args.direction, args.j, include_b3=True)
-    values = [(m, population_measure(dist, m)) for m in measures]
+    values = list(zip(measures, population_measures(dist, measures)))
     if args.format == "json":
         _emit_json({
             "command": "population",

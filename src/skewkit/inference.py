@@ -9,7 +9,9 @@ import numpy as np
 from scipy import special
 
 from . import asymptotics, skewness
-from .errors import DegenerateScaleError, SkewkitError, UnsupportedMeasureError
+from .errors import (
+    DegenerateScaleError, NumericalError, SkewkitError, UnsupportedMeasureError,
+)
 from .quantiles import DEFAULT_BANDWIDTH, BandwidthRule, SortedSample, density_error
 from .skewness import MeasureKind, SkewMeasure
 
@@ -139,8 +141,12 @@ def _group_rows(rows, grid, measures, take, z: float, rule) -> list[IntervalRows
     bad_g = (g <= 0.0).any(axis=-1)
     bad_r = r <= 0.0
     failed = bad_g | bad_r.any(axis=-1)
-    estimate = np.where(failed, np.nan, width * (weight * (s / r)).mean(axis=-1))
-    se = np.where(failed, np.nan, width * np.sqrt(asymptotics.bridge_variance(probs, v) / rows.n))
+    estimate = width * (weight * (s / r)).mean(axis=-1)
+    se = width * np.sqrt(asymptotics.bridge_variance(probs, v) / rows.n)
+    # a row that fails no check can still over- or underflow at extreme scales
+    lost = ~(failed | (np.isfinite(estimate) & np.isfinite(se)))
+    failed = failed | lost
+    estimate[failed] = se[failed] = np.nan
     lower, upper = estimate - z * se, estimate + z * se
 
     errors = [{} for _ in measures]
@@ -149,6 +155,11 @@ def _group_rows(rows, grid, measures, take, z: float, rule) -> list[IntervalRows
         if bad_g[k % len(bad_g), t]:
             own = np.sort(take[k % len(take)])  # grid order
             errors[k][t] = density_error(rows.values[t], grid.probs[own], grid.g[t, own], rule)
+        elif lost[k, t]:
+            errors[k][t] = NumericalError(
+                f"{measures[k]}: the estimate or its standard error is not finite; the"
+                " quantile spacings over- or underflow at this data's scale, so rescale it"
+            )
         else:
             low = probs[k % len(probs), 0, : r.shape[-1]]
             errors[k][t] = DegenerateScaleError(low[bad_r[k, t]])
@@ -179,19 +190,12 @@ def interval_rows(
         raise ValueError("at least one measure is required")
     if any(m.kind is MeasureKind.B3 for m in measures):
         raise UnsupportedMeasureError("no standard error is defined for b3")
-    # one group of measures per point set: every pointwise measure, each AUC J
-    keys = [m.j_points if m.is_auc else 0 for m in measures]
-    points = {k: skewness.midpoint_probs(k) for k in dict.fromkeys(keys) if k}
-    base = np.unique(np.concatenate([[m.p for m in measures if m.is_pointwise], *points.values()]))
-    grid = skewness.grid_for_probs(rows, base, rule)
+    base, groups = skewness.point_sets(measures)
     z = z_quantile(1.0 - 0.5 * (1.0 - level))
     out = {}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for key in dict.fromkeys(keys):
-            idx = [i for i, k in enumerate(keys) if k == key]
-            # one row of points per pointwise measure, one shared row per AUC J
-            probs = points[key][None] if key else [[measures[i].p] for i in idx]
-            take = skewness.point_layout(np.searchsorted(base, probs), base.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        grid = skewness.grid_for_probs(rows, base, rule)
+        for idx, take in groups:
             out.update(zip(idx, _group_rows(rows, grid, [measures[i] for i in idx], take, z, rule)))
     return [out[i] for i in range(len(measures))]
 

@@ -3,9 +3,11 @@
 Each trial draws its own generator from the (master seed, trial index) pair,
 so trials are order-independent.  Trials run in chunks whose size is fixed
 by n: one (trials x n) array, sorted row by row, and one quantile grid per
-chunk serve every measure (see ``inference.interval_rows``).  Results land
-in arrays indexed by trial and are reduced in fixed index order, so equal
-configs give byte-identical reports.
+chunk serve every measure (see ``inference.interval_rows``).  The
+population truths come from one grid too: one call of the distribution's
+quantile function serves all of them (see ``skewness.population_measures``).
+Results land in (measures x trials) arrays and are reduced along the trial
+axis in fixed index order, so equal configs give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from .distributions import DistributionSpec, parse_distribution
 # ``interval`` is not called here; perfbench/tracer.py binds it on this module.
 from .inference import interval, interval_rows  # noqa: F401
 from .quantiles import BandwidthRule, DEFAULT_BANDWIDTH, SortedSample
-from .skewness import Direction, MeasureKind, SkewMeasure, parse_measure, population_measure
+# ``population_measure`` is not called here; perfbench/tracer.py binds it on this module.
+from .skewness import (  # noqa: F401
+    Direction, MeasureKind, SkewMeasure, parse_measure, population_measure, population_measures,
+)
 
 MAX_FAILURE_RATE = 0.01
 # Sample values per chunk of trials: 2 MB per (trials x n) float array.
@@ -176,11 +181,12 @@ def run_coverage(cfg: SimConfig) -> CoverageReport:
     silently dropped.
     """
     start = time.perf_counter()
-    truths = [population_measure(cfg.dist, m) for m in cfg.measures]
+    truths = population_measures(cfg.dist, cfg.measures)
+    truth_col = np.array(truths)[:, None]
     trials, n_measures = cfg.trials, len(cfg.measures)
-    covered = np.zeros((trials, n_measures), dtype=bool)
-    widths = np.full((trials, n_measures), np.nan)
-    failed = np.zeros((trials, n_measures), dtype=bool)
+    covered = np.empty((n_measures, trials), dtype=bool)
+    widths = np.empty((n_measures, trials))
+    failed = np.zeros((n_measures, trials), dtype=bool)
     reasons = Counter()
 
     chunk = max(1, _CHUNK_ELEMENTS // cfg.n)
@@ -189,29 +195,27 @@ def run_coverage(cfg: SimConfig) -> CoverageReport:
         rows = SortedSample.from_rows(
             [cfg.dist.sample(cfg.n, _trial_rng(cfg.seed, t)) for t in range(ts.start, ts.stop)]
         )
-        for mi, res in enumerate(interval_rows(rows, cfg.measures, cfg.level, cfg.bandwidth)):
-            covered[ts, mi] = (res.lower <= truths[mi]) & (truths[mi] <= res.upper)
-            widths[ts, mi] = res.upper - res.lower
-            for t, exc in res.errors.items():
-                failed[lo + t, mi] = True
-                reasons[type(exc).__name__] += 1
+        res = interval_rows(rows, cfg.measures, cfg.level, cfg.bandwidth)
+        lower, upper = np.array([r.lower for r in res]), np.array([r.upper for r in res])
+        covered[:, ts] = (lower <= truth_col) & (truth_col <= upper)
+        widths[:, ts] = upper - lower
+        hits = [(mi, lo + t) for mi, r in enumerate(res) for t in r.errors]
+        if hits:
+            failed[tuple(zip(*hits))] = True
+        reasons.update(type(exc).__name__ for r in res for exc in r.errors.values())
 
-    results = []
-    for mi, (measure, truth) in enumerate(zip(cfg.measures, truths)):
-        n_failed = int(failed[:, mi].sum())
-        n_ok = trials - n_failed
-        if n_ok > 0:
-            cov = float((covered[:, mi] & ~failed[:, mi]).sum()) / n_ok
-            width = float(np.where(failed[:, mi], 0.0, widths[:, mi]).sum()) / n_ok
-        else:
-            cov = float("nan")
-            width = float("nan")
-        results.append(
-            MeasureCoverage(
-                measure=measure, truth=truth, coverage=cov,
-                mean_width=width, failures=n_failed,
-            )
+    n_failed = failed.sum(axis=1)
+    n_ok = trials - n_failed
+    with np.errstate(invalid="ignore"):  # NaN for a measure whose every trial failed
+        coverage = (covered & ~failed).sum(axis=1) / n_ok
+        mean_width = np.where(failed, 0.0, widths).sum(axis=1) / n_ok
+    results = [
+        MeasureCoverage(
+            measure=measure, truth=truth, coverage=float(cov),
+            mean_width=float(width), failures=int(n),
         )
+        for measure, truth, cov, width, n in zip(cfg.measures, truths, coverage, mean_width, n_failed)
+    ]
     elapsed = time.perf_counter() - start
     return CoverageReport(
         config=cfg,

@@ -9,9 +9,10 @@ Convention: AUC values are the *integral* of the curve, i.e. the midpoint sum
 carries the cell width 0.5/J.  The companion "mean skew" reading of an AUC
 figure is half of it (see ``IntervalEstimate.mean_skew``).
 
-Point values read quantiles only: ``estimate`` and ``population_measure``
-build the measure's own grid from a quantile function (Type 8 on the sample,
-or the distribution's).  Only intervals read quantile densities.
+Point values read quantiles only: ``point_values`` evaluates every measure
+from one call of a quantile function (Type 8 on the sample, or the
+distribution's) over the union of their probabilities, one pass per point
+set (see ``point_sets``).  Only intervals read quantile densities.
 """
 
 from __future__ import annotations
@@ -267,6 +268,25 @@ def point_layout(j: np.ndarray, size: int) -> np.ndarray:
     return take
 
 
+def point_sets(measures) -> tuple[np.ndarray, list[tuple[list[int], np.ndarray]]]:
+    """The union ``base`` of the measures' base probabilities, and one group
+    of measures per point set: every pointwise measure, each AUC grid size J.
+
+    A group is (its measures' indices, ``take``): ``take`` indexes the point
+    layouts in the probabilities [base, 1 - base, 0.5] (see ``point_layout``),
+    one row per pointwise measure or one row shared by an AUC J.
+    """
+    keys = [m.j_points if m.is_auc else 0 for m in measures]
+    points = {k: midpoint_probs(k) for k in dict.fromkeys(keys) if k}
+    base = np.unique(np.concatenate([[m.p for m in measures if m.is_pointwise], *points.values()]))
+    groups = []
+    for key in dict.fromkeys(keys):
+        idx = [i for i, k in enumerate(keys) if k == key]
+        probs = points[key][None] if key else [[measures[i].p] for i in idx]
+        groups.append((idx, point_layout(np.searchsorted(base, probs), base.size)))
+    return base, groups
+
+
 def curve_terms(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
     """The measure's point layout on ``grid``: every base probability for
     AUC kinds, the one equal to ``measure.p`` for pointwise kinds."""
@@ -349,13 +369,45 @@ def estimate_b3(sample: SortedSample) -> float:
     return (float(sample.values.mean()) - med) / mad
 
 
-def _point_value(quantile, measure: SkewMeasure) -> float:
-    """A pointwise or AUC measure from its own grid of the quantile function
-    ``quantile``; no quantile density is involved."""
-    if measure.is_auc:
-        grid = _quantile_grid(quantile, midpoint_probs(measure.j_points), measure.j_points)
-        return estimate_auc(grid, measure)
-    return estimate_pointwise(_quantile_grid(quantile, [measure.p]), measure)
+def _point_values(quantile, measures) -> list:
+    """Each measure's value, or the DegenerateScaleError naming its own p_j
+    where some r_j <= 0, from one call of ``quantile`` over the union of the
+    measures' probabilities and one ``curve`` pass per point set."""
+    base, groups = point_sets(measures)
+    probs = _grid_probs(base)
+    x = np.asarray(quantile(probs), dtype=float)
+    out = [None] * len(measures)
+    for idx, take in groups:
+        group = [measures[i] for i in idx]
+        p = probs[take]
+        weighted = np.array([m.weighted for m in group])[:, None]
+        slopes = np.array([denominator_slopes(m) for m in group]).T[:, :, None]
+        weight, s, r = curve(x[take], p, weighted, slopes)
+        # the cell width times the curve mean: 0.5 / J for each of an AUC's J
+        # points, as in ``inference._group_rows``
+        width = 0.5 if group[0].is_auc else 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = width * (weight * (s / r)).mean(axis=-1)
+        bad = r <= 0.0
+        for k, i in enumerate(idx):
+            low = p[k % len(p), : bad.shape[-1]]
+            out[i] = DegenerateScaleError(low[bad[k]]) if bad[k].any() else float(values[k])
+    return out
+
+
+def point_values(quantile, measures) -> list[float]:
+    """Every pointwise and AUC measure from one call of the quantile function
+    ``quantile`` (an array of probabilities in, quantiles out); no quantile
+    density is involved.  Raises the DegenerateScaleError of the first
+    measure whose curve denominator vanishes."""
+    measures = list(measures)
+    if any(m.kind is MeasureKind.B3 for m in measures):
+        raise ValueError("b3 is not a function of quantiles alone")
+    out = _point_values(quantile, measures)
+    for value in out:
+        if isinstance(value, DegenerateScaleError):
+            raise value
+    return out
 
 
 def estimate(sample: SortedSample, measure: SkewMeasure) -> float:
@@ -363,20 +415,37 @@ def estimate(sample: SortedSample, measure: SkewMeasure) -> float:
     only, so ties never fail it unless a denominator vanishes."""
     if measure.kind is MeasureKind.B3:
         return estimate_b3(sample)
-    return _point_value(lambda probs: quantile_type8(sample, probs), measure)
+    return point_values(lambda probs: quantile_type8(sample, probs), [measure])[0]
+
+
+def _population_b3(dist) -> float:
+    from .distributions import median_absolute_moment
+
+    mu = dist.mean()
+    if not math.isfinite(mu):
+        raise ValueError(f"b3 needs a finite mean; {dist} has none")
+    return (mu - float(dist.quantile(0.5))) / median_absolute_moment(dist)
+
+
+def population_measures(dist, measures) -> list[float]:
+    """Population values of the measures via exact quantiles: one call of
+    ``dist.quantile`` serves every measure but b3 (see ``point_values``).
+
+    AUC kinds reuse the estimation-side midpoint summation so that simulated
+    coverage is judged against the same discretization.  Raises the error of
+    the first measure that fails.
+    """
+    measures = list(measures)
+    values = iter(_point_values(dist.quantile, [m for m in measures if m.kind is not MeasureKind.B3]))
+    out = []
+    for m in measures:
+        value = _population_b3(dist) if m.kind is MeasureKind.B3 else next(values)
+        if isinstance(value, DegenerateScaleError):
+            raise value
+        out.append(value)
+    return out
 
 
 def population_measure(dist, measure: SkewMeasure) -> float:
-    """Population value of a measure via exact quantiles.
-
-    AUC kinds reuse the estimation-side midpoint summation so that simulated
-    coverage is judged against the same discretization.
-    """
-    from .distributions import median_absolute_moment
-
-    if measure.kind is MeasureKind.B3:
-        mu = dist.mean()
-        if not math.isfinite(mu):
-            raise ValueError(f"b3 needs a finite mean; {dist} has none")
-        return (mu - float(dist.quantile(0.5))) / median_absolute_moment(dist)
-    return _point_value(dist.quantile, measure)
+    """Population value of one measure (see ``population_measures``)."""
+    return population_measures(dist, [measure])[0]

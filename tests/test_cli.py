@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,24 @@ def test_estimate_raises_the_first_failing_measures_error(
     code, _, err = run_cli(capsys, "estimate", path, "--column", "x", "--measures", measures)
     assert code == EXIT_DATA
     assert message in err
+
+
+@pytest.mark.parametrize("scale", [1e307, 1e-320])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_estimate_never_prints_a_nan_interval(tmp_path, capsys, scale, fmt):
+    # the spacings and the gradient over- or underflow at these scales; the
+    # reader drops the one draw that overflows to inf
+    with np.errstate(over="ignore"):
+        values = np.random.default_rng(0).lognormal(size=500) * scale
+    path = write_csv(tmp_path / "scaled.csv", values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "estimate", path, "--column", "x", "--measures", "gamma@0.1,auc_gamma",
+            "--format", fmt,
+        )
+    assert (code, out) == (EXIT_DATA, "")
+    assert "skewkit: gamma@0.1: the estimate or its standard error is not finite" in err
 
 
 def test_estimate_bad_column_exits_3(ln_file, capsys):

@@ -13,6 +13,7 @@ from skewkit import (
     DegenerateScaleError,
     Direction,
     LogNormal,
+    NumericalError,
     QuantileDensityError,
     SortedSample,
     UnsupportedMeasureError,
@@ -363,3 +364,27 @@ def test_grouped_engine_failures_match_the_per_measure_path():
     failed = _check_against_reference(5, 8, 12, 0.5, None, [0.05, 0.25, 0.375], [2, 7, 100])
     assert failed["QuantileDensityError"] > 0 and failed["DegenerateScaleError"] > 0
     assert sum(failed.values()) < 8 * 16
+
+
+def test_rows_that_overflow_fail_with_a_numerical_error():
+    draws = np.random.default_rng(3).lognormal(sigma=0.25, size=(4, 200))
+    measures = [parse_measure("gamma@0.1"), parse_measure("auc_gamma"),
+                parse_measure("auc_lambda_star", j_points=7)]
+    plain = interval_rows(SortedSample.from_rows(draws), measures)
+    for scale in (1e307, 1e-320):
+        rows = SortedSample.from_rows(draws * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = interval_rows(rows, measures)
+        lost = 0
+        for m, res, ref in zip(measures, scaled, plain):
+            assert not ref.errors
+            for t, exc in res.errors.items():
+                lost += isinstance(exc, NumericalError)
+                assert str(exc).startswith(f"{m}: the estimate or its standard error")
+                assert np.isnan([res.estimate[t], res.se[t], res.lower[t], res.upper[t]]).all()
+            ok = [t for t in range(4) if t not in res.errors]
+            assert np.isfinite([res.estimate[ok], res.se[ok]]).all()
+        assert lost > 0
+        with pytest.raises(NumericalError):
+            intervals(SortedSample(rows.values[0]), measures)

@@ -22,6 +22,8 @@ from skewkit import (
     population_measure,
     run_coverage,
 )
+from skewkit.inference import interval_rows
+from skewkit.simulation import CoverageReport, MeasureCoverage
 from skewkit.skewness import build_grid, curve_values, grid_for_probs
 from skewkit import simulation as simulation_module
 
@@ -164,12 +166,15 @@ def own_grid_error(sample, measure):
     return None
 
 
+TIE_MEASURES = tuple(parse_measure(t) for t in (
+    "gamma@0.05", "gamma@0.25", "lambda@0.05", "lambda@0.1", "lambda@0.25",
+    "auc_gamma", "auc_lambda_star",
+)) + (parse_measure("lambda@0.25", direction=Direction.LEFT),)
+
+
 @pytest.mark.parametrize("n, step", [(12, 0.25), (40, 0.5)])
 def test_tie_failures_match_a_row_by_row_loop(n, step):
-    measures = tuple(parse_measure(t) for t in (
-        "gamma@0.05", "gamma@0.25", "lambda@0.05", "lambda@0.1", "lambda@0.25",
-        "auc_gamma", "auc_lambda_star",
-    )) + (parse_measure("lambda@0.25", direction=Direction.LEFT),)
+    measures = TIE_MEASURES
     dist = RoundedExponential(1.0, step=step)
     cfg = _config(dist=dist, n=n, trials=30, measures=measures, seed=9)
     draws = [dist.sample(n, simulation_module._trial_rng(9, t)) for t in range(30)]
@@ -204,6 +209,93 @@ def test_tie_failures_match_a_row_by_row_loop(n, step):
     for (_, kind), v in loop.items():
         tally[kind] += v
     assert report.failure_reasons == dict(tally)
+
+
+@pytest.mark.parametrize("n, step", [(12, 0.25), (40, 0.5)])
+def test_chunked_tallies_match_one_chunk_and_a_per_measure_reduction(n, step, monkeypatch):
+    dist = RoundedExponential(1.0, step=step)
+    cfg = _config(dist=dist, n=n, trials=30, measures=TIE_MEASURES, seed=9)
+    one_chunk = run_coverage(cfg).to_json()
+
+    # the tallies measure by measure, over one interval_rows call on all trials
+    draws = [dist.sample(n, simulation_module._trial_rng(9, t)) for t in range(30)]
+    batch = interval_rows(SortedSample.from_rows(draws), TIE_MEASURES, 0.95, cfg.bandwidth)
+    results, reasons = [], Counter()
+    for m, res in zip(TIE_MEASURES, batch):
+        truth = population_measure(dist, m)
+        failed = np.zeros(30, dtype=bool)
+        failed[list(res.errors)] = True
+        reasons.update(type(exc).__name__ for exc in res.errors.values())
+        n_ok = 30 - int(failed.sum())
+        covered = (res.lower <= truth) & (truth <= res.upper) & ~failed
+        width = np.where(failed, 0.0, res.upper - res.lower)
+        cov, mean_width = (
+            (float(covered.sum()) / n_ok, float(width.sum()) / n_ok) if n_ok
+            else (math.nan, math.nan)
+        )
+        results.append(MeasureCoverage(m, truth, cov, mean_width, int(failed.sum())))
+    by_measure = CoverageReport(cfg, tuple(results), dict(sorted(reasons.items())))
+    assert sum(reasons.values()) > 0
+    assert one_chunk == by_measure.to_json()
+
+    chunks = []
+
+    def counting_rows(rows, *args):
+        chunks.append(rows.values.shape[0])
+        return interval_rows(rows, *args)
+
+    monkeypatch.setattr(simulation_module, "_CHUNK_ELEMENTS", 7 * n)
+    monkeypatch.setattr(simulation_module, "interval_rows", counting_rows)
+    assert run_coverage(cfg).to_json() == one_chunk
+    assert chunks == [7, 7, 7, 7, 2]
+
+
+def test_a_coverage_run_reads_one_population_grid_and_one_grid_per_chunk(monkeypatch):
+    from skewkit import distributions, skewness
+
+    calls = Counter()
+    quantile, grid_for_probs = distributions.DistributionSpec.quantile, skewness.grid_for_probs
+
+    def counting_quantile(self, p):
+        calls["quantile"] += 1
+        return quantile(self, p)
+
+    def counting_grid(*args, **kwargs):
+        calls["grid_for_probs"] += 1
+        return grid_for_probs(*args, **kwargs)
+
+    monkeypatch.setattr(distributions.DistributionSpec, "quantile", counting_quantile)
+    monkeypatch.setattr(skewness, "grid_for_probs", counting_grid)
+    monkeypatch.setattr(simulation_module, "_CHUNK_ELEMENTS", 10 * 200)
+    measures = tuple(parse_measure(t) for t in (
+        [f"gamma@{p}" for p in (0.05, 0.1, 0.15, 0.2, 0.25)]
+        + [f"lambda@{p}" for p in (0.05, 0.1, 0.15, 0.2, 0.25)]
+        + ["auc_gamma", "auc_lambda", "auc_gamma_star", "auc_lambda_star"]
+    ))
+    report = run_coverage(_config(n=200, trials=25, measures=measures))
+    assert len(report.results) == 14
+    assert calls == {"quantile": 1, "grid_for_probs": 3}
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ScaledLogNormal(LogNormal):
+    """LogNormal draws times a scale at the edge of double precision."""
+
+    scale: float = 1.0
+
+    def sample(self, n, rng):
+        return super().sample(n, rng) * self.scale
+
+
+@pytest.mark.parametrize("scale", [1e307, 1e-320])
+def test_rows_that_overflow_are_tallied_as_numerical_errors(scale):
+    measures = (parse_measure("gamma@0.1"), parse_measure("auc_gamma"))
+    cfg = _config(dist=ScaledLogNormal(0.0, 0.25, scale), n=200, trials=20, measures=measures)
+    report = run_coverage(cfg)
+    failures = sum(r.failures for r in report.results)
+    assert report.failure_reasons.get("NumericalError", 0) > 0
+    assert sum(report.failure_reasons.values()) == failures
+    json.loads(report.to_json(), parse_constant=_reject_nan)
 
 
 GOLDEN = sorted((Path(__file__).parent / "data").glob("coverage_*.json"))

@@ -25,7 +25,9 @@ from skewkit import (
     estimate_pointwise,
     midpoint_probs,
     parse_measure,
+    point_values,
     population_measure,
+    population_measures,
     quantile_type8,
 )
 from skewkit.errors import MissingProbabilityError
@@ -380,3 +382,60 @@ def test_population_measure_reads_no_quantile_density(dist, monkeypatch):
 
     monkeypatch.setattr(type(dist), "quantile_density", no_density)
     assert [population_measure(dist, m) for m in measures] == want
+
+
+TRUTH_TOKENS = (
+    [f"gamma@{p}" for p in (0.01, 0.05, 0.1, 0.25, 0.45)]
+    + [f"lambda@{p}" for p in (0.01, 0.05, 0.1, 0.25, 0.45)]
+    + ["gamma_star@0.1", "gamma_star@0.45", "lambda_star@0.01", "lambda_star@0.25",
+       "auc_gamma", "auc_lambda", "auc_gamma_star", "auc_lambda_star", "b3"]
+)
+
+
+@pytest.mark.parametrize("dist", ONE_PER_FAMILY, ids=repr)
+def test_population_measures_equal_the_per_measure_loop_bit_for_bit(dist):
+    for direction in Direction:
+        for j in (2, 7, 100):
+            measures = [parse_measure(t, direction=direction, j_points=j) for t in TRUTH_TOKENS]
+            # each measure on its own population grid, as the truths were computed
+            # before they shared one
+            own = [
+                population_measure(dist, m) if m.kind is MeasureKind.B3
+                else estimate_auc(population_grid(dist, j_points=j), m) if m.is_auc
+                else estimate_pointwise(population_grid(dist, base_probs=[m.p]), m)
+                for m in measures
+            ]
+            assert population_measures(dist, measures) == own
+            assert [population_measure(dist, m) for m in measures] == own
+
+
+def test_point_values_raise_the_first_failing_measure_alone():
+    def zero(probs):
+        return np.zeros_like(probs)
+
+    measures = [parse_measure("auc_lambda", j_points=7), parse_measure("gamma@0.1"),
+                parse_measure("lambda_star@0.25", direction=Direction.LEFT)]
+    for first in range(len(measures)):
+        order = measures[first:] + measures[:first]
+        with pytest.raises(DegenerateScaleError) as alone:
+            point_values(zero, order[:1])
+        with pytest.raises(DegenerateScaleError) as grouped:
+            point_values(zero, order)
+        assert str(grouped.value) == str(alone.value)
+        assert grouped.value.probabilities == alone.value.probabilities
+    assert alone.value.probabilities == (0.25,)
+
+
+def test_point_values_call_the_quantile_function_once():
+    s = SortedSample.from_data(np.random.default_rng(12).lognormal(size=400))
+    measures = [parse_measure(t, j_points=j) for t in TRUTH_TOKENS[:-1] for j in (7, 100)]
+    calls = []
+
+    def type8(probs):
+        calls.append(probs)
+        return quantile_type8(s, probs)
+
+    assert point_values(type8, measures) == [estimate(s, m) for m in measures]
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="b3"):
+        point_values(type8, [parse_measure("b3")])
