@@ -28,9 +28,9 @@ from .skewness import (
     Direction,
     MeasureKind,
     SkewMeasure,
-    curve_values,
+    midpoint_probs,
     parse_measure,
-    population_grid,
+    point_values,
     population_measures,
 )
 
@@ -85,7 +85,8 @@ def expand_measures(
 
 
 def read_numeric_column(path: str, column: str) -> np.ndarray:
-    """Load one numeric CSV column, dropping non-finite rows with a count.
+    """Load one numeric CSV column, dropping non-finite and unparseable rows
+    with a count of each.
 
     The first line is treated as a header whenever any of its fields is
     non-numeric.  ``column`` is a 0-based index if it parses as an integer,
@@ -99,14 +100,13 @@ def read_numeric_column(path: str, column: str) -> np.ndarray:
     if not rows:
         raise DataError(f"{path}: file is empty")
 
-    def numeric(cell: str) -> bool:
+    def number(cell: str) -> float | None:
         try:
-            float(cell)
+            return float(cell)
         except ValueError:
-            return False
-        return True
+            return None
 
-    has_header = not all(numeric(c) for c in rows[0])
+    has_header = any(number(c) is None for c in rows[0])
     header = [c.strip() for c in rows[0]] if has_header else None
     body = rows[1:] if has_header else rows
 
@@ -123,20 +123,18 @@ def read_numeric_column(path: str, column: str) -> np.ndarray:
         raise DataError(f"{path}: column index {idx} out of range")
 
     values = []
-    dropped = 0
+    dropped = {"non-finite": 0, "unparseable": 0}
     for row in body:
-        cell = row[idx].strip() if idx < len(row) else ""
-        try:
-            v = float(cell)
-        except ValueError:
-            dropped += 1
-            continue
-        if not np.isfinite(v):
-            dropped += 1
-            continue
-        values.append(v)
-    if dropped:
-        print(f"{path}: dropped {dropped} non-finite row(s)", file=sys.stderr)
+        v = number(row[idx].strip() if idx < len(row) else "")
+        if v is None:
+            dropped["unparseable"] += 1
+        elif not np.isfinite(v):
+            dropped["non-finite"] += 1
+        else:
+            values.append(v)
+    counts = [f"{count} {kind} row(s)" for kind, count in dropped.items() if count]
+    if counts:
+        print(f"{path}: dropped {' and '.join(counts)}", file=sys.stderr)
     if len(values) < 10:
         raise DataError(f"{path}: need at least 10 finite rows, got {len(values)}")
     return np.asarray(values)
@@ -319,12 +317,10 @@ _CURVE_FAMILIES = ("gamma", "gamma_star", "lambda", "lambda_star")
 
 
 def cmd_curve(args) -> int:
-    grid = population_grid(args.dist, j_points=args.points)
-    # the curve a family's AUC measure integrates
-    measure = SkewMeasure(
-        MeasureKind(f"auc_{args.family}"), direction=args.direction, j_points=args.points
-    )
-    points = list(zip(grid.base_probs, curve_values(grid, measure)))
+    # the curve a family's AUC measure integrates: the family's pointwise measure at each midpoint
+    probs = midpoint_probs(args.points)
+    measures = [SkewMeasure(MeasureKind(args.family), p=p, direction=args.direction) for p in probs]
+    points = list(zip(probs, point_values(args.dist.quantile, measures)))
     if args.format == "json":
         _emit_json({
             "command": "curve",

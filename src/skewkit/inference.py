@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -47,14 +47,9 @@ class IntervalEstimate:
         """The mean-skew interval: estimate and both bounds halved."""
         if not self.measure.is_auc:
             raise UnsupportedMeasureError("mean-skew halving applies to AUC measures")
-        return IntervalEstimate(
-            measure=self.measure,
-            estimate=0.5 * self.estimate,
-            se=0.5 * self.se,
-            level=self.level,
-            lower=0.5 * self.lower,
-            upper=0.5 * self.upper,
-            n=self.n,
+        return replace(
+            self, estimate=0.5 * self.estimate, se=0.5 * self.se,
+            lower=0.5 * self.lower, upper=0.5 * self.upper,
         )
 
     def to_dict(self) -> dict:
@@ -128,20 +123,13 @@ def _group_rows(rows, grid, measures, take, z: float, rule) -> list[IntervalRows
     or one row shared by all (AUC kinds of one J).  Every array below is
     (measures, rows, points).
     """
-    probs = grid.probs[take][:, None]
-    x = np.moveaxis(grid.x[:, take], 1, 0)
-    g = np.moveaxis(grid.g[:, take], 1, 0)
-    weighted = np.array([m.weighted for m in measures])[:, None, None]
-    slopes = np.array([skewness.denominator_slopes(m) for m in measures]).T[:, :, None, None]
-    weight, s, r = skewness.curve(x, probs, weighted, slopes)
+    group = skewness.group_curve(grid.x, grid.probs, take, measures)
+    probs, slopes, (weight, s, r), width, estimate = group
+    g = skewness.layout_rows(grid.g, take)
     v = g * asymptotics.gradient(weight, s, r, slopes)
-    # the estimate is the cell width times the curve mean: the midpoint rule
-    # gives each of an AUC's J points 0.5 / J, so 0.5 times their mean
-    width = 0.5 if measures[0].is_auc else 1.0
     bad_g = (g <= 0.0).any(axis=-1)
     bad_r = r <= 0.0
     failed = bad_g | bad_r.any(axis=-1)
-    estimate = width * (weight * (s / r)).mean(axis=-1)
     se = width * np.sqrt(asymptotics.bridge_variance(probs, v) / rows.n)
     # a row that fails no check can still over- or underflow at extreme scales
     lost = ~(failed | (np.isfinite(estimate) & np.isfinite(se)))

@@ -144,8 +144,9 @@ def _kernel_weights(u: np.ndarray, p, b) -> np.ndarray:
     return np.fmax(u, 0.0, out=u)
 
 
-# Elements per gathered (probabilities x window) block: 256 KB per float
-# temporary, whatever n and the bandwidth.  A block holds at least one window.
+# Elements per gathered (rows x windows x window width) block: 256 KB per
+# float temporary, whatever n and the bandwidth.  A block holds at least one
+# window of one row.
 _GATHER_BUDGET = 1 << 15
 
 
@@ -170,10 +171,12 @@ def quantile_density_profile(
 
     ghat(p) = sum_j (X_(j+1) - X_(j)) * k_b(j/n - p), the derivative of the
     Epanechnikov-smoothed empirical quantile function.  Only the spacings
-    inside each window (p - b, p + b) are gathered, in blocks of at most
-    ``_GATHER_BUDGET`` elements over all rows; a block that holds one window
-    takes it as a slice.  The windows and kernel weights depend only on n,
-    the probabilities and the rule, so a batch shares them.
+    inside each window (p - b, p + b) enter.  Neighbouring windows form
+    blocks; a block takes the spacings its windows read once, gathers each
+    window's from them and reduces them all by one ``einsum``, a few rows at
+    a time.  The windows, blocks and kernel weights depend only on n, the
+    probabilities and the rule, never on the number of rows, so each row of
+    a batch is reduced exactly as that sample alone.
 
     For one sample, raises QuantileDensityError listing every p whose
     estimate is not strictly positive (possible only under ties).  For a
@@ -189,26 +192,42 @@ def quantile_density_profile(
     lo = _positions_below(probs - b, n, inclusive=True)
     hi = _positions_below(probs + b, n, inclusive=False)
 
-    out = np.empty((rows.shape[0], probs.size))
-    width = int((hi - lo).max(initial=0))
-    step = max(1, _GATHER_BUDGET // max(1, rows.shape[0] * width))
-    for start in range(0, probs.size, step):
-        sl = slice(start, start + step)
-        if step == 1:
-            lo_i, hi_i = int(lo[start]), int(hi[start])
-            spacings = np.diff(rows[:, lo_i : hi_i + 1], axis=1)
-            positions = np.arange(lo_i + 1, hi_i + 1, dtype=float)
-            positions /= n
-            weights = _kernel_weights(positions, probs[start], b[start])
-            out[:, start] = spacings @ weights / b[start]
-            continue
-        # Window i gathers x[lo_i .. hi_i] and repeats x[hi_i] past its end,
-        # so that the padding spacings are exactly zero.
-        span = np.arange(int((hi[sl] - lo[sl]).max(initial=0)) + 1)
-        idx = np.minimum(lo[sl, None] + span, hi[sl, None])
-        weights = _kernel_weights(idx[:, 1:] / n, probs[sl, None], b[sl, None])
-        spacings = np.diff(np.take(rows, idx, axis=1), axis=2)
-        out[:, sl] = np.einsum("ij,tij->ti", weights, spacings) / b[sl]
+    # Windows in order of position, in blocks of ``step``: each reads the
+    # block's width of spacings from its start, weighted 0 past its end.  A
+    # block takes its spacings once per run of windows that start within reach
+    # of the one before, side by side in a buffer zero past x[n-1] - x[n-2].
+    order = np.argsort(lo, kind="stable")
+    lo, ends, at, b = lo[order], hi[order] - lo[order], probs[order], b[order]
+    step = max(1, _GATHER_BUDGET // max(1, int(ends.max(initial=0))))
+    ghat = np.empty((rows.shape[0], at.size))
+    for head in range(0, at.size, step):
+        sl = slice(head, head + step)
+        starts, width = lo[sl].tolist(), int(ends[sl].max())
+        # each run of windows: the first and last positions it reads and its
+        # first column; each window: the column of its first spacing
+        runs, firsts = [], []
+        for start in starts:
+            if not runs or start > runs[-1][1]:
+                runs.append([start, 0, runs[-1][2] + runs[-1][1] - runs[-1][0] if runs else 0])
+            runs[-1][1] = min(start + width, n - 1)
+            firsts.append(runs[-1][2] + start - runs[-1][0])
+        # the positions read, and one more: past a window's end only the first
+        # position can round to a positive weight, and it is zeroed
+        reads = lo[sl, None] + np.arange(1, width + 2)
+        weights = _kernel_weights(reads / n, at[sl, None], b[sl, None])
+        weights[np.arange(len(starts)), ends[sl]] = 0.0
+        cols = np.array(firsts)[:, None] + np.arange(width)
+        chunk = max(1, _GATHER_BUDGET // max(1, cols.size))  # rows per pass
+        spacings = np.empty((min(chunk, rows.shape[0]), firsts[-1] + width))
+        a, e, c = runs[-1]
+        spacings[:, c + e - a :] = 0.0  # only the last run reads past x[n-1]
+        for t in range(0, rows.shape[0], chunk):
+            part, d = rows[t : t + chunk], spacings[: rows.shape[0] - t]
+            for a, e, c in runs:
+                np.subtract(part[:, a + 1 : e + 1], part[:, a:e], out=d[:, c : c + e - a])
+            gathered = np.take(d, cols, axis=1)
+            ghat[t : t + chunk, sl] = np.einsum("ij,tij->ti", weights[:, :-1], gathered) / b[sl]
+    out = ghat[:, np.argsort(order)]
 
     if x.ndim > 1:
         return out

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateScaleError, MissingProbabilityError
+from .errors import DegenerateScaleError, MissingProbabilityError, NumericalError
 from .quantiles import (
     DEFAULT_BANDWIDTH,
     BandwidthRule,
@@ -52,30 +52,11 @@ class Direction(str, Enum):
     LEFT = "left"
 
 
-_POINTWISE = {
-    MeasureKind.GAMMA,
-    MeasureKind.LAMBDA,
-    MeasureKind.GAMMA_STAR,
-    MeasureKind.LAMBDA_STAR,
-}
-AUC_KINDS = (
-    MeasureKind.AUC_GAMMA,
-    MeasureKind.AUC_LAMBDA,
-    MeasureKind.AUC_GAMMA_STAR,
-    MeasureKind.AUC_LAMBDA_STAR,
-)
-_LAMBDA_FAMILY = {
-    MeasureKind.LAMBDA,
-    MeasureKind.LAMBDA_STAR,
-    MeasureKind.AUC_LAMBDA,
-    MeasureKind.AUC_LAMBDA_STAR,
-}
-_WEIGHTED = {
-    MeasureKind.GAMMA_STAR,
-    MeasureKind.LAMBDA_STAR,
-    MeasureKind.AUC_GAMMA_STAR,
-    MeasureKind.AUC_LAMBDA_STAR,
-}
+_FAMILIES = ("gamma", "lambda", "gamma_star", "lambda_star")
+_POINTWISE = {MeasureKind(family) for family in _FAMILIES}
+AUC_KINDS = tuple(MeasureKind(f"auc_{family}") for family in _FAMILIES)
+_LAMBDA_FAMILY = {kind for kind in MeasureKind if "lambda" in kind.value}
+_WEIGHTED = {kind for kind in MeasureKind if kind.value.endswith("_star")}
 
 
 @dataclass(frozen=True)
@@ -226,20 +207,16 @@ def build_grid(
     return _sample_grid(sample, midpoint_probs(j_points), rule, j_points)
 
 
-def _quantile_grid(quantile, base, j_points=None) -> QuantileGrid:
-    """The grid of ``quantile`` (a quantile function of an array of
-    probabilities) at the base probabilities, without quantile densities."""
-    probs = _grid_probs(np.asarray(base, dtype=float))
-    return QuantileGrid(probs, np.asarray(quantile(probs), dtype=float), None, None, j_points)
-
-
 def population_grid(dist, j_points: int | None = None, base_probs=None) -> QuantileGrid:
     """Exact-quantile grid for a distribution (population plug-in path),
     without quantile densities."""
-    if base_probs is not None:
-        return _quantile_grid(dist.quantile, base_probs)
-    j_points = DEFAULT_GRID_POINTS if j_points is None else j_points
-    return _quantile_grid(dist.quantile, midpoint_probs(j_points), j_points)
+    if base_probs is None:
+        j_points = DEFAULT_GRID_POINTS if j_points is None else j_points
+        base_probs = midpoint_probs(j_points)
+    else:
+        j_points = None
+    probs = _grid_probs(np.asarray(base_probs, dtype=float))
+    return QuantileGrid(probs, np.asarray(dist.quantile(probs), dtype=float), None, None, j_points)
 
 
 def denominator_slopes(measure: SkewMeasure) -> tuple[float, float, float]:
@@ -361,37 +338,56 @@ def estimate_auc(grid: QuantileGrid, measure: SkewMeasure) -> float:
 
 
 def estimate_b3(sample: SortedSample) -> float:
-    """(mean - median) / E|X - median| with the Type-8 median plug-in."""
+    """(mean - median) / E|X - median| with the Type-8 median plug-in; raises
+    NumericalError where the mean or the MAD over- or underflows."""
     med = quantile_type8(sample, 0.5)
-    mad = float(np.abs(sample.values - med).mean())
-    if mad <= 0.0:
-        raise DegenerateScaleError([0.5], detail="constant sample has zero MAD")
-    return (float(sample.values.mean()) - med) / mad
+    with np.errstate(over="ignore", invalid="ignore"):
+        mad = float(np.abs(sample.values - med).mean())
+        if mad <= 0.0:
+            raise DegenerateScaleError([0.5], detail="constant sample has zero MAD")
+        value = (float(sample.values.mean()) - med) / mad
+    if not math.isfinite(value):
+        raise NumericalError("b3: the estimate is not finite at this data's scale; rescale it")
+    return value
+
+
+def group_curve(x: np.ndarray, probs: np.ndarray, take: np.ndarray, measures):
+    """The curves of measures that share one point set (see ``point_sets``)
+    from quantiles ``x`` at ``probs``, one row of ``x`` per sample, gathered
+    by ``layout_rows``.  Returns the layouts' probabilities (layouts, 1,
+    points), the ``denominator_slopes`` (3, measures, 1, 1), the ``curve``
+    terms, the cell width (0.5 / J for each of an AUC's J points, else 1)
+    and the values (measures, rows), the width times the curve mean."""
+    p = probs[take][:, None]
+    weighted = np.array([m.weighted for m in measures])[:, None, None]
+    slopes = np.array([denominator_slopes(m) for m in measures]).T[:, :, None, None]
+    weight, s, r = terms = curve(layout_rows(x, take), p, weighted, slopes)
+    width = 0.5 if measures[0].is_auc else 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return p, slopes, terms, width, width * (weight * (s / r)).mean(axis=-1)
+
+
+def layout_rows(a: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """``a[:, take]`` as a (layouts, rows, points) array whose points lie
+    contiguously: each row is summed over its points exactly as that row
+    alone would be."""
+    return np.take(a, take, axis=1).transpose(1, 0, 2)
 
 
 def _point_values(quantile, measures) -> list:
     """Each measure's value, or the DegenerateScaleError naming its own p_j
     where some r_j <= 0, from one call of ``quantile`` over the union of the
-    measures' probabilities and one ``curve`` pass per point set."""
+    measures' probabilities and one ``group_curve`` per point set."""
     base, groups = point_sets(measures)
     probs = _grid_probs(base)
-    x = np.asarray(quantile(probs), dtype=float)
+    x = np.asarray(quantile(probs), dtype=float)[None]
     out = [None] * len(measures)
     for idx, take in groups:
-        group = [measures[i] for i in idx]
-        p = probs[take]
-        weighted = np.array([m.weighted for m in group])[:, None]
-        slopes = np.array([denominator_slopes(m) for m in group]).T[:, :, None]
-        weight, s, r = curve(x[take], p, weighted, slopes)
-        # the cell width times the curve mean: 0.5 / J for each of an AUC's J
-        # points, as in ``inference._group_rows``
-        width = 0.5 if group[0].is_auc else 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = width * (weight * (s / r)).mean(axis=-1)
-        bad = r <= 0.0
+        p, _, (_, _, r), _, values = group_curve(x, probs, take, [measures[i] for i in idx])
+        bad = r[:, 0] <= 0.0
         for k, i in enumerate(idx):
-            low = p[k % len(p), : bad.shape[-1]]
-            out[i] = DegenerateScaleError(low[bad[k]]) if bad[k].any() else float(values[k])
+            low = p[k % len(p), 0, : bad.shape[-1]]
+            out[i] = DegenerateScaleError(low[bad[k]]) if bad[k].any() else float(values[k, 0])
     return out
 
 

@@ -301,6 +301,20 @@ def test_estimate_never_prints_a_nan_interval(tmp_path, capsys, scale, fmt):
     assert "skewkit: gamma@0.1: the estimate or its standard error is not finite" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_estimate_b3_that_overflows_exits_3(tmp_path, capsys, fmt):
+    # the sum behind the mean of draws scaled to a maximum of 1e308 overflows
+    values = np.random.default_rng(0).lognormal(size=500)
+    path = write_csv(tmp_path / "huge.csv", values / values.max() * 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "estimate", path, "--column", "x", "--measures", "b3", "--format", fmt,
+        )
+    assert (code, out) == (EXIT_DATA, "")
+    assert "skewkit: b3: the estimate is not finite" in err
+
+
 def test_estimate_bad_column_exits_3(ln_file, capsys):
     code, _, err = run_cli(
         capsys, "estimate", ln_file, "--column", "nope", "--measures", "b3",
@@ -326,7 +340,18 @@ def test_read_numeric_column_drops_nonfinite(tmp_path, capsys):
     values = read_numeric_column(str(path), "value")
     assert values.size == 12
     err = capsys.readouterr().err
-    assert "dropped 2 non-finite row(s)" in err
+    assert "dropped 1 non-finite row(s) and 1 unparseable row(s)" in err
+
+
+def test_read_numeric_column_counts_unparseable_cells_apart(tmp_path, capsys):
+    path = tmp_path / "mixed.csv"
+    with open(path, "w") as fh:
+        fh.write("x\n" + "".join(f"{float(i)}\n" for i in range(10)))
+        fh.write("1.5\nnp.float64(1.5)\ninf\nabc\n")
+    values = read_numeric_column(str(path), "x")
+    assert values.size == 11
+    err = capsys.readouterr().err
+    assert err == f"{path}: dropped 1 non-finite row(s) and 2 unparseable row(s)\n"
 
 
 def test_read_numeric_column_by_index(tmp_path):
@@ -632,6 +657,30 @@ def test_curve_json_round_trip(capsys):
     assert doc["command"] == "curve"
     assert len(doc["points"]) == 16
     assert doc["dist"] == "weibull(2)"
+
+
+@pytest.mark.parametrize("dist", ["lognormal(0,1)", "exp(1)", "pareto2(1,3)", "beta(2,5)"])
+@pytest.mark.parametrize("family", ["gamma", "gamma_star", "lambda", "lambda_star"])
+@pytest.mark.parametrize("direction", ["right", "left"])
+@pytest.mark.parametrize("points", [2, 100])
+def test_curve_json_equals_the_population_grid_curve(capsys, dist, family, direction, points):
+    from skewkit import parse_distribution
+    from skewkit.skewness import (
+        Direction, MeasureKind, SkewMeasure, curve_values, population_grid,
+    )
+
+    code, out, _ = run_cli(
+        capsys, "curve", "--dist", dist, "--family", family, "--points", str(points),
+        "--direction", direction, "--format", "json",
+    )
+    assert code == 0
+    grid = population_grid(parse_distribution(dist), j_points=points)
+    measure = SkewMeasure(
+        MeasureKind(f"auc_{family}"), direction=Direction(direction), j_points=points
+    )
+    want = [{"p": float(p), "value": float(v)}
+            for p, v in zip(grid.base_probs, curve_values(grid, measure))]
+    assert json.loads(out)["points"] == want
 
 
 def test_curve_too_few_points_exits_2(capsys):

@@ -315,6 +315,10 @@ def test_batch_equals_rows_property(rows, n, probs, fixed, tied, seed):
     for t in range(rows):
         row = SortedSample(values=batch.values[t])
         np.testing.assert_array_equal(x[t], quantile_type8(row, probs))
+        # the blocks never depend on the row count: a row of the batch is
+        # reduced exactly as that sample alone
+        alone = SortedSample(values=batch.values[t : t + 1])
+        np.testing.assert_array_equal(g[t], quantile_density_profile(alone, probs, rule)[0])
         try:
             want = density_loop_reference(row, probs, rule)
         except QuantileDensityError as exc:
@@ -325,8 +329,8 @@ def test_batch_equals_rows_property(rows, n, probs, fixed, tied, seed):
 
 
 def test_batch_gather_budget_counts_every_row():
-    # 64 rows x a 2000-spacing window exceed the budget: one window per block,
-    # each taken as a slice, for every row at once
+    # 64 rows x a 2000-spacing window exceed the budget: the rows are walked
+    # in chunks that fit it
     rng = np.random.default_rng(12)
     batch = SortedSample.from_rows(rng.exponential(size=(64, 4000)))
     probs = np.array([0.1, 0.5, 0.9])
@@ -336,8 +340,8 @@ def test_batch_gather_budget_counts_every_row():
         row = SortedSample(values=batch.values[t])
         np.testing.assert_allclose(g[t], density_loop_reference(row, probs, rule), rtol=1e-13)
     assert quantile_type8(batch, 0.5).shape == (64,)
-    # one sample, windows wider than the budget: each window sliced on its own,
-    # whether or not the windows together cover the sample
+    # one sample, windows wider than the budget: each window is a block of its
+    # own, whether or not the windows together cover the sample
     s = SortedSample.from_data(rng.lognormal(size=40_000))
     for probs in (np.array([0.5]), np.array([0.3, 0.5, 0.7])):
         assert_density_matches_loop(s, probs, BandwidthRule(fixed=0.3))
