@@ -16,7 +16,6 @@ from .distributions import (
 )
 from .errors import (
     DegenerateScaleError,
-    MissingProbabilityError,
     NumericalError,
     QuantileDensityError,
     SkewkitError,
@@ -62,7 +61,7 @@ __all__ = [
     "Beta", "ChiSquare", "DistributionSpec", "Exponential", "FisherF", "Gamma",
     "LogNormal", "Normal", "ParetoII", "Weibull", "parse_distribution",
     "SkewkitError", "DegenerateScaleError", "QuantileDensityError",
-    "MissingProbabilityError", "UnsupportedMeasureError", "NumericalError",
+    "UnsupportedMeasureError", "NumericalError",
     "SortedSample", "BandwidthRule", "quantile_type8", "default_bandwidth",
     "Direction", "MeasureKind", "SkewMeasure", "QuantileGrid", "parse_measure",
     "midpoint_probs", "build_grid", "estimate_pointwise", "estimate_auc",

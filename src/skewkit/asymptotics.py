@@ -12,12 +12,12 @@ v_a = d(curve mean)/d x_{p_a} * g(p_a) (``gradient``).  Writing
 B(p) = W(p) - p W(1) turns that into n Var = int_0^1 (T(t) - m)^2 dt, with
 T(t) = sum_{p_a > t} v_a and m = sum_a v_a p_a: an O(P) sum of squares over
 the layout (``bridge_variance``).  Pointwise measures are the one-point
-case, so both kinds take one path.  ``inference.interval_rows`` runs it for
-every interval; ``sigma1_sq``, ``sigma2_sq`` and ``auc_variance`` run it for
-one measure on a grid and a kernel, so the oracles that check them check
-the production gradient.  All population quantities are replaced by sample
-plug-ins.  Every function takes a batch grid too (one row per sample) and
-returns one variance per row.
+case, so both kinds take one path, ``delta_method``: the measures of one
+point set from quantiles x and densities g on any number of rows.
+``inference.interval_rows`` feeds it Type-8 quantiles and kernel densities;
+``sigma1_sq``, ``sigma2_sq`` and ``auc_variance`` feed it one measure's
+grid and kernel (sample plug-ins or exact population values), so the
+oracles that check them check the production path.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .skewness import (
-    Direction, MeasureKind, QuantileGrid, SkewMeasure, _scalar, denominator_slopes, measure_curve,
-)
+from . import skewness
+from .skewness import Direction, MeasureKind, QuantileGrid, SkewMeasure, _scalar
 
 
 @dataclass(frozen=True)
@@ -93,24 +92,42 @@ def gradient(weight: np.ndarray, s: np.ndarray, r: np.ndarray, slopes) -> np.nda
     ], axis=-1)
 
 
-def _delta_variance(k: XiKernel, grid: QuantileGrid, measure: SkewMeasure) -> float:
-    """n Var of the measure's curve mean: one gradient through the bridge form."""
+def delta_method(x: np.ndarray, g: np.ndarray, probs: np.ndarray, take: np.ndarray, measures):
+    """The values and n Var of measures that share one point set, from
+    quantiles ``x`` and quantile densities ``g`` at ``probs``, one row per
+    sample: ``skewness.group_curve``, one ``gradient`` and one
+    ``bridge_variance``.  Returns the layouts' probabilities, the curve
+    denominators r and the densities (layouts, rows, points) on the layouts,
+    the values (measures, rows), the cell width and the n Var of the curve
+    means (measures, rows), without the width."""
+    p, slopes, (weight, s, r), width, values = skewness.group_curve(x, probs, take, measures)
+    g = skewness.layout_rows(g, take)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return p, r, g, values, width, bridge_variance(p, g * gradient(weight, s, r, slopes))
+
+
+def _variance(k: XiKernel, grid: QuantileGrid, measure: SkewMeasure):
+    """n Var of one measure's curve mean on ``grid`` (see ``delta_method``)."""
     if not np.array_equal(k.probs, grid.probs):
         raise ValueError("the kernel's probabilities are not the grid's")
-    take, probs, terms = measure_curve(grid, measure)
-    return bridge_variance(probs, k.g[..., take] * gradient(*terms, denominator_slopes(measure)))
+    _, [(_, take)] = skewness.point_sets([measure], grid.base_probs)
+    p, r, _, values, _, nvar = delta_method(
+        np.atleast_2d(grid.x), np.atleast_2d(k.g), grid.probs, take, [measure]
+    )
+    errors = skewness.curve_errors([measure], p, r, np.where(np.isfinite(nvar), values, np.nan))
+    return skewness._grid_result(grid, nvar, errors[0])
 
 
 def sigma1_sq(k: XiKernel, grid: QuantileGrid, p: float) -> float:
     """n Var of the gamma_p estimator (delta method, plug-in form)."""
-    return _delta_variance(k, grid, SkewMeasure(MeasureKind.GAMMA, p=p))
+    return _variance(k, grid, SkewMeasure(MeasureKind.GAMMA, p=p))
 
 
 def sigma2_sq(
     k: XiKernel, grid: QuantileGrid, p: float, direction: Direction = Direction.RIGHT
 ) -> float:
     """n Var of the lambda_p estimator (delta method, plug-in form)."""
-    return _delta_variance(k, grid, SkewMeasure(MeasureKind.LAMBDA, p=p, direction=direction))
+    return _variance(k, grid, SkewMeasure(MeasureKind.LAMBDA, p=p, direction=direction))
 
 
 def auc_variance(
@@ -120,15 +137,9 @@ def auc_variance(
     weighted: bool = False,
     direction: Direction = Direction.RIGHT,
 ) -> float:
-    """n Var of the plain (1/J)-mean of the pointwise curve on a midpoint grid.
-
-    That is the (1/J^2) double sum of the pointwise delta-method covariances
-    n Cov(ratio_{p_j}, ratio_{p_k}), times p_j p_k for weighted kinds,
-    computed as one bridge variance in O(J).
-    """
-    if grid.j_points is None:
-        raise ValueError("AUC variance needs a midpoint grid (build_grid)")
+    """n Var of the plain (1/J)-mean of the pointwise curve on a J-point
+    midpoint grid: the (1/J^2) double sum of the pointwise delta-method
+    covariances n Cov(ratio_{p_j}, ratio_{p_k}), times p_j p_k for weighted
+    kinds, computed as one bridge variance in O(J)."""
     kind = MeasureKind(f"auc_{family}{'_star' if weighted else ''}")
-    return _delta_variance(
-        k, grid, SkewMeasure(kind, direction=direction, j_points=grid.j_points)
-    )
+    return _variance(k, grid, SkewMeasure(kind, direction=direction, j_points=grid.base_probs.size))

@@ -184,18 +184,18 @@ def cmd_population(args) -> int:
 def _estimate_rows(sample: SortedSample, measures, level, rule):
     """One row per measure, in order; raises the first failing measure's error.
 
-    b3 takes ``point_estimate``.  The first other measure computes every
-    interval with one ``interval_rows`` call, and each later one takes its own.
+    b3 takes ``point_estimate``; one ``interval_rows`` call gives every other
+    measure its interval.
     """
     rest = [m for m in measures if m.kind is not MeasureKind.B3]
-    rows, pending = [], None
+    batch = SortedSample(sample.values[None])
+    pending = iter(interval_rows(batch, rest, level, rule) if rest else ())
+    rows = []
     for m in measures:
         if m.kind is MeasureKind.B3:
             rows.append((m, point_estimate(sample, m).value, None, None))
             continue
-        if pending is None:
-            pending = interval_rows(SortedSample(sample.values[None]), rest, level, rule)
-        r = pending.pop(0)
+        r = next(pending)
         if r.errors:
             raise r.errors[0]
         rows.append((m, float(r.estimate[0]), float(r.lower[0]), float(r.upper[0])))

@@ -105,13 +105,20 @@ def _require_positive(**kwargs):
 
 
 @dataclass(frozen=True, repr=False)
-class Normal(DistributionSpec):
+class _LocationScale(DistributionSpec):
+    """A family with a finite location ``mu`` and a positive scale ``sigma``."""
+
     mu: float
     sigma: float
-    name = "normal"
 
     def __post_init__(self):
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu!r}")
         _require_positive(sigma=self.sigma)
+
+
+class Normal(_LocationScale):
+    name = "normal"
 
     def _quantile(self, p):
         return self.mu + self.sigma * special.ndtri(p)
@@ -127,14 +134,8 @@ class Normal(DistributionSpec):
         return self.mu
 
 
-@dataclass(frozen=True, repr=False)
-class LogNormal(DistributionSpec):
-    mu: float
-    sigma: float
+class LogNormal(_LocationScale):
     name = "lognormal"
-
-    def __post_init__(self):
-        _require_positive(sigma=self.sigma)
 
     def _quantile(self, p):
         return np.exp(self.mu + self.sigma * special.ndtri(p))

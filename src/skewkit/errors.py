@@ -50,14 +50,6 @@ class QuantileDensityError(SkewkitError):
         )
 
 
-class MissingProbabilityError(SkewkitError):
-    """A measure asked for a probability its quantile grid does not hold."""
-
-    def __init__(self, p: float):
-        self.p = float(p)
-        super().__init__(f"probability {p:g} is not on the quantile grid")
-
-
 class UnsupportedMeasureError(SkewkitError):
     """The requested operation is undefined for this measure (e.g. a CI for b3)."""
 

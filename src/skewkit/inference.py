@@ -9,9 +9,7 @@ import numpy as np
 from scipy import special
 
 from . import asymptotics, skewness
-from .errors import (
-    DegenerateScaleError, NumericalError, SkewkitError, UnsupportedMeasureError,
-)
+from .errors import SkewkitError, UnsupportedMeasureError
 from .quantiles import DEFAULT_BANDWIDTH, BandwidthRule, SortedSample, density_error
 from .skewness import MeasureKind, SkewMeasure
 
@@ -120,37 +118,24 @@ def _group_rows(rows, grid, measures, take, z: float, rule) -> list[IntervalRows
 
     ``take`` indexes each measure's point layout in ``grid.probs`` (see
     ``skewness.point_layout``), one row per measure (pointwise kinds, P = 1)
-    or one row shared by all (AUC kinds of one J).  Every array below is
-    (measures, rows, points).
+    or one row shared by all (AUC kinds of one J).  On top of the curve's
+    own failures (``skewness.curve_errors``) a row fails where a density on
+    its layout is not positive or where its SE over- or underflows.
     """
-    group = skewness.group_curve(grid.x, grid.probs, take, measures)
-    probs, slopes, (weight, s, r), width, estimate = group
-    g = skewness.layout_rows(grid.g, take)
-    v = g * asymptotics.gradient(weight, s, r, slopes)
-    bad_g = (g <= 0.0).any(axis=-1)
-    bad_r = r <= 0.0
-    failed = bad_g | bad_r.any(axis=-1)
-    se = width * np.sqrt(asymptotics.bridge_variance(probs, v) / rows.n)
-    # a row that fails no check can still over- or underflow at extreme scales
-    lost = ~(failed | (np.isfinite(estimate) & np.isfinite(se)))
-    failed = failed | lost
-    estimate[failed] = se[failed] = np.nan
+    group = asymptotics.delta_method(grid.x, grid.g, grid.probs, take, measures)
+    probs, r, g, estimate, width, nvar = group
+    se = width * np.sqrt(nvar / rows.n)
+    # a finite estimate whose SE is not finite fails as a non-finite value
+    errors = skewness.curve_errors(measures, probs, r, np.where(np.isfinite(se), estimate, np.nan))
+    # an AUC group shares one row of ``take`` and of the densities
+    bad_g = (g <= 0.0).any(axis=-1).repeat(len(measures) // len(take), axis=0)
+    for k, t in zip(*map(list, np.nonzero(bad_g))):
+        own = np.sort(take[k % len(take)])  # grid order
+        errors[k][t] = density_error(rows.values[t], grid.probs[own], grid.g[t, own], rule)
+    for k, failed in enumerate(errors):
+        if failed:
+            estimate[k, list(failed)] = se[k, list(failed)] = np.nan
     lower, upper = estimate - z * se, estimate + z * se
-
-    errors = [{} for _ in measures]
-    # an AUC group shares one row of ``take``, ``probs`` and ``bad_g``
-    for k, t in zip(*map(list, np.nonzero(failed))):
-        if bad_g[k % len(bad_g), t]:
-            own = np.sort(take[k % len(take)])  # grid order
-            errors[k][t] = density_error(rows.values[t], grid.probs[own], grid.g[t, own], rule)
-        elif lost[k, t]:
-            errors[k][t] = NumericalError(
-                f"{measures[k]}: the estimate or its standard error is not finite; the"
-                " quantile spacings over- or underflow at this data's scale, so rescale it"
-            )
-        else:
-            low = probs[k % len(probs), 0, : r.shape[-1]]
-            errors[k][t] = DegenerateScaleError(low[bad_r[k, t]])
     return [
         IntervalRows(m, estimate[k], se[k], lower[k], upper[k], errors[k])
         for k, m in enumerate(measures)

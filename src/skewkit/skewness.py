@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateScaleError, MissingProbabilityError, NumericalError
+from .errors import DegenerateScaleError, NumericalError, SkewkitError
 from .quantiles import (
     DEFAULT_BANDWIDTH,
     BandwidthRule,
@@ -159,7 +159,6 @@ class QuantileGrid:
     x: np.ndarray
     g: np.ndarray | None
     n: int | None
-    j_points: int | None
 
     @property
     def base_probs(self) -> np.ndarray:
@@ -179,14 +178,6 @@ class QuantileGrid:
         return _scalar(self.x[..., -1])
 
 
-def _sample_grid(sample, base, rule, j_points):
-    probs = _grid_probs(base)
-    return QuantileGrid(
-        probs, quantile_type8(sample, probs), quantile_density_profile(sample, probs, rule),
-        sample.n, j_points,
-    )
-
-
 def grid_for_probs(
     sample: SortedSample, base_probs, rule: BandwidthRule = DEFAULT_BANDWIDTH
 ) -> QuantileGrid:
@@ -195,7 +186,11 @@ def grid_for_probs(
     base = np.asarray(base_probs, dtype=float)
     if np.any(~((base > 0.0) & (base < 0.5))):
         raise ValueError("grid base probabilities must lie in (0, 0.5)")
-    return _sample_grid(sample, base, rule, None)
+    probs = _grid_probs(base)
+    return QuantileGrid(
+        probs, quantile_type8(sample, probs), quantile_density_profile(sample, probs, rule),
+        sample.n,
+    )
 
 
 def build_grid(
@@ -204,19 +199,15 @@ def build_grid(
     rule: BandwidthRule = DEFAULT_BANDWIDTH,
 ) -> QuantileGrid:
     """Build the J-point midpoint grid (all 2J+1 quantiles and densities)."""
-    return _sample_grid(sample, midpoint_probs(j_points), rule, j_points)
+    return grid_for_probs(sample, midpoint_probs(j_points), rule)
 
 
-def population_grid(dist, j_points: int | None = None, base_probs=None) -> QuantileGrid:
-    """Exact-quantile grid for a distribution (population plug-in path),
-    without quantile densities."""
-    if base_probs is None:
-        j_points = DEFAULT_GRID_POINTS if j_points is None else j_points
-        base_probs = midpoint_probs(j_points)
-    else:
-        j_points = None
-    probs = _grid_probs(np.asarray(base_probs, dtype=float))
-    return QuantileGrid(probs, np.asarray(dist.quantile(probs), dtype=float), None, None, j_points)
+def population_grid(dist, j_points: int = DEFAULT_GRID_POINTS, base_probs=None) -> QuantileGrid:
+    """Exact-quantile grid for a distribution at the base probabilities, by
+    default the J-point midpoint rule, without quantile densities."""
+    base = midpoint_probs(j_points) if base_probs is None else np.asarray(base_probs, dtype=float)
+    probs = _grid_probs(base)
+    return QuantileGrid(probs, np.asarray(dist.quantile(probs), dtype=float), None, None)
 
 
 def denominator_slopes(measure: SkewMeasure) -> tuple[float, float, float]:
@@ -245,35 +236,37 @@ def point_layout(j: np.ndarray, size: int) -> np.ndarray:
     return take
 
 
-def point_sets(measures) -> tuple[np.ndarray, list[tuple[list[int], np.ndarray]]]:
-    """The union ``base`` of the measures' base probabilities, and one group
-    of measures per point set: every pointwise measure, each AUC grid size J.
+def point_sets(measures, base=None) -> tuple[np.ndarray, list[tuple[list[int], np.ndarray]]]:
+    """The base probabilities ``base`` (by default the union of the
+    measures'), and one group of measures per point set: every pointwise
+    measure, each AUC grid size J.
 
     A group is (its measures' indices, ``take``): ``take`` indexes the point
     layouts in the probabilities [base, 1 - base, 0.5] (see ``point_layout``),
-    one row per pointwise measure or one row shared by an AUC J.
+    one row per pointwise measure or one row shared by an AUC J.  Raises
+    ValueError naming the first measure whose probabilities a given ``base``
+    lacks.
     """
     keys = [m.j_points if m.is_auc else 0 for m in measures]
     points = {k: midpoint_probs(k) for k in dict.fromkeys(keys) if k}
-    base = np.unique(np.concatenate([[m.p for m in measures if m.is_pointwise], *points.values()]))
+    if base is None:
+        ps = [m.p for m in measures if m.is_pointwise]
+        base, order = np.unique(np.concatenate([ps, *points.values()])), None
+    else:
+        order = np.argsort(base, kind="stable")
     groups = []
     for key in dict.fromkeys(keys):
         idx = [i for i, k in enumerate(keys) if k == key]
-        probs = points[key][None] if key else [[measures[i].p] for i in idx]
-        groups.append((idx, point_layout(np.searchsorted(base, probs), base.size)))
+        probs = points[key][None] if key else np.array([[measures[i].p] for i in idx])
+        at = np.searchsorted(base, probs, sorter=order)
+        if order is not None:  # a given base may lack them; the union cannot
+            found = (np.append(base[order], np.nan)[at] == probs).all(axis=-1)
+            if not found.all():
+                lacking = measures[idx[found.argmin()]]
+                raise ValueError(f"{lacking}: the quantile grid lacks its probabilities")
+            at = order[at]
+        groups.append((idx, point_layout(at, base.size)))
     return base, groups
-
-
-def curve_terms(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
-    """The measure's point layout on ``grid``: every base probability for
-    AUC kinds, the one equal to ``measure.p`` for pointwise kinds."""
-    size = grid.base_probs.size
-    if measure.is_auc:
-        return point_layout(np.arange(size), size)
-    j = np.flatnonzero(grid.base_probs == measure.p)[:1]
-    if j.size == 0:
-        raise MissingProbabilityError(measure.p)
-    return point_layout(j, size)
 
 
 def curve(x: np.ndarray, probs: np.ndarray, weighted, slopes) -> tuple[np.ndarray, ...]:
@@ -290,51 +283,39 @@ def curve(x: np.ndarray, probs: np.ndarray, weighted, slopes) -> tuple[np.ndarra
     return weight, xh + xl - 2.0 * xm, al * xl + ah * xh + am * xm
 
 
-def measure_curve(grid: QuantileGrid, measure: SkewMeasure):
-    """The measure's point layout on ``grid``, its probabilities and its
-    ``curve`` terms; raises DegenerateScaleError naming every p_j where some
-    r_j <= 0."""
-    take = curve_terms(grid, measure)
-    probs = grid.probs[take]
-    terms = curve(grid.x[..., take], probs, measure.weighted, denominator_slopes(measure))
-    bad = terms[2] <= 0.0
-    if bad.any():
-        n_pts = bad.shape[-1]
-        raise DegenerateScaleError(probs[:n_pts][bad.reshape(-1, n_pts).any(axis=0)])
-    return take, probs, terms
-
-
-def curve_values(grid: QuantileGrid, measure: SkewMeasure) -> np.ndarray:
-    """The skewness curve w_j s_j / r_j at the measure's grid points."""
-    weight, s, r = measure_curve(grid, measure)[2]
-    return weight * (s / r)
-
-
 def _scalar(value: np.ndarray):
     """A float for one sample, the per-row array for a batch."""
     return float(value) if np.ndim(value) == 0 else value
+
+
+def _grid_result(grid: QuantileGrid, values: np.ndarray, errors: dict):
+    """One measure's ``values`` (1, rows) on ``grid``, shaped as the grid's
+    rows (see ``_scalar``); raises the error of its first failing row."""
+    if errors:
+        raise errors[min(errors)]
+    return _scalar(values[0] if np.ndim(grid.x) > 1 else values[0, 0])
+
+
+def _grid_estimate(grid: QuantileGrid, measure: SkewMeasure):
+    _, [(_, take)] = point_sets([measure], grid.base_probs)
+    p, _, (_, _, r), _, values = group_curve(np.atleast_2d(grid.x), grid.probs, take, [measure])
+    return _grid_result(grid, values, curve_errors([measure], p, r, values)[0])
 
 
 def estimate_pointwise(grid: QuantileGrid, measure: SkewMeasure) -> float:
     """Pointwise skewness estimate at the measure's probability."""
     if not measure.is_pointwise:
         raise ValueError(f"{measure} is not a pointwise measure")
-    return _scalar(curve_values(grid, measure)[..., 0])
+    return _grid_estimate(grid, measure)
 
 
 def estimate_auc(grid: QuantileGrid, measure: SkewMeasure) -> float:
-    """Area under the skewness curve over p in [0, 0.5], midpoint rule.
-
-    Each grid cell has width 0.5/J, so the sum is (0.5/J) * sum_j curve(p_j);
-    weighted kinds integrate p * curve(p).
-    """
+    """Area under the skewness curve over p in [0, 0.5], midpoint rule, on a
+    grid that holds the measure's J midpoints: (0.5/J) * sum_j curve(p_j);
+    weighted kinds integrate p * curve(p)."""
     if not measure.is_auc:
         raise ValueError(f"{measure} is not an AUC measure")
-    if grid.j_points is None or grid.j_points != measure.j_points:
-        raise ValueError(
-            f"grid was not built on the measure's {measure.j_points}-point midpoint rule"
-        )
-    return _scalar(curve_values(grid, measure).mean(axis=-1) * 0.5)
+    return _grid_estimate(grid, measure)
 
 
 def estimate_b3(sample: SortedSample) -> float:
@@ -361,10 +342,31 @@ def group_curve(x: np.ndarray, probs: np.ndarray, take: np.ndarray, measures):
     p = probs[take][:, None]
     weighted = np.array([m.weighted for m in measures])[:, None, None]
     slopes = np.array([denominator_slopes(m) for m in measures]).T[:, :, None, None]
-    weight, s, r = terms = curve(layout_rows(x, take), p, weighted, slopes)
     width = 0.5 if measures[0].is_auc else 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        weight, s, r = terms = curve(layout_rows(x, take), p, weighted, slopes)
         return p, slopes, terms, width, width * (weight * (s / r)).mean(axis=-1)
+
+
+def curve_errors(measures, p: np.ndarray, r: np.ndarray, values: np.ndarray) -> list[dict]:
+    """The failures of measures that share one point set, from the layouts'
+    probabilities ``p``, the curve denominators ``r`` and the ``values`` of
+    ``group_curve``: for each measure, row -> the DegenerateScaleError naming
+    its own p_j where some r_j <= 0, else the NumericalError where its value
+    is not finite."""
+    bad_r = r <= 0.0
+    degenerate = bad_r.any(axis=-1)
+    errors = [{} for _ in measures]
+    for k, t in zip(*map(list, np.nonzero(degenerate | ~np.isfinite(values)))):
+        if degenerate[k, t]:
+            errors[k][t] = DegenerateScaleError(p[k % len(p), 0, : r.shape[-1]][bad_r[k, t]])
+        else:
+            errors[k][t] = NumericalError(
+                f"{measures[k]}: the estimate or its standard error is not finite; the"
+                " quantiles or their spacings over- or underflow at this scale, so rescale"
+                " the data or the distribution"
+            )
+    return errors
 
 
 def layout_rows(a: np.ndarray, take: np.ndarray) -> np.ndarray:
@@ -375,35 +377,38 @@ def layout_rows(a: np.ndarray, take: np.ndarray) -> np.ndarray:
 
 
 def _point_values(quantile, measures) -> list:
-    """Each measure's value, or the DegenerateScaleError naming its own p_j
-    where some r_j <= 0, from one call of ``quantile`` over the union of the
-    measures' probabilities and one ``group_curve`` per point set."""
+    """Each measure's value, or its ``curve_errors`` error, from one call of
+    ``quantile`` over the union of the measures' probabilities and one
+    ``group_curve`` per point set."""
     base, groups = point_sets(measures)
     probs = _grid_probs(base)
-    x = np.asarray(quantile(probs), dtype=float)[None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.asarray(quantile(probs), dtype=float)[None]
     out = [None] * len(measures)
     for idx, take in groups:
-        p, _, (_, _, r), _, values = group_curve(x, probs, take, [measures[i] for i in idx])
-        bad = r[:, 0] <= 0.0
-        for k, i in enumerate(idx):
-            low = p[k % len(p), 0, : bad.shape[-1]]
-            out[i] = DegenerateScaleError(low[bad[k]]) if bad[k].any() else float(values[k, 0])
+        group = [measures[i] for i in idx]
+        p, _, (_, _, r), _, values = group_curve(x, probs, take, group)
+        for i, value, errors in zip(idx, values, curve_errors(group, p, r, values)):
+            out[i] = errors[0] if errors else float(value[0])
     return out
+
+
+def _checked(value):
+    """``value``; raises it where it is an error."""
+    if isinstance(value, SkewkitError):
+        raise value
+    return value
 
 
 def point_values(quantile, measures) -> list[float]:
     """Every pointwise and AUC measure from one call of the quantile function
     ``quantile`` (an array of probabilities in, quantiles out); no quantile
-    density is involved.  Raises the DegenerateScaleError of the first
-    measure whose curve denominator vanishes."""
+    density is involved.  Raises the error of the first measure that fails
+    (see ``curve_errors``)."""
     measures = list(measures)
     if any(m.kind is MeasureKind.B3 for m in measures):
         raise ValueError("b3 is not a function of quantiles alone")
-    out = _point_values(quantile, measures)
-    for value in out:
-        if isinstance(value, DegenerateScaleError):
-            raise value
-    return out
+    return [_checked(value) for value in _point_values(quantile, measures)]
 
 
 def estimate(sample: SortedSample, measure: SkewMeasure) -> float:
@@ -417,10 +422,17 @@ def estimate(sample: SortedSample, measure: SkewMeasure) -> float:
 def _population_b3(dist) -> float:
     from .distributions import median_absolute_moment
 
-    mu = dist.mean()
+    try:
+        mu = dist.mean()
+    except OverflowError:
+        raise NumericalError(f"b3: the mean of {dist} overflows") from None
     if not math.isfinite(mu):
         raise ValueError(f"b3 needs a finite mean; {dist} has none")
-    return (mu - float(dist.quantile(0.5))) / median_absolute_moment(dist)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = (mu - float(dist.quantile(0.5))) / median_absolute_moment(dist)
+    if not math.isfinite(value):
+        raise NumericalError(f"b3: the population value of {dist} is not finite at this scale")
+    return value
 
 
 def population_measures(dist, measures) -> list[float]:
@@ -433,13 +445,10 @@ def population_measures(dist, measures) -> list[float]:
     """
     measures = list(measures)
     values = iter(_point_values(dist.quantile, [m for m in measures if m.kind is not MeasureKind.B3]))
-    out = []
-    for m in measures:
-        value = _population_b3(dist) if m.kind is MeasureKind.B3 else next(values)
-        if isinstance(value, DegenerateScaleError):
-            raise value
-        out.append(value)
-    return out
+    return [
+        _checked(_population_b3(dist) if m.kind is MeasureKind.B3 else next(values))
+        for m in measures
+    ]
 
 
 def population_measure(dist, measure: SkewMeasure) -> float:

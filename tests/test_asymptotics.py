@@ -20,14 +20,13 @@ from skewkit.asymptotics import (
     sigma1_sq,
     sigma2_sq,
 )
-from skewkit.errors import MissingProbabilityError
 from skewkit.skewness import (
     MeasureKind,
     SkewMeasure,
-    denominator_slopes,
     grid_for_probs,
-    measure_curve,
+    group_curve,
     parse_measure,
+    point_sets,
     population_grid,
 )
 
@@ -133,9 +132,10 @@ def library_cross(grid, kernel, ma, mb):
     order = np.argsort(grid.probs)
 
     def weights(m):
-        take, _, terms = measure_curve(grid, m)
+        _, [(_, take)] = point_sets([m], grid.base_probs)
+        _, slopes, terms, _, _ = group_curve(grid.x[None], grid.probs, take, [m])
         v = np.zeros(grid.probs.size)
-        v[take] = gradient(*terms, denominator_slopes(m)) * kernel.g[take]
+        v[take[0]] = gradient(*terms, slopes)[0, 0] * kernel.g[take[0]]
         return v[order]
 
     va, vb = weights(ma), weights(mb)
@@ -161,9 +161,9 @@ def test_xi_examples():
 
 def test_xi_missing_probability():
     grid, k = _sample_grid_and_kernel()
-    with pytest.raises(MissingProbabilityError):
+    with pytest.raises(ValueError, match="gamma@0.25: the quantile grid lacks"):
         sigma1_sq(k, grid, 0.25)
-    with pytest.raises(MissingProbabilityError):
+    with pytest.raises(ValueError, match="lambda@0.25: the quantile grid lacks"):
         sigma2_sq(k, grid, 0.25, Direction.LEFT)
     # a kernel from another grid, of another size or of the same size at
     # other probabilities, would be read at the wrong p: the engine refuses it

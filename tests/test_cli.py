@@ -80,6 +80,34 @@ def test_population_bad_distribution_exits_2(capsys):
     assert info.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_population_and_curve_values_that_are_not_finite_exit_3(capsys, fmt):
+    # every quantile of lognormal(710,1) above its lowest tail overflows to inf
+    for argv, message in (
+        (["population", "--measures", "gamma@0.1,lambda@0.25,auc_gamma"],
+         "skewkit: gamma@0.1: the estimate or its standard error is not finite"),
+        (["curve", "--family", "gamma", "--points", "20"],
+         "skewkit: gamma@0.0125: the estimate or its standard error is not finite"),
+        (["population", "--measures", "b3"], "skewkit: b3: the mean of lognormal(710,1) overflows"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--dist", "lognormal(710,1)", "--format", fmt)
+        assert (code, out) == (EXIT_DATA, ""), argv
+        assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["population", "--measures", "gamma@0.1,auc_gamma"],
+    ["simulate", "--n", "20", "--trials", "3", "--seed", "1", "--measures", "gamma@0.1"],
+])
+@pytest.mark.parametrize("dist", ["normal(nan,1)", "lognormal(inf,1)"])
+def test_a_location_that_is_not_finite_exits_2(capsys, argv, dist):
+    try:
+        code = main([*argv, "--dist", dist])
+    except SystemExit as exc:  # argparse rejects the distribution
+        code = exc.code
+    assert code == EXIT_USAGE
+
+
 def test_population_bad_measure_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "population", "--dist", "exp(1)", "--measures", "gamma@0.7",
@@ -666,7 +694,7 @@ def test_curve_json_round_trip(capsys):
 def test_curve_json_equals_the_population_grid_curve(capsys, dist, family, direction, points):
     from skewkit import parse_distribution
     from skewkit.skewness import (
-        Direction, MeasureKind, SkewMeasure, curve_values, population_grid,
+        Direction, MeasureKind, SkewMeasure, estimate_pointwise, population_grid,
     )
 
     code, out, _ = run_cli(
@@ -675,11 +703,9 @@ def test_curve_json_equals_the_population_grid_curve(capsys, dist, family, direc
     )
     assert code == 0
     grid = population_grid(parse_distribution(dist), j_points=points)
-    measure = SkewMeasure(
-        MeasureKind(f"auc_{family}"), direction=Direction(direction), j_points=points
-    )
-    want = [{"p": float(p), "value": float(v)}
-            for p, v in zip(grid.base_probs, curve_values(grid, measure))]
+    want = [{"p": float(p), "value": estimate_pointwise(
+                grid, SkewMeasure(MeasureKind(family), p=p, direction=Direction(direction))
+            )} for p in grid.base_probs]
     assert json.loads(out)["points"] == want
 
 
@@ -720,3 +746,36 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False False"
+
+
+# --- hostile distribution parameters -------------------------------------------
+
+HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1e-300", "1e-5", "0.5", "3", "50", "710",
+           "1e300", "1e308")
+# every one-parameter family at every value; each two-parameter family pairs
+# every value with the value five places on
+HOSTILE_DISTS = [f"{family}({v})" for family in ("exp", "chisq", "weibull", "gamma")
+                 for v in HOSTILE] + [
+    f"{family}({v},{HOSTILE[(i + 5) % len(HOSTILE)]})"
+    for family in ("normal", "lognormal", "pareto2", "beta", "f")
+    for i, v in enumerate(HOSTILE)
+]
+
+
+@pytest.mark.parametrize("index", range(len(HOSTILE_DISTS)))
+def test_hostile_distributions_end_in_a_documented_exit_code(capsys, index):
+    # each command in text for even indices and json for odd ones; a numpy
+    # RuntimeWarning fails the test (pyproject.toml)
+    dist, fmt = HOSTILE_DISTS[index], ("text", "json")[index % 2]
+    for argv in (
+        ["population", "--measures", "gamma@0.1,lambda@0.25,auc_gamma_star"],
+        ["population", "--measures", "b3"],
+        ["curve", "--family", "gamma", "--points", "20"],
+    ):
+        try:
+            code = main([*argv, "--dist", dist, "--format", fmt])
+        except SystemExit as exc:  # argparse rejects the distribution
+            code = exc.code
+        out = capsys.readouterr().out.lower()
+        assert code in (0, EXIT_USAGE, EXIT_DATA), (argv, dist)
+        assert "nan" not in out and "inf" not in out, (argv, dist, out)

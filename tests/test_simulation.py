@@ -24,7 +24,7 @@ from skewkit import (
 )
 from skewkit.inference import interval_rows
 from skewkit.simulation import CoverageReport, MeasureCoverage
-from skewkit.skewness import build_grid, curve_values, grid_for_probs
+from skewkit.skewness import build_grid, estimate_auc, estimate_pointwise, grid_for_probs
 from skewkit import simulation as simulation_module
 
 
@@ -157,10 +157,9 @@ def own_grid_error(sample, measure):
     the grid build first, then the scale check of the curve."""
     try:
         if measure.is_auc:
-            grid = build_grid(sample, measure.j_points)
+            estimate_auc(build_grid(sample, measure.j_points), measure)
         else:
-            grid = grid_for_probs(sample, [measure.p])
-        curve_values(grid, measure)
+            estimate_pointwise(grid_for_probs(sample, [measure.p]), measure)
     except SkewkitError as exc:
         return exc
     return None

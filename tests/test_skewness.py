@@ -14,6 +14,7 @@ from skewkit import (
     Gamma,
     LogNormal,
     Normal,
+    NumericalError,
     ParetoII,
     QuantileDensityError,
     SkewMeasure,
@@ -30,14 +31,13 @@ from skewkit import (
     population_measures,
     quantile_type8,
 )
-from skewkit.errors import MissingProbabilityError
 from skewkit.skewness import (
     MeasureKind,
     QuantileGrid,
-    curve_values,
     estimate,
     grid_for_probs,
-    measure_curve,
+    group_curve,
+    point_sets,
     population_grid,
 )
 
@@ -109,24 +109,30 @@ def test_grid_quantiles_monotone_over_key_set():
     assert np.all(np.diff(ordered) >= 0.0)
 
 
+def curve_terms(grid, measure):
+    """The ``curve`` terms of one measure on a one-sample grid."""
+    _, [(_, take)] = point_sets([measure], grid.base_probs)
+    return [t[0, 0] for t in group_curve(grid.x[None], grid.probs, take, [measure])[2]]
+
+
 def test_s_r_identities():
     s = SortedSample.from_data([10.0, 20.0, 30.0, 40.0, 50.0])
     grid = grid_for_probs(s, [0.25])
-    _, s_p, r1 = measure_curve(grid, parse_measure("gamma@0.25"))[2]
+    _, s_p, r1 = curve_terms(grid, parse_measure("gamma@0.25"))
     assert s_p[0] == pytest.approx(0.0, abs=1e-12)  # symmetric sample
     assert r1[0] == pytest.approx(80.0 / 3.0, abs=1e-9)
     rng = np.random.default_rng(5)
     t = SortedSample.from_data(rng.exponential(size=100))
     g = grid_for_probs(t, [0.1, 0.3])
     halves = np.array([
-        [measure_curve(g, SkewMeasure(MeasureKind.LAMBDA, p=p, direction=d))[2][2][0]
+        [curve_terms(g, SkewMeasure(MeasureKind.LAMBDA, p=p, direction=d))[2][0]
          for p in (0.1, 0.3)]
         for d in Direction
     ])
     np.testing.assert_allclose(sum(halves), g.x_high - g.x_low, rtol=1e-12)
     np.testing.assert_array_equal(halves[0], g.x_median - g.x_low)
     np.testing.assert_array_equal(halves[1], g.x_high - g.x_median)
-    with pytest.raises(MissingProbabilityError):
+    with pytest.raises(ValueError, match="gamma@0.2: the quantile grid lacks its probabilities"):
         estimate_pointwise(g, parse_measure("gamma@0.2"))
 
 
@@ -202,7 +208,9 @@ def test_gamma_family_bounds():
     for _ in range(25):
         s = SortedSample.from_data(rng.exponential(size=int(rng.integers(20, 400))))
         grid = build_grid(s, j_points=100)
-        gammas = curve_values(grid, parse_measure("auc_gamma"))
+        gammas = np.array([
+            estimate_pointwise(grid, SkewMeasure(MeasureKind.GAMMA, p=p)) for p in grid.base_probs
+        ])
         assert np.all(np.abs(gammas) <= 1.0 + 1e-12)
         auc = estimate_auc(grid, parse_measure("auc_gamma"))
         assert abs(auc) <= 0.5 + 1e-12  # integral of a [-1, 1] curve over [0, 0.5]
@@ -346,7 +354,7 @@ def test_point_values_and_intervals_reach_the_one_curve_algebra(monkeypatch):
             with pytest.raises(RuntimeError, match="curve algebra reached"):
                 call()
     with pytest.raises(RuntimeError, match="curve algebra reached"):
-        curve_values(population_grid(dist, j_points=20), auc)
+        estimate_auc(population_grid(dist, j_points=20), auc)
 
 
 ONE_PER_FAMILY = [
@@ -364,16 +372,14 @@ def test_population_measure_reads_no_quantile_density(dist, monkeypatch):
                     "auc_gamma", "auc_lambda", "auc_gamma_star", "auc_lambda_star")
     ]
 
-    def grid_with_densities(base, j_points):
+    def grid_with_densities(base):
         # the population grid as it was built with quantile densities
         probs = np.concatenate([base, 1.0 - base, [0.5]])
-        return QuantileGrid(
-            probs, dist.quantile(probs), dist.quantile_density(probs), None, j_points,
-        )
+        return QuantileGrid(probs, dist.quantile(probs), dist.quantile_density(probs), None)
 
     want = [population_measure(dist, measures[0])] + [
-        estimate_auc(grid_with_densities(midpoint_probs(m.j_points), m.j_points), m) if m.is_auc
-        else estimate_pointwise(grid_with_densities(np.array([m.p]), None), m)
+        estimate_auc(grid_with_densities(midpoint_probs(m.j_points)), m) if m.is_auc
+        else estimate_pointwise(grid_with_densities(np.array([m.p])), m)
         for m in measures[1:]
     ]
 
@@ -424,6 +430,18 @@ def test_point_values_raise_the_first_failing_measure_alone():
         assert str(grouped.value) == str(alone.value)
         assert grouped.value.probabilities == alone.value.probabilities
     assert alone.value.probabilities == (0.25,)
+
+
+def test_point_values_that_are_not_finite_raise_numerical_error():
+    def overflowed(probs):
+        return np.where(probs < 0.01, 1.0, np.inf)
+
+    measures = [parse_measure("gamma@0.25"), parse_measure("auc_gamma", j_points=7)]
+    for m in measures:
+        with pytest.raises(NumericalError, match=f"^{m}: the estimate or its standard error"):
+            point_values(overflowed, [m])
+    with pytest.raises(NumericalError, match="^gamma@0.25: "):
+        point_values(overflowed, measures)
 
 
 def test_point_values_call_the_quantile_function_once():
