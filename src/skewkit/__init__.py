@@ -50,6 +50,7 @@ from .skewness import (
     estimate_pointwise,
     midpoint_probs,
     parse_measure,
+    parse_measures,
     point_values,
     population_measure,
     population_measures,
@@ -64,7 +65,7 @@ __all__ = [
     "UnsupportedMeasureError", "NumericalError",
     "SortedSample", "BandwidthRule", "quantile_type8", "default_bandwidth",
     "Direction", "MeasureKind", "SkewMeasure", "QuantileGrid", "parse_measure",
-    "midpoint_probs", "build_grid", "estimate_pointwise", "estimate_auc",
+    "parse_measures", "midpoint_probs", "build_grid", "estimate_pointwise", "estimate_auc",
     "estimate_b3", "point_values", "population_measure", "population_measures",
     "Estimate", "IntervalEstimate", "DifferenceEstimate", "interval",
     "intervals", "difference_interval", "difference_intervals", "point_estimate", "z_quantile",

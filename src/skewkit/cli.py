@@ -24,13 +24,7 @@ from .inference import (  # noqa: F401
 from .quantiles import DEFAULT_BANDWIDTH, SortedSample
 from .simulation import SimConfig, run_coverage
 from .skewness import (
-    AUC_KINDS,
-    Direction,
-    MeasureKind,
-    SkewMeasure,
-    midpoint_probs,
-    parse_measure,
-    point_values,
+    Direction, MeasureKind, SkewMeasure, midpoint_probs, parse_measures, point_values,
     population_measures,
 )
 
@@ -38,8 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SIMULATION = 4
-
-STANDARD_PS = (0.05, 0.1, 0.15, 0.2, 0.25)
 
 
 class DataError(SkewkitError):
@@ -50,38 +42,6 @@ def _fmt(x) -> str:
     if x is None:
         return "-"
     return f"{x:.6g}"
-
-
-def expand_measures(
-    text: str,
-    direction: Direction = Direction.RIGHT,
-    j_points: int = 100,
-    include_b3: bool = True,
-) -> list[SkewMeasure]:
-    """Expand a comma-separated measure list; ``all`` is the standard set:
-    gamma and lambda at p = 0.05..0.25, the four AUCs, and (where it makes
-    sense) b3."""
-    measures: list[SkewMeasure] = []
-    for token in (t.strip() for t in text.split(",")):
-        if not token:
-            continue
-        if token.lower() == "all":
-            for p in STANDARD_PS:
-                measures.append(SkewMeasure(MeasureKind.GAMMA, p=p, direction=direction))
-            for p in STANDARD_PS:
-                measures.append(SkewMeasure(MeasureKind.LAMBDA, p=p, direction=direction))
-            for kind in AUC_KINDS:
-                measures.append(SkewMeasure(kind, direction=direction, j_points=j_points))
-            if include_b3:
-                measures.append(SkewMeasure(MeasureKind.B3))
-        else:
-            measures.append(parse_measure(token, direction=direction, j_points=j_points))
-    seen: dict[str, SkewMeasure] = {}
-    for m in measures:
-        seen.setdefault(m.label(), m)
-    if not seen:
-        raise ValueError("no measures given")
-    return list(seen.values())
 
 
 def read_numeric_column(path: str, column: str) -> np.ndarray:
@@ -140,23 +100,17 @@ def read_numeric_column(path: str, column: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _emit_table(header: list[str], rows: list[list[str]]) -> None:
-    widths = [len(h) for h in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-
-
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+def _emit(fmt: str, payload: dict, header: list[str], rows: list[list[str]]) -> None:
+    """Print ``payload`` as JSON, or ``header`` and ``rows`` as CSV or as an
+    aligned text table."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
+    else:
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+        for row in (header, *rows):
+            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 # --------------------------------------------------------------------------
@@ -164,20 +118,19 @@ def _emit_json(payload: dict) -> None:
 
 
 def cmd_population(args) -> int:
-    dist = args.dist
-    measures = expand_measures(args.measures, args.direction, args.j, include_b3=True)
-    values = list(zip(measures, population_measures(dist, measures)))
-    if args.format == "json":
-        _emit_json({
+    measures = parse_measures(args.measures, args.direction, args.j)
+    values = list(zip(measures, population_measures(args.dist, measures)))
+    _emit(
+        args.format,
+        {
             "command": "population",
-            "dist": repr(dist),
+            "dist": repr(args.dist),
             "j": args.j,
             "values": [{"measure": m.label(), "value": v} for m, v in values],
-        })
-    else:
-        header = ["measure", "value"]
-        rows = [[m.label(), _fmt(v)] for m, v in values]
-        (_emit_csv if args.format == "csv" else _emit_table)(header, rows)
+        },
+        ["measure", "value"],
+        [[m.label(), _fmt(v)] for m, v in values],
+    )
     return EXIT_OK
 
 
@@ -205,10 +158,11 @@ def _estimate_rows(sample: SortedSample, measures, level, rule):
 def cmd_estimate(args) -> int:
     data = read_numeric_column(args.input, args.column)
     sample = SortedSample.from_data(data)
-    measures = expand_measures(args.measures, args.direction, args.j, include_b3=True)
+    measures = parse_measures(args.measures, args.direction, args.j)
     rows = _estimate_rows(sample, measures, args.level, DEFAULT_BANDWIDTH)
-    if args.format == "json":
-        _emit_json({
+    _emit(
+        args.format,
+        {
             "command": "estimate",
             "input": args.input,
             "n": sample.n,
@@ -217,11 +171,10 @@ def cmd_estimate(args) -> int:
                 {"measure": m.label(), "estimate": est, "lower": lo, "upper": hi}
                 for m, est, lo, hi in rows
             ],
-        })
-    else:
-        header = ["measure", "estimate", "lower", "upper"]
-        body = [[m.label(), _fmt(est), _fmt(lo), _fmt(hi)] for m, est, lo, hi in rows]
-        (_emit_csv if args.format == "csv" else _emit_table)(header, body)
+        },
+        ["measure", "estimate", "lower", "upper"],
+        [[m.label(), _fmt(est), _fmt(lo), _fmt(hi)] for m, est, lo, hi in rows],
+    )
     return EXIT_OK
 
 
@@ -230,35 +183,31 @@ def cmd_compare(args) -> int:
     col_b = args.column_b if args.column_b is not None else args.column
     sample_a = SortedSample.from_data(read_numeric_column(args.input_a, col_a))
     sample_b = SortedSample.from_data(read_numeric_column(args.input_b, col_b))
-    measures = expand_measures(args.measures, args.direction, args.j, include_b3=False)
+    measures = parse_measures(args.measures, args.direction, args.j, include_b3=False)
     if any(m.kind is MeasureKind.B3 for m in measures):
         raise ValueError("b3 has no standard error and cannot be compared")
     diffs = difference_intervals(sample_a, sample_b, measures, args.level, DEFAULT_BANDWIDTH)
-    if args.format == "json":
-        _emit_json({
-            "command": "compare",
-            "input_a": args.input_a,
-            "input_b": args.input_b,
-            "level": args.level,
-            "differences": [d.to_dict() for d in diffs],
-        })
-    elif args.format == "csv":
-        _emit_csv(
-            ["measure", "estimate_a", "lower_a", "upper_a", "estimate_b", "lower_b", "upper_b",
-             "difference", "lower", "upper"],
-            [[d.measure.label(), *map(_fmt, (
-                d.a.estimate, d.a.lower, d.a.upper, d.b.estimate, d.b.lower, d.b.upper,
-                d.difference, d.lower, d.upper,
-            ))] for d in diffs],
-        )
+    if args.format == "csv":
+        header = ["measure", "estimate_a", "lower_a", "upper_a", "estimate_b", "lower_b",
+                  "upper_b", "difference", "lower", "upper"]
+        rows = [[d.measure.label(), *map(_fmt, (
+            d.a.estimate, d.a.lower, d.a.upper, d.b.estimate, d.b.lower, d.b.upper,
+            d.difference, d.lower, d.upper,
+        ))] for d in diffs]
     else:
-        _emit_table(
-            ["measure", "estimate_a", "ci_a", "estimate_b", "ci_b", "difference", "ci_diff"],
-            [[d.measure.label(),
-              _fmt(d.a.estimate), f"({_fmt(d.a.lower)}, {_fmt(d.a.upper)})",
-              _fmt(d.b.estimate), f"({_fmt(d.b.lower)}, {_fmt(d.b.upper)})",
-              _fmt(d.difference), f"({_fmt(d.lower)}, {_fmt(d.upper)})"] for d in diffs],
-        )
+        header = ["measure", "estimate_a", "ci_a", "estimate_b", "ci_b", "difference", "ci_diff"]
+        rows = [[d.measure.label(),
+                 _fmt(d.a.estimate), f"({_fmt(d.a.lower)}, {_fmt(d.a.upper)})",
+                 _fmt(d.b.estimate), f"({_fmt(d.b.lower)}, {_fmt(d.b.upper)})",
+                 _fmt(d.difference), f"({_fmt(d.lower)}, {_fmt(d.upper)})"] for d in diffs]
+    payload = {
+        "command": "compare",
+        "input_a": args.input_a,
+        "input_b": args.input_b,
+        "level": args.level,
+        "differences": [d.to_dict() for d in diffs],
+    }
+    _emit(args.format, payload, header, rows)
     return EXIT_OK
 
 
@@ -269,41 +218,33 @@ def cmd_simulate(args) -> int:
             with open(args.config) as fh:
                 doc = json.load(fh)
         except OSError as exc:
-            raise UsageError(f"{args.config}: {exc.strerror or exc}") from exc
+            raise ValueError(f"{args.config}: {exc.strerror or exc}") from exc
         except json.JSONDecodeError as exc:
-            raise UsageError(f"{args.config}: invalid JSON ({exc})") from exc
-    keys = ("dist", "n", "trials", "seed", "level", "threads", "bandwidth", "direction", "j")
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            doc[key] = value
-    if args.measures is not None:
-        doc["measures"] = [t.strip() for t in args.measures.split(",") if t.strip()]
+            raise ValueError(f"{args.config}: invalid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config}: the config must be a JSON object")
+    keys = ("dist", "n", "trials", "seed", "level", "threads", "bandwidth", "direction", "j",
+            "measures")
+    doc.update({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
     if "threads" not in doc:
         env = os.environ.get("SKEWKIT_THREADS")
         if env:
             doc["threads"] = env
     if isinstance(doc.get("threads"), str) and doc["threads"] != "auto":
         doc["threads"] = int(doc["threads"])
-    try:
-        cfg = SimConfig.from_dict(doc)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
-
-    report = run_coverage(cfg)
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        header = ["measure", "truth", "coverage", "mean_width", "failures"]
-        rows = [
-            [r.measure.label(), _fmt(r.truth),
-             "-" if np.isnan(r.coverage) else f"{r.coverage:.4f}",
-             "-" if np.isnan(r.mean_width) else _fmt(r.mean_width), str(r.failures)]
-            for r in report.results
-        ]
-        _emit_csv(header, rows)
-    else:
+    report = run_coverage(SimConfig.from_dict(doc))
+    if args.format == "text":
         print(report.render_text())
+    else:
+        _emit(
+            args.format,
+            report.to_dict(),
+            ["measure", "truth", "coverage", "mean_width", "failures"],
+            [[r.measure.label(), _fmt(r.truth),
+              "-" if np.isnan(r.coverage) else f"{r.coverage:.4f}",
+              "-" if np.isnan(r.mean_width) else _fmt(r.mean_width), str(r.failures)]
+             for r in report.results],
+        )
     print(f"elapsed: {report.elapsed_seconds:.2f}s", file=sys.stderr)
     if report.failure_reasons:
         print(f"trial failures: {report.failure_reasons}", file=sys.stderr)
@@ -320,27 +261,23 @@ def cmd_curve(args) -> int:
     # the curve a family's AUC measure integrates: the family's pointwise measure at each midpoint
     probs = midpoint_probs(args.points)
     measures = [SkewMeasure(MeasureKind(args.family), p=p, direction=args.direction) for p in probs]
-    points = list(zip(probs, point_values(args.dist.quantile, measures)))
-    if args.format == "json":
-        _emit_json({
+    points = [(float(p), float(v)) for p, v in zip(probs, point_values(args.dist.quantile, measures))]
+    _emit(
+        args.format,
+        {
             "command": "curve",
             "dist": repr(args.dist),
             "family": args.family,
-            "points": [{"p": float(p), "value": float(v)} for p, v in points],
-        })
-    else:
-        header = ["p", "value"]
-        rows = [[_fmt(float(p)), _fmt(float(v))] for p, v in points]
-        (_emit_csv if args.format == "csv" else _emit_table)(header, rows)
+            "points": [{"p": p, "value": v} for p, v in points],
+        },
+        ["p", "value"],
+        [[_fmt(p), _fmt(v)] for p, v in points],
+    )
     return EXIT_OK
 
 
 # --------------------------------------------------------------------------
 # argument plumbing
-
-
-class UsageError(Exception):
-    """Maps to exit code 2."""
 
 
 def _direction(text: str) -> Direction:
@@ -350,15 +287,32 @@ def _direction(text: str) -> Direction:
         raise argparse.ArgumentTypeError("direction must be 'right' or 'left'") from None
 
 
-def _add_j(parser):
-    parser.add_argument("--j", type=int, default=100, help="midpoint grid size for AUC kinds")
+def _level(text: str) -> float:
+    try:
+        if 0.0 < float(text) < 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("confidence level must lie strictly inside (0, 1)")
 
 
-def _add_format(parser):
-    parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format (default: text)",
-    )
+def _add_options(parser, *names: str, overrides: bool = False) -> None:
+    """Declare the options ``names`` that several subcommands share.  With
+    ``overrides`` (simulate) every default but --format's is None, so a flag
+    overrides only the config key it sets."""
+    specs = {
+        "measures": dict(required=not overrides,
+                         help="comma list: gamma@0.25, lambda@0.05, auc_gamma, ..., b3, or 'all'"),
+        "level": dict(type=_level, default=0.95, help="confidence level in (0, 1)"),
+        "j": dict(type=int, default=100, help="midpoint grid size for AUC kinds (default 100)"),
+        "direction": dict(type=_direction, default=Direction.RIGHT, help="'right' or 'left'"),
+        "format": dict(choices=("text", "json", "csv"), default="text",
+                       help="output format (default: text)"),
+    }
+    for name in names:
+        if overrides and name != "format":
+            specs[name]["default"] = None
+        parser.add_argument(f"--{name}", **specs[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,21 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("population", help="population values of skewness measures")
     p.add_argument("--dist", required=True, type=parse_distribution,
                    help="distribution, e.g. 'lognormal(0,1)' or 'exp(1)'")
-    p.add_argument("--measures", required=True,
-                   help="comma list: gamma@0.25, lambda@0.05, auc_gamma, ..., b3, or 'all'")
-    _add_j(p)
-    p.add_argument("--direction", type=_direction, default=Direction.RIGHT)
-    _add_format(p)
+    _add_options(p, "measures", "j", "direction", "format")
     p.set_defaults(func=cmd_population)
 
     p = sub.add_parser("estimate", help="estimates and confidence intervals from a CSV column")
     p.add_argument("input", help="CSV file")
     p.add_argument("--column", required=True, help="column name or 0-based index")
-    p.add_argument("--measures", required=True)
-    p.add_argument("--level", type=float, default=0.95)
-    _add_j(p)
-    p.add_argument("--direction", type=_direction, default=Direction.RIGHT)
-    _add_format(p)
+    _add_options(p, "measures", "level", "j", "direction", "format")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("compare", help="difference of measures between two samples")
@@ -393,11 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input_b", help="CSV file for group B")
     p.add_argument("--column", required=True, help="column (both files unless --column-b)")
     p.add_argument("--column-b", default=None, help="column for group B")
-    p.add_argument("--measures", required=True)
-    p.add_argument("--level", type=float, default=0.95)
-    _add_j(p)
-    p.add_argument("--direction", type=_direction, default=Direction.RIGHT)
-    _add_format(p)
+    _add_options(p, "measures", "level", "j", "direction", "format")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("simulate", help="Monte Carlo coverage study from a JSON config")
@@ -406,23 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--level", type=float, default=None)
     p.add_argument("--threads", default=None,
                    help="positive integer or 'auto'; accepted, changes nothing")
     p.add_argument("--bandwidth", default=None, help="'default' or a fixed value in (0,0.5)")
-    p.add_argument("--direction", default=None, choices=("right", "left"))
-    p.add_argument("--j", type=int, default=None,
-                   help="override: midpoint grid size for AUC kinds (default 100)")
-    p.add_argument("--measures", default=None, help="override: comma list of measures")
-    _add_format(p)
+    _add_options(p, "measures", "level", "j", "direction", "format", overrides=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("curve", help="population skewness curve data for plotting")
     p.add_argument("--dist", required=True, type=parse_distribution)
     p.add_argument("--family", required=True, choices=_CURVE_FAMILIES)
     p.add_argument("--points", type=int, default=100)
-    p.add_argument("--direction", type=_direction, default=Direction.RIGHT)
-    _add_format(p)
+    _add_options(p, "direction", "format")
     p.set_defaults(func=cmd_curve)
 
     return parser
@@ -433,11 +369,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"skewkit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
-        # bad measure grammar, bad parameters: caller-side mistakes
+        # bad measure grammar, bad parameters, unreadable configs: caller-side mistakes
         print(f"skewkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SkewkitError as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -18,6 +19,13 @@ from .errors import NumericalError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TINY = np.finfo(float).tiny
+
+
+def format_exact(x: float) -> str:
+    """``x`` as ``:g`` prints it where that reads back as the same float,
+    else its shortest round-trip ``repr``."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def _as_prob(p):
@@ -94,7 +102,7 @@ class DistributionSpec:
         return self._quantile(u)
 
     def __repr__(self):
-        args = ",".join(f"{getattr(self, f.name):g}" for f in fields(self))
+        args = ",".join(format_exact(getattr(self, f.name)) for f in fields(self))
         return f"{self.name}({args})"
 
 
@@ -362,18 +370,23 @@ class FisherF(DistributionSpec):
 def median_absolute_moment(dist: DistributionSpec) -> float:
     """E|X - median|, evaluated as a quantile-function integral.
 
-    Splitting at p = 0.5 turns the absolute value into the difference of two
-    one-sided integrals of the quantile function.  scipy.integrate is
-    imported here, by its only user, to keep it out of the package import.
+    Splitting at p = 0.5 turns the absolute value into the upper-half minus
+    the lower-half integral of the quantile function, and the two halves sum
+    to the mean, so E|X - median| = mean - 2 * (the lower-half integral):
+    one integral, over (0, 0.5), where the quantile function is bounded by
+    the median.  quad's IntegrationWarning raises NumericalError.
+    scipy.integrate is imported here, by its only user, to keep it out of
+    the package import.
     """
     from scipy import integrate
 
-    def q(u: float) -> float:
-        return float(dist.quantile(u))
-
-    upper, _ = integrate.quad(q, 0.5, 1.0, limit=200)
-    lower, _ = integrate.quad(q, 0.0, 0.5, limit=200)
-    value = upper - lower
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            lower, _ = integrate.quad(lambda u: float(dist.quantile(u)), 0.0, 0.5, limit=200)
+        except integrate.IntegrationWarning:
+            lower = math.nan
+    value = dist.mean() - 2.0 * lower
     if not math.isfinite(value) or value <= 0.0:
         raise NumericalError(f"mean absolute deviation about the median diverged for {dist}")
     return value

@@ -25,7 +25,7 @@ from .inference import interval, interval_rows  # noqa: F401
 from .quantiles import BandwidthRule, DEFAULT_BANDWIDTH, SortedSample
 # ``population_measure`` is not called here; perfbench/tracer.py binds it on this module.
 from .skewness import (  # noqa: F401
-    Direction, MeasureKind, SkewMeasure, parse_measure, population_measure, population_measures,
+    Direction, MeasureKind, SkewMeasure, parse_measures, population_measure, population_measures,
 )
 
 MAX_FAILURE_RATE = 0.01
@@ -61,6 +61,18 @@ class SimConfig:
         for m in self.measures:
             if m.kind is MeasureKind.B3:
                 raise ValueError("b3 has no interval estimator; drop it from coverage runs")
+        # the report echoes each measure once, one direction and one j (see ``to_dict``)
+        keys = [(m.kind, m.p) for m in self.measures]  # what a label shows
+        if len(set(keys)) < len(keys):
+            twice = next(m for i, m in enumerate(self.measures) if keys[i] in keys[:i])
+            raise ValueError(f"{twice} is listed twice; a simulation config lists each measure once")
+        for key, values in (
+            ("direction", {m.direction.value for m in self.measures if m.is_lambda_family}),
+            ("j", {m.j_points for m in self.measures if m.is_auc}),
+        ):
+            if len(values) > 1:
+                mixed = " and ".join(map(str, sorted(values)))
+                raise ValueError(f"the measures mix {key} {mixed}; a simulation config has one")
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must lie strictly inside (0, 1)")
         if isinstance(self.threads, str):
@@ -71,15 +83,14 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
-        """Build from the JSON document schema used by the CLI."""
+        """Build from the JSON document schema used by the CLI; ``measures``
+        is a list of tokens or one comma-separated string, parsed as
+        ``skewness.parse_measures`` does without b3."""
         try:
             dist = parse_distribution(doc["dist"])
             direction = Direction(doc.get("direction", "right"))
             j_points = int(doc.get("j", 100))
-            measures = tuple(
-                parse_measure(tok, direction=direction, j_points=j_points)
-                for tok in doc["measures"]
-            )
+            measures = tuple(parse_measures(doc["measures"], direction, j_points, include_b3=False))
             bw = doc.get("bandwidth", "default")
             rule = DEFAULT_BANDWIDTH if bw == "default" else BandwidthRule(fixed=float(bw))
             return cls(
@@ -94,6 +105,8 @@ class SimConfig:
             )
         except KeyError as exc:
             raise ValueError(f"simulation config is missing required key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(str(exc)) from None
 
     def to_dict(self) -> dict:
         # threads is accepted for compatibility and changes nothing, so it
@@ -105,7 +118,9 @@ class SimConfig:
             "trials": self.trials,
             "level": self.level,
             "measures": [m.label() for m in self.measures],
-            "direction": self.measures[0].direction.value,
+            "direction": next(
+                (m.direction for m in self.measures if m.is_lambda_family), self.measures[0].direction
+            ).value,
             "seed": self.seed,
             "bandwidth": bw,
             "j": next((m.j_points for m in self.measures if m.is_auc), 100),

@@ -23,6 +23,7 @@ from enum import Enum
 
 import numpy as np
 
+from .distributions import format_exact, median_absolute_moment
 from .errors import DegenerateScaleError, NumericalError, SkewkitError
 from .quantiles import (
     DEFAULT_BANDWIDTH,
@@ -100,7 +101,7 @@ class SkewMeasure:
 
     def label(self) -> str:
         if self.is_pointwise:
-            return f"{self.kind.value}@{self.p:g}"
+            return f"{self.kind.value}@{format_exact(self.p)}"
         return self.kind.value
 
     def __str__(self) -> str:
@@ -128,6 +129,34 @@ def parse_measure(
     if param:
         raise ValueError(f"{name} takes no '@p' parameter")
     return SkewMeasure(kind, direction=direction, j_points=j_points)
+
+
+# what ``all`` stands for, b3 aside
+_ALL = [f"{family}@{p}" for family in ("gamma", "lambda") for p in (0.05, 0.1, 0.15, 0.2, 0.25)]
+_ALL += [kind.value for kind in AUC_KINDS]
+
+
+def parse_measures(
+    text,
+    direction: Direction = Direction.RIGHT,
+    j_points: int = DEFAULT_GRID_POINTS,
+    include_b3: bool = True,
+) -> list[SkewMeasure]:
+    """Parse a measure list, one comma-separated string or a sequence of
+    tokens, each as ``parse_measure`` does.  ``all`` stands for gamma and
+    lambda at p = 0.05..0.25, the four AUC kinds and, where ``include_b3``,
+    b3.  A measure named twice is kept once, where it first appears."""
+    tokens = text.split(",") if isinstance(text, str) else text
+    measures = []
+    for token in (str(t).strip() for t in tokens):
+        if token.lower() == "all":
+            names = _ALL + ["b3"] if include_b3 else _ALL
+            measures += [parse_measure(name, direction, j_points) for name in names]
+        elif token:
+            measures.append(parse_measure(token, direction, j_points))
+    if not measures:
+        raise ValueError("no measures given")
+    return list(dict.fromkeys(measures))
 
 
 def midpoint_probs(j_points: int) -> np.ndarray:
@@ -420,8 +449,6 @@ def estimate(sample: SortedSample, measure: SkewMeasure) -> float:
 
 
 def _population_b3(dist) -> float:
-    from .distributions import median_absolute_moment
-
     try:
         mu = dist.mean()
     except OverflowError:

@@ -12,9 +12,8 @@ import pytest
 from scipy import special
 
 import skewkit
-from skewkit.cli import (
-    EXIT_DATA, EXIT_SIMULATION, EXIT_USAGE, expand_measures, main, read_numeric_column,
-)
+from skewkit.cli import EXIT_DATA, EXIT_SIMULATION, EXIT_USAGE, main, read_numeric_column
+from skewkit.skewness import parse_measures
 
 
 def run_cli(capsys, *argv):
@@ -219,7 +218,7 @@ def test_compare_all_json_matches_the_per_measure_difference_loop(tmp_path, caps
     sa, sb = (skewkit.SortedSample.from_data(read_numeric_column(f, "x")) for f in (fa, fb))
     want = [
         skewkit.difference_interval(sa, sb, m).to_dict()
-        for m in expand_measures("all", include_b3=False)
+        for m in parse_measures("all", include_b3=False)
     ]
     assert [d["measure"] for d in got] == [d["measure"] for d in want]
 
@@ -546,6 +545,42 @@ def test_simulate_j_flag_matches_config_key(tmp_path, capsys):
     assert default != out
 
 
+def test_simulate_reads_measure_lists_and_directions_as_the_other_commands(tmp_path, capsys):
+    argv = ["--dist", "lognormal(0,1)", "--n", "200", "--trials", "2", "--seed", "3",
+            "--format", "json"]
+    code, out, _ = run_cli(
+        capsys, "simulate", *argv, "--measures", "all,lambda@0.05,ALL", "--direction", "LEFT",
+    )
+    assert code == 0
+    tokens = [m.label() for m in parse_measures("all", include_b3=False)]
+    assert len(tokens) == 14
+    echo = json.loads(out)["config"]
+    assert echo["measures"] == tokens and echo["direction"] == "left"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "dist": "lognormal(0,1)", "n": 200, "trials": 2, "seed": 3, "measures": tokens,
+        "direction": "left",
+    }))
+    code, from_file, _ = run_cli(capsys, "simulate", str(config), "--format", "json")
+    assert code == 0
+    assert from_file == out
+
+
+def test_a_level_outside_0_1_exits_2_on_every_command(ln_file, capsys):
+    for argv in (
+        ["estimate", ln_file, "--column", "price", "--measures", "b3"],
+        ["estimate", ln_file, "--column", "price", "--measures", "gamma@0.1,b3"],
+        ["compare", ln_file, ln_file, "--column", "price", "--measures", "gamma@0.1"],
+        ["simulate", "--dist", "exp(1)", "--n", "20", "--trials", "1", "--seed", "1",
+         "--measures", "gamma@0.1"],
+    ):
+        for level in ("1.5", "1", "0", "-0.2", "nan", "high"):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--level", level])
+            assert info.value.code == EXIT_USAGE, (argv, level)
+            assert "confidence level must lie strictly inside (0, 1)" in capsys.readouterr().err
+
+
 def test_simulate_all_trials_failed_emits_valid_json(capsys):
     code, out, err = run_cli(
         capsys, "simulate", "--dist", "exp(1)", "--n", "10", "--trials", "3",
@@ -719,18 +754,24 @@ def test_curve_too_few_points_exits_2(capsys):
 # --- json round trips ----------------------------------------------------------
 
 def test_population_json_round_trip(capsys):
-    code, out, _ = run_cli(
-        capsys, "population", "--dist", "exp(1)", "--measures", "auc_gamma,b3",
-        "--format", "json",
-    )
-    doc = json.loads(out)
-    assert doc["command"] == "population"
     from skewkit import parse_distribution, parse_measure, population_measure
 
-    dist = parse_distribution(doc["dist"])
-    for entry in doc["values"]:
-        measure = parse_measure(entry["measure"])
-        assert population_measure(dist, measure) == pytest.approx(entry["value"], rel=1e-12)
+    for dist, measures in (
+        ("exp(1)", "auc_gamma,b3"),
+        # labels and the echoed dist keep every digit, so close values stay apart
+        ("lognormal(0.123456789,1)", "gamma@0.1234567,gamma@0.1234568,b3"),
+    ):
+        code, out, _ = run_cli(
+            capsys, "population", "--dist", dist, "--measures", measures, "--format", "json",
+        )
+        doc = json.loads(out)
+        assert doc["command"] == "population"
+        assert doc["dist"] == dist
+        assert [entry["measure"] for entry in doc["values"]] == measures.split(",")
+        rebuilt = parse_distribution(doc["dist"])
+        for entry in doc["values"]:
+            measure = parse_measure(entry["measure"])
+            assert population_measure(rebuilt, measure) == pytest.approx(entry["value"], rel=1e-12)
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
@@ -779,3 +820,6 @@ def test_hostile_distributions_end_in_a_documented_exit_code(capsys, index):
         out = capsys.readouterr().out.lower()
         assert code in (0, EXIT_USAGE, EXIT_DATA), (argv, dist)
         assert "nan" not in out and "inf" not in out, (argv, dist, out)
+        if code == 0 and argv[-1] == "b3":  # b3 lies in [-1, 1]
+            value = json.loads(out)["values"][0]["value"] if fmt == "json" else float(out.split()[-1])
+            assert -1.0 <= value <= 1.0, (dist, value)

@@ -171,6 +171,15 @@ def test_median_absolute_moment_exponential():
     assert median_absolute_moment(Exponential(1.0)) == pytest.approx(math.log(2.0), rel=1e-8)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 2.0, 3.0, 5.0, 10.0])
+def test_population_b3_matches_the_lognormal_closed_form(sigma):
+    # mean e^{s^2/2}, median 1, E|X - 1| = e^{s^2/2} (1 - 2 Phi(-s))
+    mean = math.exp(0.5 * sigma**2)
+    want = (mean - 1.0) / (mean * (1.0 - 2.0 * special.ndtr(-sigma)))
+    got = population_measure(LogNormal(0.0, sigma), parse_measure("b3"))
+    assert got == pytest.approx(want, rel=1e-9)
+
+
 def test_means():
     assert LogNormal(0.0, 1.0).mean() == pytest.approx(math.exp(0.5), rel=1e-12)
     assert FisherF(2.0, 8.0).mean() == pytest.approx(8.0 / 6.0, rel=1e-12)
@@ -195,20 +204,20 @@ def test_parse_distribution_round_trip():
 
 
 def test_repr_equality_and_hash_follow_the_parameters():
-    # reports echo repr(dist), so its format is pinned byte for byte
+    # reports echo repr(dist), so its format is pinned byte for byte: %g
+    # where that reads back exactly, else the shortest repr
     dists = [
         Normal(-1e-5, 3e7), LogNormal(0.0, 1.0), Exponential(1.5), ChiSquare(5.0),
         ParetoII(1.0, 3.5), Weibull(2.0), Gamma(0.7), Beta(0.25, 1.0 / 3.0), FisherF(5.0, 12.0),
     ]
     assert [repr(d) for d in dists] == [
         "normal(-1e-05,3e+07)", "lognormal(0,1)", "exp(1.5)", "chisq(5)", "pareto2(1,3.5)",
-        "weibull(2)", "gamma(0.7)", "beta(0.25,0.333333)", "f(5,12)",
+        "weibull(2)", "gamma(0.7)", "beta(0.25,0.3333333333333333)", "f(5,12)",
     ]
     assert Normal(0, 1) == Normal(0.0, 1.0) and hash(Normal(0, 1)) == hash(Normal(0.0, 1.0))
     assert Normal(0.0, 1.0) != LogNormal(0.0, 1.0)
     assert Weibull(2.0) != Gamma(2.0) and Weibull(2.0) != Weibull(3.0)
-    exact = [d for d in dists if not isinstance(d, Beta)]  # %g rounds 1/3
-    assert len({*dists, *(parse_distribution(repr(d)) for d in exact)}) == len(dists)
+    assert [parse_distribution(repr(d)) for d in dists] == dists
 
 
 def test_parse_distribution_errors():

@@ -23,6 +23,7 @@ from skewkit import (
     run_coverage,
 )
 from skewkit.inference import interval_rows
+from skewkit.quantiles import DEFAULT_BANDWIDTH
 from skewkit.simulation import CoverageReport, MeasureCoverage
 from skewkit.skewness import build_grid, estimate_auc, estimate_pointwise, grid_for_probs
 from skewkit import simulation as simulation_module
@@ -169,16 +170,18 @@ TIE_MEASURES = tuple(parse_measure(t) for t in (
     "gamma@0.05", "gamma@0.25", "lambda@0.05", "lambda@0.1", "lambda@0.25",
     "auc_gamma", "auc_lambda_star",
 )) + (parse_measure("lambda@0.25", direction=Direction.LEFT),)
+# a simulation config has one lambda direction, so coverage runs take the
+# right- and the left-direction measures apart
+TIE_GROUPS = (TIE_MEASURES[:-1], TIE_MEASURES[-1:])
 
 
 @pytest.mark.parametrize("n, step", [(12, 0.25), (40, 0.5)])
 def test_tie_failures_match_a_row_by_row_loop(n, step):
     measures = TIE_MEASURES
     dist = RoundedExponential(1.0, step=step)
-    cfg = _config(dist=dist, n=n, trials=30, measures=measures, seed=9)
     draws = [dist.sample(n, simulation_module._trial_rng(9, t)) for t in range(30)]
     batch = simulation_module.interval_rows(
-        SortedSample.from_rows(draws), measures, 0.95, cfg.bandwidth
+        SortedSample.from_rows(draws), measures, 0.95, DEFAULT_BANDWIDTH
     )
     loop = Counter()
     for t, draw in enumerate(draws):
@@ -200,42 +203,49 @@ def test_tie_failures_match_a_row_by_row_loop(n, step):
     assert sum(v for (m, kind), v in loop.items() if kind == "DegenerateScaleError") > 0
     assert sum(len(res.errors) for res in batch) == sum(loop.values())
 
-    report = run_coverage(cfg)
-    assert [r.failures for r in report.results] == [
+    failures, reasons = [], Counter()
+    for group in TIE_GROUPS:
+        report = run_coverage(_config(dist=dist, n=n, trials=30, measures=group, seed=9))
+        failures += [r.failures for r in report.results]
+        reasons.update(report.failure_reasons)
+    assert failures == [
         sum(v for (m, _), v in loop.items() if m == measure) for measure in measures
     ]
     tally = Counter()
     for (_, kind), v in loop.items():
         tally[kind] += v
-    assert report.failure_reasons == dict(tally)
+    assert reasons == tally
 
 
 @pytest.mark.parametrize("n, step", [(12, 0.25), (40, 0.5)])
 def test_chunked_tallies_match_one_chunk_and_a_per_measure_reduction(n, step, monkeypatch):
     dist = RoundedExponential(1.0, step=step)
-    cfg = _config(dist=dist, n=n, trials=30, measures=TIE_MEASURES, seed=9)
-    one_chunk = run_coverage(cfg).to_json()
+    configs = [_config(dist=dist, n=n, trials=30, measures=group, seed=9) for group in TIE_GROUPS]
+    one_chunk = [run_coverage(cfg).to_json() for cfg in configs]
 
     # the tallies measure by measure, over one interval_rows call on all trials
     draws = [dist.sample(n, simulation_module._trial_rng(9, t)) for t in range(30)]
-    batch = interval_rows(SortedSample.from_rows(draws), TIE_MEASURES, 0.95, cfg.bandwidth)
-    results, reasons = [], Counter()
-    for m, res in zip(TIE_MEASURES, batch):
-        truth = population_measure(dist, m)
-        failed = np.zeros(30, dtype=bool)
-        failed[list(res.errors)] = True
-        reasons.update(type(exc).__name__ for exc in res.errors.values())
-        n_ok = 30 - int(failed.sum())
-        covered = (res.lower <= truth) & (truth <= res.upper) & ~failed
-        width = np.where(failed, 0.0, res.upper - res.lower)
-        cov, mean_width = (
-            (float(covered.sum()) / n_ok, float(width.sum()) / n_ok) if n_ok
-            else (math.nan, math.nan)
-        )
-        results.append(MeasureCoverage(m, truth, cov, mean_width, int(failed.sum())))
-    by_measure = CoverageReport(cfg, tuple(results), dict(sorted(reasons.items())))
-    assert sum(reasons.values()) > 0
-    assert one_chunk == by_measure.to_json()
+    failed_trials = 0
+    for cfg, want in zip(configs, one_chunk):
+        batch = interval_rows(SortedSample.from_rows(draws), cfg.measures, 0.95, cfg.bandwidth)
+        results, reasons = [], Counter()
+        for m, res in zip(cfg.measures, batch):
+            truth = population_measure(dist, m)
+            failed = np.zeros(30, dtype=bool)
+            failed[list(res.errors)] = True
+            reasons.update(type(exc).__name__ for exc in res.errors.values())
+            n_ok = 30 - int(failed.sum())
+            covered = (res.lower <= truth) & (truth <= res.upper) & ~failed
+            width = np.where(failed, 0.0, res.upper - res.lower)
+            cov, mean_width = (
+                (float(covered.sum()) / n_ok, float(width.sum()) / n_ok) if n_ok
+                else (math.nan, math.nan)
+            )
+            results.append(MeasureCoverage(m, truth, cov, mean_width, int(failed.sum())))
+        by_measure = CoverageReport(cfg, tuple(results), dict(sorted(reasons.items())))
+        failed_trials += sum(reasons.values())
+        assert want == by_measure.to_json()
+    assert failed_trials > 0
 
     chunks = []
 
@@ -245,8 +255,8 @@ def test_chunked_tallies_match_one_chunk_and_a_per_measure_reduction(n, step, mo
 
     monkeypatch.setattr(simulation_module, "_CHUNK_ELEMENTS", 7 * n)
     monkeypatch.setattr(simulation_module, "interval_rows", counting_rows)
-    assert run_coverage(cfg).to_json() == one_chunk
-    assert chunks == [7, 7, 7, 7, 2]
+    assert [run_coverage(cfg).to_json() for cfg in configs] == one_chunk
+    assert chunks == [7, 7, 7, 7, 2] * len(configs)
 
 
 def test_a_coverage_run_reads_one_population_grid_and_one_grid_per_chunk(monkeypatch):
@@ -349,9 +359,14 @@ def test_small_n_coverage_is_conservative():
 def test_report_config_echo_rebuilds_config():
     import json
 
-    measures = (parse_measure("lambda@0.1"), parse_measure("auc_gamma", j_points=20))
-    report = run_coverage(_config(trials=3, measures=measures))
+    # parameters with nine significant digits echo exactly
+    measures = (parse_measure("lambda@0.123456789"), parse_measure("auc_gamma", j_points=20))
+    report = run_coverage(
+        _config(dist=LogNormal(0.123456789, 1.0), trials=3, measures=measures)
+    )
     echo = json.loads(report.to_json())["config"]
+    assert echo["dist"] == "lognormal(0.123456789,1)"
+    assert echo["measures"] == ["lambda@0.123456789", "auc_gamma"]
     rebuilt = SimConfig.from_dict(echo)
     assert rebuilt.dist == report.config.dist
     assert rebuilt.n == report.config.n
@@ -362,6 +377,24 @@ def test_report_config_echo_rebuilds_config():
     assert echo["j"] == 20
     assert [m.j_points for m in rebuilt.measures if m.is_auc] == [20]
     assert run_coverage(rebuilt).to_json() == report.to_json()
+
+    # the echo holds one j, one lambda direction and each measure once
+    left = parse_measure("lambda@0.1", direction=Direction.LEFT)
+    for clash, match in (
+        ((parse_measure("auc_gamma", j_points=20), parse_measure("auc_lambda", j_points=50)),
+         "mix j 20 and 50"),
+        ((parse_measure("lambda@0.2"), left), "mix direction left and right"),
+        ((parse_measure("gamma@0.1"), parse_measure("gamma@0.1", direction=Direction.LEFT)),
+         "gamma@0.1 is listed twice"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            _config(measures=clash)
+    # gamma ignores the direction, so the lambda measures' direction is echoed
+    mixed = _config(trials=2, measures=(parse_measure("gamma@0.1"), left))
+    assert mixed.to_dict()["direction"] == "left"
+    assert run_coverage(SimConfig.from_dict(mixed.to_dict())).to_json() == run_coverage(
+        mixed
+    ).to_json()
 
 
 def _reject_nan(token):

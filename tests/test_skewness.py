@@ -26,6 +26,7 @@ from skewkit import (
     estimate_pointwise,
     midpoint_probs,
     parse_measure,
+    parse_measures,
     point_values,
     population_measure,
     population_measures,
@@ -75,6 +76,22 @@ def test_measure_parsing_and_validation():
             parse_measure(bad)
     with pytest.raises(ValueError):
         SkewMeasure(MeasureKind.AUC_GAMMA, j_points=1)
+
+
+def test_measure_lists_keep_each_measure_once_and_labels_parse_back():
+    standard = [f"{kind}@{p}" for kind in ("gamma", "lambda") for p in (0.05, 0.1, 0.15, 0.2, 0.25)]
+    standard += ["auc_gamma", "auc_lambda", "auc_gamma_star", "auc_lambda_star"]
+    listed = parse_measures("all, b3, gamma@0.05 ,ALL,gamma@0.1234567,gamma@0.1234568,,")
+    assert [m.label() for m in listed] == [*standard, "b3", "gamma@0.1234567", "gamma@0.1234568"]
+    assert [parse_measure(m.label()) for m in listed] == listed
+    assert parse_measures(["all", "b3"], include_b3=False)[-1].label() == "b3"
+    assert [m.label() for m in parse_measures("all", include_b3=False)] == standard
+    left = parse_measures("lambda@0.1,all", Direction.LEFT, 20)
+    assert {(m.direction, m.j_points) for m in left} == {(Direction.LEFT, 20)}
+    assert parse_measure("gamma@0.123456789").label() == "gamma@0.123456789"
+    for bad in ("", " , ", "all,bowley@0.2"):
+        with pytest.raises(ValueError):
+            parse_measures(bad)
 
 
 def test_midpoint_grid_endpoints():
