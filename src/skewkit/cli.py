@@ -141,8 +141,7 @@ def _estimate_rows(sample: SortedSample, measures, level, rule):
     measure its interval.
     """
     rest = [m for m in measures if m.kind is not MeasureKind.B3]
-    batch = SortedSample(sample.values[None])
-    pending = iter(interval_rows(batch, rest, level, rule) if rest else ())
+    pending = iter(interval_rows(sample.batch, rest, level, rule) if rest else ())
     rows = []
     for m in measures:
         if m.kind is MeasureKind.B3:

@@ -181,12 +181,15 @@ def intervals(
 ) -> list[IntervalEstimate]:
     """``[interval(sample, m, level, rule) for m in measures]`` on one grid.
 
-    Raises the error of the first measure that fails.
+    The grids are memoized on the sample's one-row ``batch`` (see
+    ``skewness.grid_for_probs``), so repeated calls on one sample compute
+    each grid once, and their results do not depend on the order of the
+    calls.  Raises the error of the first measure that fails.
     """
     if sample.values.ndim != 1:
         raise ValueError("intervals takes one sample; use interval_rows for a batch")
     out = []
-    for r in interval_rows(SortedSample(sample.values[None]), measures, level, rule):
+    for r in interval_rows(sample.batch, measures, level, rule):
         if r.errors:
             raise r.errors[0]
         out.append(IntervalEstimate(

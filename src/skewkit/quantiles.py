@@ -9,6 +9,7 @@ statistic spacings.  It is exactly location-invariant and scale-equivariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -25,17 +26,18 @@ class SortedSample:
     ``values`` is one sample of shape (n,) or, from ``from_rows``, T samples
     of equal size n stacked as the rows of a (T, n) array, each row sorted.
     Every function of this module accepts either and works row by row.
+
+    A sample memoizes the quantile grids computed from it (``grids``), so
+    its values must never change: the constructors and images below return
+    read-only values, and a sample built directly from an array must not be
+    mutated afterwards.
     """
 
     values: np.ndarray
 
     @classmethod
     def from_data(cls, data) -> "SortedSample":
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
-        _check(arr)
-        return cls(values=np.sort(arr))
+        return cls(values=_sorted(np.asarray(data, dtype=float).reshape(-1)))
 
     @classmethod
     def from_rows(cls, rows) -> "SortedSample":
@@ -43,29 +45,52 @@ class SortedSample:
         arr = np.asarray(rows, dtype=float)
         if arr.ndim != 2:
             raise ValueError(f"need a 2-D array of samples, got shape {arr.shape}")
-        _check(arr)
-        return cls(values=np.sort(arr, axis=1))
+        return cls(values=_sorted(arr))
 
     @property
     def n(self) -> int:
         return self.values.shape[-1]
 
+    @cached_property
+    def grids(self) -> dict:
+        """The quantile grids computed from this sample, by base
+        probabilities and bandwidth rule (see ``skewness.grid_for_probs``)."""
+        return {}
+
+    @cached_property
+    def batch(self) -> "SortedSample":
+        """One sample as a batch of one row, with its own grids."""
+        return SortedSample(self.values[None])
+
     def transformed(self, scale: float, shift: float) -> "SortedSample":
         """Affine image scale*x + shift (scale > 0 keeps the ordering)."""
         if scale <= 0:
             raise ValueError("scale must be positive")
-        return SortedSample(values=self.values * scale + shift)
+        return SortedSample(values=_read_only(self.values * scale + shift))
 
     def negated(self) -> "SortedSample":
-        return SortedSample(values=-self.values[..., ::-1])
+        return SortedSample(values=_read_only(-self.values[..., ::-1]))
 
 
-def _check(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+def _sorted(arr: np.ndarray) -> np.ndarray:
+    """``arr`` sorted along its last axis and made read-only.  Raises
+    ValueError where a row holds a non-finite value or fewer than 4 values.
+
+    NaN sorts last and -inf and +inf to the ends, so each row's first and
+    last values decide whether the row is finite.
+    """
+    arr = np.sort(arr, axis=-1)
+    if arr.shape[-1] and not np.isfinite(arr[..., [0, -1]]).all():
         bad = int(np.count_nonzero(~np.isfinite(arr)))
         raise ValueError(f"sample contains {bad} non-finite value(s)")
     if arr.shape[-1] < 4:
         raise ValueError(f"need at least 4 observations, got {arr.shape[-1]}")
+    return _read_only(arr)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def quantile_type8(sample: SortedSample, p):

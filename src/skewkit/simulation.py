@@ -88,7 +88,8 @@ class SimConfig:
         ``skewness.parse_measures`` does without b3."""
         try:
             dist = parse_distribution(doc["dist"])
-            direction = Direction(doc.get("direction", "right"))
+            direction = doc.get("direction", "right")
+            direction = Direction(direction.lower() if isinstance(direction, str) else direction)
             j_points = int(doc.get("j", 100))
             measures = tuple(parse_measures(doc["measures"], direction, j_points, include_b3=False))
             bw = doc.get("bandwidth", "default")

@@ -29,6 +29,7 @@ from .quantiles import (
     DEFAULT_BANDWIDTH,
     BandwidthRule,
     SortedSample,
+    _read_only,
     quantile_density_profile,
     quantile_type8,
 )
@@ -211,15 +212,22 @@ def grid_for_probs(
     sample: SortedSample, base_probs, rule: BandwidthRule = DEFAULT_BANDWIDTH
 ) -> QuantileGrid:
     """The grid at the given base probabilities.  For a batch of samples the
-    densities are left unchecked (see ``quantile_density_profile``)."""
+    densities are left unchecked (see ``quantile_density_profile``).
+
+    The grid is memoized on the sample (``SortedSample.grids``) by the exact
+    base probabilities and the rule, with read-only arrays: a repeated call
+    returns the same grid, and one that failed is computed again.
+    """
     base = np.asarray(base_probs, dtype=float)
     if np.any(~((base > 0.0) & (base < 0.5))):
         raise ValueError("grid base probabilities must lie in (0, 0.5)")
-    probs = _grid_probs(base)
-    return QuantileGrid(
-        probs, quantile_type8(sample, probs), quantile_density_profile(sample, probs, rule),
-        sample.n,
-    )
+    key = (base.tobytes(), rule)
+    if key not in sample.grids:
+        probs = _grid_probs(base)
+        x = quantile_type8(sample, probs)
+        g = quantile_density_profile(sample, probs, rule)
+        sample.grids[key] = QuantileGrid(*map(_read_only, (probs, x, g)), sample.n)
+    return sample.grids[key]
 
 
 def build_grid(

@@ -7,7 +7,10 @@ run; this keeps that visible in the regular suite.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from skewkit import inference, quantiles, skewness
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,3 +43,25 @@ def test_tracer_installs_and_restores(tracer):
     after = [vars(tracer._resolve(owner))[attr] for owner, attr, _ in tracer.TARGETS]
     assert all(w is not b for w, b in zip(wrapped, before))
     assert all(a is b for a, b in zip(after, before))
+
+
+def test_the_traced_estimate_large_op_computes_one_density_per_grid(tracer):
+    # the op of the ``estimate_large`` workload: 14 ``interval`` calls on one
+    # sample.  The five pointwise p and the AUCs' J give six grids; a density
+    # computed around the traced bindings would not be counted.
+    measures = skewness.parse_measures("all", include_b3=False)
+    data = np.random.default_rng(0).lognormal(0.0, 1.0, 2000)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        op = t.begin_op(0)
+        sample = quantiles.SortedSample.from_data(data)
+        for m in measures:
+            inference.interval(sample, m, 0.95)
+        t.end_op(op)
+    finally:
+        t.uninstall()
+    layers = tracer.layer_values(t)[0]
+    assert len(measures) == 14
+    assert layers["quantiles.density_calls"] == 6
+    assert layers["inference.interval_calls"] == 14

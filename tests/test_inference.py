@@ -242,6 +242,48 @@ def test_intervals_equal_one_interval_per_measure(direction, n):
         assert (iv.level, iv.n) == (want.level, want.n)
 
 
+@pytest.mark.parametrize("rule", [BandwidthRule(), BandwidthRule(fixed=0.3)])
+@pytest.mark.parametrize("n", [50, 2000])
+def test_repeated_calls_on_one_sample_equal_a_fresh_samples_bit_for_bit(rule, n):
+    # the memoized grids make no call depend on the calls before it
+    data = _ln_sample(n, seed=n).values[::-1]
+    measures = skewness.parse_measures("all", include_b3=False)
+    fresh = [interval(SortedSample.from_data(data), m, rule=rule) for m in measures]
+    fresh_all = intervals(SortedSample.from_data(data), measures, rule=rule)
+    s = SortedSample.from_data(data)
+    shuffled = np.random.default_rng(n).permutation(len(measures))
+    for order in (range(len(measures)), reversed(range(len(measures))), shuffled):
+        for k in order:
+            assert interval(s, measures[k], rule=rule) == fresh[k]
+        assert intervals(s, measures, rule=rule) == fresh_all
+
+
+def test_interval_calls_on_one_sample_share_its_grids(monkeypatch):
+    sizes = []
+    density = skewness.quantile_density_profile
+
+    def counting(sample, probs, rule):
+        sizes.append(probs.size)
+        return density(sample, probs, rule)
+
+    monkeypatch.setattr(skewness, "quantile_density_profile", counting)
+    s = _ln_sample(300)
+    for kind in skewness.AUC_KINDS:  # one J: one density pass of 2J + 1 probabilities
+        interval(s, skewness.SkewMeasure(kind))
+    interval(s, parse_measure("auc_gamma"), level=0.8)
+    assert sizes == [201]
+    interval(s, parse_measure("gamma@0.1"))
+    interval(s, parse_measure("lambda@0.1", direction=Direction.LEFT))
+    assert sizes == [201, 3]
+    interval(s, parse_measure("auc_gamma", j_points=50))
+    interval(s, parse_measure("auc_gamma"), rule=BandwidthRule(fixed=0.3))
+    assert sizes == [201, 3, 101, 201]
+    # an image is a new sample with grids of its own
+    interval(s.transformed(2.0, 1.0), parse_measure("gamma@0.1"))
+    interval(s.negated(), parse_measure("gamma@0.1"))
+    assert sizes == [201, 3, 101, 201, 3, 3]
+
+
 def test_intervals_raise_the_first_failing_measures_error():
     # a 1e-4 bandwidth leaves the windows at p = 0.25 and 0.75 empty for
     # n = 10; gamma@0.2 reads no density there and still has an interval

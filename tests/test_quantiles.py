@@ -77,13 +77,49 @@ def test_type8_rejects_bad_p():
 
 
 def test_sorted_sample_validation():
-    with pytest.raises(ValueError):
-        SortedSample.from_data([1.0, 2.0, 3.0])  # too few
-    with pytest.raises(ValueError):
-        SortedSample.from_data([1.0, np.nan, 3.0, 4.0])
+    with pytest.raises(ValueError, match="at least 4 observations, got 3"):
+        SortedSample.from_data([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="at least 4 observations, got 0"):
+        SortedSample.from_rows(np.empty((2, 0)))
+    # a non-finite value is reported before too few values
+    with pytest.raises(ValueError, match="contains 2 non-finite"):
+        SortedSample.from_data([np.inf, 1.0, np.nan])
     s = SortedSample.from_data([3, 1, 4, 1, 5])
     assert np.all(np.diff(s.values) >= 0)
     assert s.n == 5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [[0], [3], [6], list(range(7)), [0, 6]])
+def test_non_finite_values_are_counted_wherever_they_lie(bad, at):
+    data = np.array([5.0, -2.0, 7.0, 1.0, 0.5, 3.0, -1.0])
+    data[at] = bad
+    if len(at) == 2:
+        data[at[1]] = np.nan if np.isinf(bad) else np.inf
+    with pytest.raises(ValueError, match=f"contains {len(at)} non-finite"):
+        SortedSample.from_data(data)
+    rows = np.tile(np.array([5.0, -2.0, 7.0, 1.0, 0.5, 3.0, -1.0]), (3, 1))
+    rows[1] = data  # one row of three
+    with pytest.raises(ValueError, match=f"contains {len(at)} non-finite"):
+        SortedSample.from_rows(rows)
+    rows[:] = data
+    with pytest.raises(ValueError, match=f"contains {3 * len(at)} non-finite"):
+        SortedSample.from_rows(rows)
+
+
+def test_samples_and_memoized_grids_are_read_only():
+    s = SortedSample.from_data([3, 1, 4, 1, 5])
+    batch = SortedSample.from_rows([[3, 1, 4, 1], [2, 7, 1, 8]])
+    for sample in (s, batch, s.batch, s.transformed(2.0, 1.0), s.negated()):
+        with pytest.raises(ValueError, match="read-only"):
+            sample.values[..., 0] = 0.0
+    grid = grid_for_probs(s, [0.25])
+    assert grid_for_probs(s, np.array([0.25])) is grid
+    for values in (grid.probs, grid.x, grid.g):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+    assert grid_for_probs(s, [0.25], BandwidthRule(fixed=0.3)) is not grid
+    assert grid_for_probs(s.batch, [0.25]) is not grid
 
 
 def test_default_bandwidth_examples():

@@ -85,6 +85,10 @@ def test_config_json_round_trip():
     echo = cfg.to_dict()
     assert echo["dist"] == "lognormal(0,1)"
     assert echo["measures"] == ["auc_gamma", "lambda@0.05"]
+    assert echo["direction"] == "right"
+    # the direction is read in any case, as the --direction flags are
+    for direction in ("left", "LEFT", "Left"):
+        assert SimConfig.from_dict({**doc, "direction": direction}).to_dict()["direction"] == "left"
     with pytest.raises(ValueError):
         SimConfig.from_dict({"dist": "exp(1)"})
 
