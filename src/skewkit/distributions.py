@@ -402,7 +402,7 @@ _SPEC_RE = re.compile(r"^\s*([a-z0-9_]+)\s*\(\s*([^()]*)\s*\)\s*$")
 
 def parse_distribution(text: str) -> DistributionSpec:
     """Parse strings like ``"lognormal(0,1)"`` or ``"exp(1)"`` (case-insensitive)."""
-    m = _SPEC_RE.match(text.lower())
+    m = isinstance(text, str) and _SPEC_RE.match(text.lower())
     if not m:
         raise ValueError(
             f"cannot parse distribution {text!r}; expected e.g. 'lognormal(0,1)'"

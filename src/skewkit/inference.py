@@ -1,4 +1,5 @@
-"""Wald confidence intervals for skewness measures, one- and two-sample."""
+"""Wald confidence intervals for skewness measures, one- and two-sample: this
+module only forms them from the values and variances of ``skewness.measure_rows``."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from . import asymptotics, skewness
+from . import skewness
 from .errors import SkewkitError, UnsupportedMeasureError
 from .quantiles import DEFAULT_BANDWIDTH, BandwidthRule, SortedSample, density_error
 from .skewness import MeasureKind, SkewMeasure
@@ -113,35 +114,6 @@ class IntervalRows:
     errors: dict[int, SkewkitError]
 
 
-def _group_rows(rows, grid, measures, take, z: float, rule) -> list[IntervalRows]:
-    """Intervals of measures that share one point count on ``grid``.
-
-    ``take`` indexes each measure's point layout in ``grid.probs`` (see
-    ``skewness.point_layout``), one row per measure (pointwise kinds, P = 1)
-    or one row shared by all (AUC kinds of one J).  On top of the curve's
-    own failures (``skewness.curve_errors``) a row fails where a density on
-    its layout is not positive or where its SE over- or underflows.
-    """
-    group = asymptotics.delta_method(grid.x, grid.g, grid.probs, take, measures)
-    probs, r, g, estimate, width, nvar = group
-    se = width * np.sqrt(nvar / rows.n)
-    # a finite estimate whose SE is not finite fails as a non-finite value
-    errors = skewness.curve_errors(measures, probs, r, np.where(np.isfinite(se), estimate, np.nan))
-    # an AUC group shares one row of ``take`` and of the densities
-    bad_g = (g <= 0.0).any(axis=-1).repeat(len(measures) // len(take), axis=0)
-    for k, t in zip(*map(list, np.nonzero(bad_g))):
-        own = np.sort(take[k % len(take)])  # grid order
-        errors[k][t] = density_error(rows.values[t], grid.probs[own], grid.g[t, own], rule)
-    for k, failed in enumerate(errors):
-        if failed:
-            estimate[k, list(failed)] = se[k, list(failed)] = np.nan
-    lower, upper = estimate - z * se, estimate + z * se
-    return [
-        IntervalRows(m, estimate[k], se[k], lower[k], upper[k], errors[k])
-        for k, m in enumerate(measures)
-    ]
-
-
 def interval_rows(
     rows: SortedSample,
     measures,
@@ -151,10 +123,10 @@ def interval_rows(
     """Wald intervals for every measure on every row of a batch of samples.
 
     One grid over the union of the measures' probabilities serves them
-    all.  The variances take one vectorised pass per point set: one for
-    every pointwise measure, one per AUC grid size J.  Each measure reads
-    its own probabilities, so a failure at a probability that only another
-    measure uses never fails it.
+    all, in one ``skewness.measure_rows`` pass per point set.  A row fails
+    where a density at one of the measure's own probabilities is not
+    positive, else where its curve or its SE fails; a failure at a
+    probability that only another measure uses never fails it.
     """
     if not (0.0 < level < 1.0):
         raise ValueError("confidence level must lie strictly inside (0, 1)")
@@ -165,12 +137,22 @@ def interval_rows(
         raise UnsupportedMeasureError("no standard error is defined for b3")
     base, groups = skewness.point_sets(measures)
     z = z_quantile(1.0 - 0.5 * (1.0 - level))
-    out = {}
+    out = [None] * len(measures)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         grid = skewness.grid_for_probs(rows, base, rule)
-        for idx, take in groups:
-            out.update(zip(idx, _group_rows(rows, grid, [measures[i] for i in idx], take, z, rule)))
-    return [out[i] for i in range(len(measures))]
+        for idx, estimate, nvar, width, errors, bad_g in skewness.measure_rows(
+            grid.x, grid.probs, groups, measures, grid.g
+        ):
+            se = width * np.sqrt(nvar / rows.n)
+            for k, t, cols in bad_g:  # a density failure wins over the curve's own
+                errors[k][t] = density_error(rows.values[t], grid.probs[cols], grid.g[t, cols], rule)
+            for k, failed in enumerate(errors):
+                if failed:
+                    estimate[k, list(failed)] = se[k, list(failed)] = np.nan
+            lower, upper = estimate - z * se, estimate + z * se
+            for k, i in enumerate(idx):
+                out[i] = IntervalRows(measures[i], estimate[k], se[k], lower[k], upper[k], errors[k])
+    return out
 
 
 def intervals(

@@ -13,6 +13,7 @@ axis in fixed index order, so equal configs give byte-identical reports.
 from __future__ import annotations
 
 import json
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,6 +39,16 @@ def coverage_standard_error(trials: int, p0: float) -> float:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     return float(np.sqrt(p0 * (1.0 - p0) / trials))
+
+
+def _integer(value, key: str) -> int:
+    """Config key ``key``'s ``value`` as an int: an int but not a bool, an
+    integral float such as 1e4, or an integer string; else a ValueError."""
+    if type(value) is int or isinstance(value, float) and value.is_integer() or (
+        isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d+\s*", value)
+    ):
+        return int(value)
+    raise ValueError(f"simulation config key {key!r} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,16 +101,16 @@ class SimConfig:
             dist = parse_distribution(doc["dist"])
             direction = doc.get("direction", "right")
             direction = Direction(direction.lower() if isinstance(direction, str) else direction)
-            j_points = int(doc.get("j", 100))
+            j_points = _integer(doc.get("j", 100), "j")
             measures = tuple(parse_measures(doc["measures"], direction, j_points, include_b3=False))
             bw = doc.get("bandwidth", "default")
             rule = DEFAULT_BANDWIDTH if bw == "default" else BandwidthRule(fixed=float(bw))
             return cls(
                 dist=dist,
-                n=int(doc["n"]),
-                trials=int(doc["trials"]),
+                n=_integer(doc["n"], "n"),
+                trials=_integer(doc["trials"], "trials"),
                 measures=measures,
-                seed=int(doc["seed"]),
+                seed=_integer(doc["seed"], "seed"),
                 level=float(doc.get("level", 0.95)),
                 threads=doc.get("threads", "auto"),
                 bandwidth=rule,

@@ -9,6 +9,12 @@ Convention: AUC values are the *integral* of the curve, i.e. the midpoint sum
 carries the cell width 0.5/J.  The companion "mean skew" reading of an AUC
 figure is half of it (see ``IntervalEstimate.mean_skew``).
 
+Every measure is a cell width times the mean of its skewness curve over its
+curve points, read on one ascending point layout (``point_layout``,
+``curve``).  One evaluator, ``measure_rows``, computes the values of each
+point set and, from quantile densities, their delta-method variances
+(``gradient``, ``bridge_variance``) in one vectorised pass.
+
 Point values read quantiles only: ``point_values`` evaluates every measure
 from one call of a quantile function (Type 8 on the sample, or the
 distribution's) over the union of their probabilities, one pass per point
@@ -79,6 +85,8 @@ class SkewMeasure:
         if self.kind in _POINTWISE:
             if self.p is None or not (0.0 < self.p < 0.5):
                 raise ValueError(f"{self.kind.value} needs a probability in (0, 0.5)")
+            if 1.0 - self.p == 1.0:  # no quantile at 1 - p
+                raise ValueError(f"{self.label()}: 1 - p rounds to 1, which has no quantile; use p >= 1e-16")
         elif self.p is not None:
             raise ValueError(f"{self.kind.value} takes no probability parameter")
         if self.kind in AUC_KINDS and self.j_points < 2:
@@ -320,30 +328,66 @@ def curve(x: np.ndarray, probs: np.ndarray, weighted, slopes) -> tuple[np.ndarra
     return weight, xh + xl - 2.0 * xm, al * xl + ah * xh + am * xm
 
 
+def gradient(weight: np.ndarray, s: np.ndarray, r: np.ndarray, slopes) -> np.ndarray:
+    """Gradient of the curve mean (1/P) sum_j w_j s_j / r_j with respect to
+    the quantiles on the point layout, from the terms of ``curve``."""
+    # d(s/r) = (ds - (s/r) dr) / r, with ds = (1, 1, -2) and dr the slopes on
+    # (x_{p_j}, x_{1-p_j}, x_{0.5})
+    al, ah, am = slopes
+    ratio = s / r
+    scale = weight / (ratio.shape[-1] * r)
+    return np.concatenate([
+        scale * (1.0 - ratio * al),
+        np.sum(scale * (-2.0 - ratio * am), axis=-1, keepdims=True),
+        (scale * (1.0 - ratio * ah))[..., ::-1],
+    ], axis=-1)
+
+
+def bridge_variance(probs: np.ndarray, v: np.ndarray):
+    """Var(sum_a v_a B(p_a)) for a standard Brownian bridge B on [0, 1].
+
+    With v_a the ``gradient`` of a curve mean times the quantile density
+    g(p_a), this is the curve mean's n Var by the delta method: the quantile
+    covariance n Cov(xhat_p, xhat_q) =~ (min(p,q) - pq) g(p) g(q) is that of
+    B weighted by g (Shorack & Wellner 1986).  Writing B(p) = W(p) - p W(1),
+    it equals int_0^1 (T(t) - m)^2 dt with T(t) = sum_{p_a > t} v_a and
+    m = sum_a v_a p_a, so it is non-negative.  ``probs`` ascend on the last
+    axis and broadcast against ``v``, which may hold one row of weights per
+    sample; the result has one entry per row.
+    """
+    # T(t) is tail[..., a] on the cell (p_{a-1}, p_a] (p_0 = 0) and 0 past p_P
+    tail = np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
+    m = np.einsum("...a,...a->...", v, probs)
+    dev = tail - m[..., None]
+    cells = probs.copy()
+    cells[..., 1:] -= probs[..., :-1]
+    past_last = m * m * (1.0 - probs[..., -1])
+    return _scalar(np.einsum("...a,...a,...a->...", dev, dev, cells) + past_last)
+
+
 def _scalar(value: np.ndarray):
     """A float for one sample, the per-row array for a batch."""
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _grid_result(grid: QuantileGrid, values: np.ndarray, errors: dict):
-    """One measure's ``values`` (1, rows) on ``grid``, shaped as the grid's
-    rows (see ``_scalar``); raises the error of its first failing row."""
+def _grid_value(grid: QuantileGrid, measure: SkewMeasure, g=None):
+    """One measure's value on ``grid``, or with quantile densities ``g`` at
+    ``grid.probs`` its curve mean's n Var, shaped as the grid's rows (see
+    ``_scalar``); raises the error of its first failing row."""
+    _, groups = point_sets([measure], grid.base_probs)
+    x, g = np.atleast_2d(grid.x), None if g is None else np.atleast_2d(g)
+    [(_, values, nvar, _, [errors], _)] = measure_rows(x, grid.probs, groups, [measure], g)
     if errors:
         raise errors[min(errors)]
-    return _scalar(values[0] if np.ndim(grid.x) > 1 else values[0, 0])
-
-
-def _grid_estimate(grid: QuantileGrid, measure: SkewMeasure):
-    _, [(_, take)] = point_sets([measure], grid.base_probs)
-    p, _, (_, _, r), _, values = group_curve(np.atleast_2d(grid.x), grid.probs, take, [measure])
-    return _grid_result(grid, values, curve_errors([measure], p, r, values)[0])
+    out = values if g is None else nvar
+    return _scalar(out[0] if np.ndim(grid.x) > 1 else out[0, 0])
 
 
 def estimate_pointwise(grid: QuantileGrid, measure: SkewMeasure) -> float:
     """Pointwise skewness estimate at the measure's probability."""
     if not measure.is_pointwise:
         raise ValueError(f"{measure} is not a pointwise measure")
-    return _grid_estimate(grid, measure)
+    return _grid_value(grid, measure)
 
 
 def estimate_auc(grid: QuantileGrid, measure: SkewMeasure) -> float:
@@ -352,7 +396,7 @@ def estimate_auc(grid: QuantileGrid, measure: SkewMeasure) -> float:
     weighted kinds integrate p * curve(p)."""
     if not measure.is_auc:
         raise ValueError(f"{measure} is not an AUC measure")
-    return _grid_estimate(grid, measure)
+    return _grid_value(grid, measure)
 
 
 def estimate_b3(sample: SortedSample) -> float:
@@ -413,20 +457,46 @@ def layout_rows(a: np.ndarray, take: np.ndarray) -> np.ndarray:
     return np.take(a, take, axis=1).transpose(1, 0, 2)
 
 
+def measure_rows(x: np.ndarray, probs: np.ndarray, groups, measures, g=None) -> list[tuple]:
+    """The measures of each point set in ``groups`` (see ``point_sets``) on
+    rows of quantiles ``x`` and, where given, quantile densities ``g`` at
+    ``probs`` = [base, 1 - base, 0.5], one vectorised pass per point set.
+
+    Returns per group: its measures' indices; their values and, with ``g``,
+    the n Var of their curve means without the cell width (each (measures,
+    rows)); the width; their ``curve_errors``, a value whose n Var is not
+    finite failing as not finite; and (k, row, the k-th measure's columns of
+    ``probs``) where a density there is not positive.
+    """
+    out = []
+    for idx, take in groups:
+        group = [measures[i] for i in idx]
+        p, slopes, (weight, s, r), width, values = group_curve(x, probs, take, group)
+        nvar, checked, bad_g = None, values, []
+        if g is not None:
+            g_at = layout_rows(g, take)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                nvar = bridge_variance(p, g_at * gradient(weight, s, r, slopes))
+            checked = np.where(np.isfinite(nvar), values, np.nan)
+            # an AUC group shares one row of ``take`` and of the densities
+            bad = (g_at <= 0.0).any(axis=-1).repeat(len(group) // len(take), axis=0)
+            bad_g = [(k, t, np.sort(take[k % len(take)])) for k, t in zip(*map(list, np.nonzero(bad)))]
+        out.append((idx, values, nvar, width, curve_errors(group, p, r, checked), bad_g))
+    return out
+
+
 def _point_values(quantile, measures) -> list:
     """Each measure's value, or its ``curve_errors`` error, from one call of
     ``quantile`` over the union of the measures' probabilities and one
-    ``group_curve`` per point set."""
+    ``measure_rows`` call."""
     base, groups = point_sets(measures)
     probs = _grid_probs(base)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.asarray(quantile(probs), dtype=float)[None]
     out = [None] * len(measures)
-    for idx, take in groups:
-        group = [measures[i] for i in idx]
-        p, _, (_, _, r), _, values = group_curve(x, probs, take, group)
-        for i, value, errors in zip(idx, values, curve_errors(group, p, r, values)):
-            out[i] = errors[0] if errors else float(value[0])
+    for idx, values, _, _, errors, _ in measure_rows(x, probs, groups, measures):
+        for i, value, failed in zip(idx, values, errors):
+            out[i] = failed[0] if failed else float(value[0])
     return out
 
 

@@ -12,17 +12,12 @@ from skewkit import (
     build_grid,
     midpoint_probs,
 )
-from skewkit.asymptotics import (
-    XiKernel,
-    auc_variance,
-    bridge_variance,
-    gradient,
-    sigma1_sq,
-    sigma2_sq,
-)
+from skewkit.asymptotics import XiKernel, auc_variance, sigma1_sq, sigma2_sq
 from skewkit.skewness import (
     MeasureKind,
     SkewMeasure,
+    bridge_variance,
+    gradient,
     grid_for_probs,
     group_curve,
     parse_measure,
@@ -242,7 +237,7 @@ def test_bridge_variance_rows_equal_row_by_row_calls(shared):
 
 
 def test_every_variance_reaches_the_one_gradient(monkeypatch):
-    from skewkit import asymptotics, inference
+    from skewkit import inference, skewness
 
     def refuse(*args, **kwargs):
         raise RuntimeError("gradient reached")
@@ -250,7 +245,7 @@ def test_every_variance_reaches_the_one_gradient(monkeypatch):
     s = SortedSample.from_data(np.random.default_rng(8).lognormal(size=300))
     rows = SortedSample(s.values[None])
     point, auc = grid_for_probs(s, [0.1]), build_grid(s, j_points=20)
-    monkeypatch.setattr(asymptotics, "gradient", refuse)
+    monkeypatch.setattr(skewness, "gradient", refuse)
     for call in (
         lambda: inference.interval(s, parse_measure("gamma_star@0.1")),
         lambda: inference.interval(s, parse_measure("auc_lambda", j_points=20)),

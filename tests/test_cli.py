@@ -627,6 +627,24 @@ def test_simulate_invalid_config_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", str(config2))
     assert code == EXIT_USAGE
 
+    # a non-string dist and a non-integer n, trials, seed or j name their key
+    good = {"dist": "exp(1)", "n": 50, "trials": 3, "measures": "auc_gamma", "seed": 1, "j": 20}
+    bad = [("dist", v, "cannot parse distribution") for v in (5, None, [1], {"a": 1})]
+    bad += [(key, v, f"config key '{key}' must be an integer")
+            for key, v in (("n", 50.9), ("trials", 2.5), ("seed", 1.7), ("j", 20.5), ("n", True),
+                           ("trials", "3.0"), ("seed", None), ("j", [20]), ("n", float("inf")))]
+    for key, value, message in bad:
+        config2.write_text(json.dumps({**good, key: value}))
+        code, out, err = run_cli(capsys, "simulate", str(config2))
+        assert (code, out) == (EXIT_USAGE, ""), (key, value)
+        assert message in err and "Traceback" not in err, (key, value)
+    # integral floats and integer strings are integers
+    config2.write_text(json.dumps({**good, "n": 5e1, "trials": "3", "seed": 1.0, "j": " 20 "}))
+    code, out, _ = run_cli(capsys, "simulate", str(config2), "--format", "json")
+    assert code == 0
+    echo = json.loads(out)["config"]
+    assert [echo[k] for k in ("n", "trials", "seed", "j")] == [50, 3, 1, 20]
+
 
 def test_simulate_env_var_sets_threads(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SKEWKIT_THREADS", "2")
@@ -782,11 +800,21 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
         "import sys, skewkit.cli; "
         "print('scipy.integrate' in sys.modules, 'scipy.sparse' in sys.modules)"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+    # nor do intervals and coverage runs load the variance oracles of skewkit.asymptotics
+    layers = (
+        "import sys, numpy as np, skewkit.cli, skewkit as sk; "
+        "s = sk.SortedSample.from_data(np.random.default_rng(1).lognormal(size=200)); "
+        "sk.intervals(s, sk.parse_measures('all', include_b3=False)); "
+        "sk.run_coverage(sk.SimConfig.from_dict("
+        "{'dist': 'exp(1)', 'n': 50, 'trials': 3, 'measures': 'all', 'seed': 1})); "
+        "print('skewkit.asymptotics' in sys.modules)"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False False"
+    for code, want in ((probe, "False False"), (layers, "False")):
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == want
 
 
 # --- hostile distribution parameters -------------------------------------------

@@ -243,6 +243,19 @@ def test_intervals_equal_one_interval_per_measure(direction, n):
 
 
 @pytest.mark.parametrize("rule", [BandwidthRule(), BandwidthRule(fixed=0.3)])
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("n", [50, 2000])
+def test_every_interval_estimate_is_the_point_estimate_bit_for_bit(rule, direction, n):
+    # intervals and point values run one evaluator on the same Type-8 quantiles
+    s = _ln_sample(n, seed=n)
+    measures = skewness.parse_measures("all,gamma_star@0.1,lambda_star@0.3", direction, include_b3=False)
+    got = intervals(s, measures, rule=rule)
+    assert len(got) == 16
+    for iv in got:
+        assert iv.estimate.hex() == point_estimate(s, iv.measure).value.hex(), iv.measure
+
+
+@pytest.mark.parametrize("rule", [BandwidthRule(), BandwidthRule(fixed=0.3)])
 @pytest.mark.parametrize("n", [50, 2000])
 def test_repeated_calls_on_one_sample_equal_a_fresh_samples_bit_for_bit(rule, n):
     # the memoized grids make no call depend on the calls before it

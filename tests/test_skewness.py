@@ -74,6 +74,11 @@ def test_measure_parsing_and_validation():
     for bad in ("gamma", "gamma@0.6", "lambda@0", "auc_gamma@0.1", "b3@0.1", "bowley@0.2"):
         with pytest.raises(ValueError):
             parse_measure(bad)
+    # 1 - p rounds to 1 below about 5.6e-17: the message names the measure and why
+    for tiny in ("gamma@1e-17", "lambda@1e-300", "gamma_star@5e-17"):
+        with pytest.raises(ValueError, match=f"^{tiny}: 1 - p rounds to 1"):
+            parse_measure(tiny)
+    assert 1.0 - parse_measure("gamma@1e-16").p < 1.0
     with pytest.raises(ValueError):
         SkewMeasure(MeasureKind.AUC_GAMMA, j_points=1)
 
@@ -353,7 +358,7 @@ def test_density_error_message_names_the_count_the_first_few_and_the_last():
 
 
 def test_point_values_and_intervals_reach_the_one_curve_algebra(monkeypatch):
-    from skewkit import inference, skewness
+    from skewkit import asymptotics, inference, skewness
 
     def refuse(*args, **kwargs):
         raise RuntimeError("curve algebra reached")
@@ -361,17 +366,28 @@ def test_point_values_and_intervals_reach_the_one_curve_algebra(monkeypatch):
     s = SortedSample.from_data(np.random.default_rng(8).lognormal(size=300))
     dist = LogNormal(0.0, 1.0)
     auc = parse_measure("auc_lambda_star", j_points=20)
-    monkeypatch.setattr(skewness, "curve", refuse)
+    point, grid = grid_for_probs(s, [0.1]), build_grid(s, j_points=20)
+    calls = [
+        lambda: estimate_auc(population_grid(dist, j_points=20), auc),
+        lambda: estimate_pointwise(point, parse_measure("lambda@0.1")),
+        lambda: asymptotics.sigma1_sq(asymptotics.XiKernel.from_grid(point), point, 0.1),
+        lambda: asymptotics.sigma2_sq(asymptotics.XiKernel.from_grid(point), point, 0.1),
+        lambda: asymptotics.auc_variance(asymptotics.XiKernel.from_grid(grid), grid, "lambda"),
+    ]
     for m in (parse_measure("gamma@0.1"), auc):
-        for call in (
-            lambda: inference.point_estimate(s, m),
-            lambda: population_measure(dist, m),
-            lambda: inference.interval(s, m),
-        ):
-            with pytest.raises(RuntimeError, match="curve algebra reached"):
-                call()
-    with pytest.raises(RuntimeError, match="curve algebra reached"):
-        estimate_auc(population_grid(dist, j_points=20), auc)
+        calls += [
+            lambda m=m: inference.point_estimate(s, m),
+            lambda m=m: population_measure(dist, m),
+            lambda m=m: inference.interval(s, m),
+            lambda m=m: inference.interval_rows(s.batch, [m]),
+        ]
+    # the curve algebra, and the one evaluator every value and variance runs
+    for target in ("curve", "measure_rows"):
+        with monkeypatch.context() as patch:
+            patch.setattr(skewness, target, refuse)
+            for call in calls:
+                with pytest.raises(RuntimeError, match="curve algebra reached"):
+                    call()
 
 
 ONE_PER_FAMILY = [
