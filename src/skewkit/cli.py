@@ -229,8 +229,6 @@ def cmd_simulate(args) -> int:
         env = os.environ.get("SKEWKIT_THREADS")
         if env:
             doc["threads"] = env
-    if isinstance(doc.get("threads"), str) and doc["threads"] != "auto":
-        doc["threads"] = int(doc["threads"])
     report = run_coverage(SimConfig.from_dict(doc))
     if args.format == "text":
         print(report.render_text())

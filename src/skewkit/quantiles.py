@@ -154,23 +154,8 @@ class BandwidthRule:
 DEFAULT_BANDWIDTH = BandwidthRule()
 
 
-def _kernel_weights(u: np.ndarray, p, b) -> np.ndarray:
-    """Epanechnikov weights 0.75 (1 - u^2) at u = (k/n - p) / b where |u| < 1,
-    else 0, computed in place in ``u``, which holds the positions k/n.
-
-    Clipping with ``fmax`` is exact: u*u >= 1 exactly where |u| >= 1, and
-    fmax takes a NaN u to 0.
-    """
-    u -= p
-    u /= b
-    np.square(u, out=u)
-    np.subtract(1.0, u, out=u)
-    u *= 0.75
-    return np.fmax(u, 0.0, out=u)
-
-
-# Elements per gathered (rows x windows x window width) block: 256 KB per
-# float temporary, whatever n and the bandwidth.  A block holds at least one
+# Elements per gathered (rows x windows x padded width) array: 256 KB per
+# float temporary, whatever n and the bandwidth.  It holds at least one
 # window of one row.
 _GATHER_BUDGET = 1 << 15
 
@@ -196,12 +181,12 @@ def quantile_density_profile(
 
     ghat(p) = sum_j (X_(j+1) - X_(j)) * k_b(j/n - p), the derivative of the
     Epanechnikov-smoothed empirical quantile function.  Only the spacings
-    inside each window (p - b, p + b) enter.  Neighbouring windows form
-    blocks; a block takes the spacings its windows read once, gathers each
-    window's from them and reduces them all by one ``einsum``, a few rows at
-    a time.  The windows, blocks and kernel weights depend only on n, the
-    probabilities and the rule, never on the number of rows, so each row of
-    a batch is reduced exactly as that sample alone.
+    inside each window (p - b, p + b) enter, and each window is reduced over
+    its own terms alone: its width is padded by a rule that reads that width
+    only, with zero weights past its end, and summed along its padded width.
+    So an estimate depends on n, its probability and the rule, never on the
+    other probabilities or the number of rows: each row of a batch is
+    reduced exactly as that sample alone.
 
     For one sample, raises QuantileDensityError listing every p whose
     estimate is not strictly positive (possible only under ties).  For a
@@ -215,44 +200,47 @@ def quantile_density_profile(
     n = sample.n
     b = rule.bandwidth(n, probs)
     lo = _positions_below(probs - b, n, inclusive=True)
-    hi = _positions_below(probs + b, n, inclusive=False)
-
-    # Windows in order of position, in blocks of ``step``: each reads the
-    # block's width of spacings from its start, weighted 0 past its end.  A
-    # block takes its spacings once per run of windows that start within reach
-    # of the one before, side by side in a buffer zero past x[n-1] - x[n-2].
-    order = np.argsort(lo, kind="stable")
-    lo, ends, at, b = lo[order], hi[order] - lo[order], probs[order], b[order]
-    step = max(1, _GATHER_BUDGET // max(1, int(ends.max(initial=0))))
-    ghat = np.empty((rows.shape[0], at.size))
-    for head in range(0, at.size, step):
-        sl = slice(head, head + step)
-        starts, width = lo[sl].tolist(), int(ends[sl].max())
-        # each run of windows: the first and last positions it reads and its
-        # first column; each window: the column of its first spacing
-        runs, firsts = [], []
-        for start in starts:
-            if not runs or start > runs[-1][1]:
-                runs.append([start, 0, runs[-1][2] + runs[-1][1] - runs[-1][0] if runs else 0])
-            runs[-1][1] = min(start + width, n - 1)
-            firsts.append(runs[-1][2] + start - runs[-1][0])
-        # the positions read, and one more: past a window's end only the first
-        # position can round to a positive weight, and it is zeroed
-        reads = lo[sl, None] + np.arange(1, width + 2)
-        weights = _kernel_weights(reads / n, at[sl, None], b[sl, None])
-        weights[np.arange(len(starts)), ends[sl]] = 0.0
-        cols = np.array(firsts)[:, None] + np.arange(width)
-        chunk = max(1, _GATHER_BUDGET // max(1, cols.size))  # rows per pass
-        spacings = np.empty((min(chunk, rows.shape[0]), firsts[-1] + width))
-        a, e, c = runs[-1]
-        spacings[:, c + e - a :] = 0.0  # only the last run reads past x[n-1]
-        for t in range(0, rows.shape[0], chunk):
-            part, d = rows[t : t + chunk], spacings[: rows.shape[0] - t]
-            for a, e, c in runs:
-                np.subtract(part[:, a + 1 : e + 1], part[:, a:e], out=d[:, c : c + e - a])
-            gathered = np.take(d, cols, axis=1)
-            ghat[t : t + chunk, sl] = np.einsum("ij,tij->ti", weights[:, :-1], gathered) / b[sl]
-    out = ghat[:, np.argsort(order)]
+    width = _positions_below(probs + b, n, inclusive=False) - lo
+    # A window reads the spacings X_(k+1) - X_(k) at k = lo+1 .. lo+width, padded
+    # to a multiple of 8, or of a quarter of the power of two at or below its
+    # width where that is larger: at most four padded widths per octave.  The
+    # windows of one padded width are weighted and summed together, a few rows
+    # at a time.  The spacings come from one diff of the whole rows where the
+    # padded widths add up to n - 1 or more, else from each window's own
+    # gather and diff; both give the same floats, and zero past x[n-1].
+    quarter = np.maximum(8.0, np.ldexp(1.0, np.frexp(width)[1] - 3))
+    padded = (np.ceil(width / quarter) * quarter).astype(np.intp)
+    whole = np.diff(rows, axis=-1, append=rows[:, -1:]) if n - 1 <= padded.sum() else None
+    out = np.empty((rows.shape[0], probs.size))
+    cols = np.arange(padded.max(initial=0) + 1)
+    for w in np.unique(padded).tolist():
+        same = np.flatnonzero(padded == w)
+        step = max(1, _GATHER_BUDGET // max(1, w))  # windows at a time
+        for head in range(0, same.size, step):
+            idx = same[head : head + step]
+            bw = b[idx]
+            reads = lo[idx, None] + cols[: w + 1]  # positions lo .. lo+w
+            # Epanechnikov weights 0.75 (1 - u^2) at u = (k/n - p) / b where |u| < 1,
+            # else 0, in place; fmax is exact, as u*u >= 1 exactly where |u| >= 1,
+            # and takes a NaN u to 0
+            u = reads[:, 1:] / n
+            u -= probs[idx, None]
+            u /= bw[:, None]
+            np.square(u, out=u)
+            np.subtract(1.0, u, out=u)
+            u *= 0.75
+            weights = np.fmax(u, 0.0, out=u)
+            weights *= cols[:w] < width[idx, None]  # zero past each window's end
+            chunk = max(1, _GATHER_BUDGET // max(1, weights.size))  # rows at a time
+            # ``take`` lays out each window's terms contiguously, so ``sum``
+            # adds them in one order whatever the number of rows and windows
+            for t in range(0, rows.shape[0], chunk):
+                if whole is None:
+                    spacings = np.diff(np.take(rows[t : t + chunk], reads, axis=1, mode="clip"), axis=-1)
+                else:
+                    spacings = np.take(whole[t : t + chunk], reads[:, :-1], axis=1, mode="clip")
+                spacings *= weights
+                out[t : t + chunk, idx] = spacings.sum(axis=-1) / bw
 
     if x.ndim > 1:
         return out

@@ -16,7 +16,7 @@ import json
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,14 +41,34 @@ def coverage_standard_error(trials: int, p0: float) -> float:
     return float(np.sqrt(p0 * (1.0 - p0) / trials))
 
 
-def _integer(value, key: str) -> int:
-    """Config key ``key``'s ``value`` as an int: an int but not a bool, an
-    integral float such as 1e4, or an integer string; else a ValueError."""
+def _integer(value) -> int:
+    """``value`` as an int: an int but not a bool, an integral float such as
+    1e4, or an integer string; else a TypeError."""
     if type(value) is int or isinstance(value, float) and value.is_integer() or (
         isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d+\s*", value)
     ):
         return int(value)
-    raise ValueError(f"simulation config key {key!r} must be an integer, got {value!r}")
+    raise TypeError
+
+
+def _config_value(doc: dict, key: str, parse, expected: str, *default):
+    """Config key ``key``'s value, or ``default`` where it is absent, read by
+    ``parse``; a TypeError or ValueError of ``parse`` becomes a ValueError
+    that names the key and what it ``expected``."""
+    if key not in doc and not default:
+        raise ValueError(f"simulation config is missing required key {key!r}")
+    value = doc.get(key, *default)
+    try:
+        return parse(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"simulation config key {key!r} must be {expected}, got {value!r}") from None
+
+
+def _tokens(value):
+    """A measure list as ``parse_measures`` reads it; else a TypeError."""
+    if isinstance(value, (str, list)):
+        return value
+    raise TypeError
 
 
 @dataclass(frozen=True)
@@ -86,39 +106,42 @@ class SimConfig:
                 raise ValueError(f"the measures mix {key} {mixed}; a simulation config has one")
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must lie strictly inside (0, 1)")
-        if isinstance(self.threads, str):
-            if self.threads != "auto":
-                raise ValueError("threads must be a positive integer or 'auto'")
-        elif self.threads < 1:
+        if self.threads != "auto" and (type(self.threads) is not int or self.threads < 1):
             raise ValueError("threads must be a positive integer or 'auto'")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
         """Build from the JSON document schema used by the CLI; ``measures``
         is a list of tokens or one comma-separated string, parsed as
-        ``skewness.parse_measures`` does without b3."""
-        try:
-            dist = parse_distribution(doc["dist"])
-            direction = doc.get("direction", "right")
-            direction = Direction(direction.lower() if isinstance(direction, str) else direction)
-            j_points = _integer(doc.get("j", 100), "j")
-            measures = tuple(parse_measures(doc["measures"], direction, j_points, include_b3=False))
-            bw = doc.get("bandwidth", "default")
-            rule = DEFAULT_BANDWIDTH if bw == "default" else BandwidthRule(fixed=float(bw))
-            return cls(
-                dist=dist,
-                n=_integer(doc["n"], "n"),
-                trials=_integer(doc["trials"], "trials"),
-                measures=measures,
-                seed=_integer(doc["seed"], "seed"),
-                level=float(doc.get("level", 0.95)),
-                threads=doc.get("threads", "auto"),
-                bandwidth=rule,
-            )
-        except KeyError as exc:
-            raise ValueError(f"simulation config is missing required key {exc}") from None
-        except TypeError as exc:
-            raise ValueError(str(exc)) from None
+        ``skewness.parse_measures`` does without b3.  An unknown key, a
+        missing one or a value of the wrong type is a ValueError naming it."""
+        unknown = [key for key in doc if key not in {f.name for f in fields(cls)} | {"direction", "j"}]
+        if unknown:
+            raise ValueError(f"simulation config has unknown key(s) {', '.join(map(repr, unknown))}")
+        dist = parse_distribution(_config_value(doc, "dist", lambda v: v, "a distribution"))
+        direction = _config_value(
+            doc, "direction", lambda v: Direction(v.lower() if isinstance(v, str) else v),
+            "'right' or 'left'", "right",
+        )
+        j_points = _config_value(doc, "j", _integer, "an integer", 100)
+        tokens = _config_value(doc, "measures", _tokens, "a list of tokens or a comma-separated string")
+        bw = _config_value(
+            doc, "bandwidth", lambda v: None if v == "default" else float(v),
+            "'default' or a number", "default",
+        )
+        return cls(
+            dist=dist,
+            n=_config_value(doc, "n", _integer, "an integer"),
+            trials=_config_value(doc, "trials", _integer, "an integer"),
+            measures=tuple(parse_measures(tokens, direction, j_points, include_b3=False)),
+            seed=_config_value(doc, "seed", _integer, "an integer"),
+            level=_config_value(doc, "level", float, "a number", 0.95),
+            threads=_config_value(
+                doc, "threads", lambda v: v if v == "auto" else _integer(v),
+                "a positive integer or 'auto'", "auto",
+            ),
+            bandwidth=BandwidthRule(fixed=bw),
+        )
 
     def to_dict(self) -> dict:
         # threads is accepted for compatibility and changes nothing, so it

@@ -355,14 +355,16 @@ def bridge_variance(probs: np.ndarray, v: np.ndarray):
     axis and broadcast against ``v``, which may hold one row of weights per
     sample; the result has one entry per row.
     """
-    # T(t) is tail[..., a] on the cell (p_{a-1}, p_a] (p_0 = 0) and 0 past p_P
+    # T(t) is tail[..., a] on the cell (p_{a-1}, p_a] (p_0 = 0) and 0 past p_P.
+    # Each sum runs along one contiguous row of its own terms, so its bits do
+    # not depend on how many rows or measures share the call.
     tail = np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
-    m = np.einsum("...a,...a->...", v, probs)
+    m = (v * probs).sum(axis=-1)
     dev = tail - m[..., None]
     cells = probs.copy()
     cells[..., 1:] -= probs[..., :-1]
     past_last = m * m * (1.0 - probs[..., -1])
-    return _scalar(np.einsum("...a,...a,...a->...", dev, dev, cells) + past_last)
+    return _scalar((dev * dev * cells).sum(axis=-1) + past_last)
 
 
 def _scalar(value: np.ndarray):

@@ -646,6 +646,25 @@ def test_simulate_invalid_config_exits_2(tmp_path, capsys):
     assert [echo[k] for k in ("n", "trials", "seed", "j")] == [50, 3, 1, 20]
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("measures", 5, "key 'measures' must be a list of tokens or a comma-separated string, got 5"),
+    ("level", "x", "key 'level' must be a number, got 'x'"),
+    ("bandwidth", [1], "key 'bandwidth' must be 'default' or a number, got [1]"),
+    ("direction", 5, "key 'direction' must be 'right' or 'left', got 5"),
+    ("threads", [1], "key 'threads' must be a positive integer or 'auto', got [1]"),
+    ("threads", 2.5, "key 'threads' must be a positive integer or 'auto', got 2.5"),
+    ("threads", True, "key 'threads' must be a positive integer or 'auto', got True"),
+    ("levle", 0.5, "unknown key(s) 'levle'"),
+])
+def test_simulate_config_errors_name_their_key(tmp_path, capsys, key, value, message):
+    config = tmp_path / "cfg.json"
+    good = {"dist": "exp(1)", "n": 50, "trials": 3, "measures": "auc_gamma", "seed": 1}
+    config.write_text(json.dumps({**good, key: value}))
+    code, out, err = run_cli(capsys, "simulate", str(config))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err and "Traceback" not in err
+
+
 def test_simulate_env_var_sets_threads(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SKEWKIT_THREADS", "2")
     config = tmp_path / "cfg.json"

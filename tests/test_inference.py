@@ -491,6 +491,51 @@ def test_each_row_of_a_study_chunk_equals_that_sample_alone():
     _assert_rows_equal_each_row_alone(draws, _ROW_MEASURES[:8], quantiles.DEFAULT_BANDWIDTH)
 
 
+# the 14 measures of ``all`` and lambda_star@0.15, in each direction
+_THIRTY = [
+    m for direction in Direction
+    for m in skewness.parse_measures("all,lambda_star@0.15", direction, include_b3=False)
+]
+
+
+def _assert_each_measure_alone_equals_it_among_all(batch, measures, rule):
+    """Every cell of ``interval_rows`` for each measure alone equals, bit for
+    bit, the same cell with all of ``measures`` in one call."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        together = interval_rows(batch, measures, 0.95, rule)
+    for res in together:
+        [alone] = interval_rows(batch, [res.measure], 0.95, rule)
+        assert _bits(res.estimate, res.se, res.lower, res.upper) == _bits(
+            alone.estimate, alone.se, alone.lower, alone.upper
+        ), res.measure
+        assert {t: str(e) for t, e in res.errors.items()} == {
+            t: str(e) for t, e in alone.errors.items()
+        }, res.measure
+
+
+@pytest.mark.parametrize("bandwidth", [None, 0.1, 0.3])
+@pytest.mark.parametrize("step", [None, 0.05])
+@pytest.mark.parametrize("n", [12, 57, 400, 2000, 5000])
+def test_each_measure_alone_equals_it_among_all_thirty(n, step, bandwidth):
+    # the density windows and the bridge sums read only their own terms, so
+    # a measure's numbers never depend on the other measures of the call
+    draws = np.exp(np.random.default_rng(n).standard_normal((12, n)))
+    if step:
+        draws = np.round(draws / step) * step
+    rule = BandwidthRule(fixed=bandwidth)
+    for rows in (draws, draws[:1]):  # a batch, and one sample as ``intervals`` runs it
+        _assert_each_measure_alone_equals_it_among_all(SortedSample.from_rows(rows), _THIRTY, rule)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_each_auc_alone_equals_it_among_the_four_at_a_fine_grid(direction):
+    # J = 6,000 gives bridge sums over 12,001 points
+    sample = _ln_sample(2000, seed=6000)
+    measures = [skewness.SkewMeasure(kind, direction=direction, j_points=6000) for kind in skewness.AUC_KINDS]
+    _assert_each_measure_alone_equals_it_among_all(sample.batch, measures, quantiles.DEFAULT_BANDWIDTH)
+
+
 def test_rows_that_overflow_fail_with_a_numerical_error():
     draws = np.random.default_rng(3).lognormal(sigma=0.25, size=(4, 200))
     measures = [parse_measure("gamma@0.1"), parse_measure("auc_gamma"),

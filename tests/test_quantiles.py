@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -328,6 +328,12 @@ def test_density_nan_probability_matches_loop():
     assert str(got_err.value) == str(want_err.value)
 
 
+# windows wider than 8,192 spacings, where a long reduction is most apt to
+# depend on the shape of the array it runs in
+@example(rows=3, n=20_000, probs=[0.5, 0.3, 0.7], fixed=0.3, tied=False, seed=1)
+@example(rows=3, n=20_011, probs=[0.5, 0.3, 0.7], fixed=0.3, tied=True, seed=2)
+@example(rows=2, n=29_000, probs=[0.45, 0.5, 0.2, 0.9], fixed=0.3, tied=True, seed=3)
+@example(rows=4, n=40_000, probs=[0.5, 0.05, 0.25], fixed=0.3, tied=False, seed=4)
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     rows=st.integers(min_value=1, max_value=8),
@@ -351,8 +357,8 @@ def test_batch_equals_rows_property(rows, n, probs, fixed, tied, seed):
     for t in range(rows):
         row = SortedSample(values=batch.values[t])
         np.testing.assert_array_equal(x[t], quantile_type8(row, probs))
-        # the blocks never depend on the row count: a row of the batch is
-        # reduced exactly as that sample alone
+        # the estimates never depend on the row count: a row of the batch
+        # is reduced exactly as that sample alone
         alone = SortedSample(values=batch.values[t : t + 1])
         np.testing.assert_array_equal(g[t], quantile_density_profile(alone, probs, rule)[0])
         try:
@@ -362,6 +368,12 @@ def test_batch_equals_rows_property(rows, n, probs, fixed, tied, seed):
             assert str(density_error(row.values, probs, g[t], rule)) == str(exc)
         else:
             np.testing.assert_allclose(g[t], want, rtol=1e-13, atol=0.0)
+    # nor on the other probabilities: each estimate alone equals it among them,
+    # also where the call alone gathers its window's spacings and the call
+    # with all of them reads the whole rows' diff
+    for i in range(probs.size):
+        alone = quantile_density_profile(batch, probs[i : i + 1], rule)
+        np.testing.assert_array_equal(g[:, i], alone[:, 0])
 
 
 def test_batch_gather_budget_counts_every_row():
@@ -376,8 +388,8 @@ def test_batch_gather_budget_counts_every_row():
         row = SortedSample(values=batch.values[t])
         np.testing.assert_allclose(g[t], density_loop_reference(row, probs, rule), rtol=1e-13)
     assert quantile_type8(batch, 0.5).shape == (64,)
-    # one sample, windows wider than the budget: each window is a block of its
-    # own, whether or not the windows together cover the sample
+    # one sample, windows wider than the budget, one at a time: one window
+    # gathers its own spacings, three read the whole sample's diff
     s = SortedSample.from_data(rng.lognormal(size=40_000))
     for probs in (np.array([0.5]), np.array([0.3, 0.5, 0.7])):
         assert_density_matches_loop(s, probs, BandwidthRule(fixed=0.3))
