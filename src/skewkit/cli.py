@@ -225,10 +225,11 @@ def cmd_simulate(args) -> int:
     keys = ("dist", "n", "trials", "seed", "level", "threads", "bandwidth", "direction", "j",
             "measures")
     doc.update({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
-    if "threads" not in doc:
-        env = os.environ.get("SKEWKIT_THREADS")
-        if env:
-            doc["threads"] = env
+    if "threads" not in doc and os.environ.get("SKEWKIT_THREADS"):
+        try:
+            doc["threads"] = _threads(os.environ["SKEWKIT_THREADS"])
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"SKEWKIT_THREADS {exc}") from None
     report = run_coverage(SimConfig.from_dict(doc))
     if args.format == "text":
         print(report.render_text())
@@ -293,6 +294,12 @@ def _level(text: str) -> float:
     raise argparse.ArgumentTypeError("confidence level must lie strictly inside (0, 1)")
 
 
+def _threads(text: str) -> str:
+    if text == "auto" or text.isascii() and text.strip().isdigit() and int(text) > 0:
+        return text
+    raise argparse.ArgumentTypeError(f"must be a positive integer or 'auto', got {text!r}")
+
+
 def _add_options(parser, *names: str, overrides: bool = False) -> None:
     """Declare the options ``names`` that several subcommands share.  With
     ``overrides`` (simulate) every default but --format's is None, so a flag
@@ -345,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", default=None,
+    p.add_argument("--threads", type=_threads, default=None,
                    help="positive integer or 'auto'; accepted, changes nothing")
     p.add_argument("--bandwidth", default=None, help="'default' or a fixed value in (0,0.5)")
     _add_options(p, "measures", "level", "j", "direction", "format", overrides=True)

@@ -3,6 +3,7 @@
 Every member exposes a closed-form (or special-function) quantile, CDF and
 density, which makes population skewness values and inversion sampling exact
 up to floating point.  All distributions are immutable and safe to share.
+Methods import scipy.special themselves: only evaluating a distribution loads scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 
 from .errors import NumericalError
 
@@ -129,9 +129,11 @@ class Normal(_LocationScale):
     name = "normal"
 
     def _quantile(self, p):
+        from scipy import special
         return self.mu + self.sigma * special.ndtri(p)
 
     def _cdf(self, x):
+        from scipy import special
         return special.ndtr((x - self.mu) / self.sigma)
 
     def _pdf(self, x):
@@ -146,9 +148,11 @@ class LogNormal(_LocationScale):
     name = "lognormal"
 
     def _quantile(self, p):
+        from scipy import special
         return np.exp(self.mu + self.sigma * special.ndtri(p))
 
     def _cdf(self, x):
+        from scipy import special
         out = np.zeros_like(x)
         pos = x > 0.0
         out[pos] = special.ndtr((np.log(x[pos]) - self.mu) / self.sigma)
@@ -195,12 +199,15 @@ class ChiSquare(DistributionSpec):
         _require_positive(df=self.df)
 
     def _quantile(self, p):
+        from scipy import special
         return 2.0 * special.gammaincinv(0.5 * self.df, p)
 
     def _cdf(self, x):
+        from scipy import special
         return np.where(x > 0.0, special.gammainc(0.5 * self.df, 0.5 * np.maximum(x, 0.0)), 0.0)
 
     def _pdf(self, x):
+        from scipy import special
         k = 0.5 * self.df
         out = np.zeros_like(x)
         pos = x > 0.0
@@ -278,12 +285,15 @@ class Gamma(DistributionSpec):
         _require_positive(shape=self.shape)
 
     def _quantile(self, p):
+        from scipy import special
         return special.gammaincinv(self.shape, p)
 
     def _cdf(self, x):
+        from scipy import special
         return np.where(x > 0.0, special.gammainc(self.shape, np.maximum(x, 0.0)), 0.0)
 
     def _pdf(self, x):
+        from scipy import special
         k = self.shape
         out = np.zeros_like(x)
         pos = x > 0.0
@@ -305,13 +315,16 @@ class Beta(DistributionSpec):
         _require_positive(a=self.a, b=self.b)
 
     def _quantile(self, p):
+        from scipy import special
         return special.betaincinv(self.a, self.b, p)
 
     def _cdf(self, x):
+        from scipy import special
         xo = np.clip(x, 0.0, 1.0)
         return special.betainc(self.a, self.b, xo)
 
     def _pdf(self, x):
+        from scipy import special
         out = np.zeros_like(x)
         ok = (x > 0.0) & (x < 1.0)
         xv = x[ok]
@@ -337,16 +350,19 @@ class FisherF(DistributionSpec):
         _require_positive(d1=self.d1, d2=self.d2)
 
     def _quantile(self, p):
+        from scipy import special
         # W ~ F(d1, d2)  <=>  d1 W / (d1 W + d2) ~ Beta(d1/2, d2/2)
         y = special.betaincinv(0.5 * self.d1, 0.5 * self.d2, p)
         return self.d2 * y / (self.d1 * (1.0 - y))
 
     def _cdf(self, x):
+        from scipy import special
         xo = np.maximum(x, 0.0)
         y = self.d1 * xo / (self.d1 * xo + self.d2)
         return np.where(x > 0.0, special.betainc(0.5 * self.d1, 0.5 * self.d2, y), 0.0)
 
     def _pdf(self, x):
+        from scipy import special
         d1, d2 = self.d1, self.d2
         out = np.zeros_like(x)
         pos = x > 0.0

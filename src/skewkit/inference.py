@@ -4,10 +4,10 @@ module only forms them from the values and variances of ``skewness.measure_rows`
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from . import skewness
 from .errors import SkewkitError, UnsupportedMeasureError
@@ -19,7 +19,7 @@ def z_quantile(alpha: float) -> float:
     """Standard normal quantile Phi^{-1}(alpha)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    return float(special.ndtri(alpha))
+    return statistics.NormalDist().inv_cdf(alpha)
 
 
 @dataclass(frozen=True)

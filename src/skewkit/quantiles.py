@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .errors import QuantileDensityError
 
-Z_975 = float(special.ndtri(0.975))
+Z_975 = 1.959963984540054  # float(scipy.special.ndtri(0.975)), written out to keep scipy unloaded
 
 
 @dataclass(frozen=True)

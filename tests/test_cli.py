@@ -836,6 +836,55 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
         assert done.stdout.strip() == want
 
 
+def test_estimate_and_compare_leave_scipy_unloaded(tmp_path):
+    # intervals need only the normal quantile, which the standard library
+    # gives; a subprocess, because pytest's filterwarnings entry imports
+    # scipy.integrate into this one
+    env = dict(os.environ, PYTHONPATH=str(Path(skewkit.__file__).resolve().parents[1]))
+    rng = np.random.default_rng(4)
+    a = write_csv(tmp_path / "a.csv", rng.lognormal(size=300))
+    b = write_csv(tmp_path / "b.csv", rng.lognormal(size=200))
+    probe = (
+        "import contextlib, io, sys, skewkit.cli as cli\n"
+        "print('scipy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['estimate', {a!r}, '--column', 'x', '--measures', 'all',"
+        " '--format', 'json'])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['compare', {a!r}, {b!r}, '--column', 'x', '--measures', 'all'])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:3] == ["False", "0 False", "0 False"]
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["--threads", "0"], None, "argument --threads: must be a positive integer or 'auto', got '0'"),
+    ([], "abc", "SKEWKIT_THREADS must be a positive integer or 'auto', got 'abc'"),
+    (["cfg"], None, "simulation config key 'threads' must be a positive integer or 'auto'"),
+])
+def test_simulate_threads_errors_name_their_source(tmp_path, capsys, monkeypatch,
+                                                    argv, env, message):
+    monkeypatch.delenv("SKEWKIT_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("SKEWKIT_THREADS", env)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"threads": "abc"}))
+    argv = [str(config) if a == "cfg" else a for a in argv]
+    try:
+        code = main(["simulate", *argv, "--dist", "exp(1)", "--n", "20", "--trials", "1",
+                     "--seed", "1", "--measures", "gamma@0.1"])
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err and "Traceback" not in err
+
+
 # --- hostile distribution parameters -------------------------------------------
 
 HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1e-300", "1e-5", "0.5", "3", "50", "710",

@@ -50,6 +50,24 @@ def test_z_quantile_examples():
         z_quantile(1.0)
 
 
+def test_z_constants_match_scipy():
+    # the interval path reads z from the standard library, so scipy stays
+    # unloaded; the default bandwidth's Z_975 is ndtri's float, bit for bit
+    from skewkit.quantiles import Z_975
+
+    assert Z_975 == float(special.ndtri(0.975))
+    rng = np.random.default_rng(18)
+    alphas = np.concatenate([
+        rng.uniform(1e-12, 1.0 - 1e-12, 20_000),
+        np.logspace(-12, np.log10(0.5), 500),
+        1.0 - np.logspace(-12, np.log10(0.5), 500),
+        [1e-12, 0.5, 1.0 - 1e-12],
+    ])
+    want = special.ndtri(alphas)
+    got = np.array([z_quantile(float(a)) for a in alphas])
+    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+
+
 def _ln_sample(n, seed=123):
     rng = np.random.default_rng(seed)
     return SortedSample.from_data(np.exp(special.ndtri(rng.random(n))))
