@@ -53,10 +53,12 @@ def read_numeric_column(path: str, column: str) -> np.ndarray:
     otherwise a header name.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [r for r in csv.reader(fh) if r and any(cell.strip() for cell in r)]
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     if not rows:
         raise DataError(f"{path}: file is empty")
 

@@ -153,10 +153,10 @@ class BandwidthRule:
 DEFAULT_BANDWIDTH = BandwidthRule()
 
 
-# Elements per gathered (rows x windows x padded width) array: 256 KB per
-# float temporary, whatever n and the bandwidth.  It holds at least one
-# window of one row.
-_GATHER_BUDGET = 1 << 15
+# Elements per temporary of a run of windows (its terms, times the rows
+# it is taken for): 128 KB per float temporary, whatever n and the
+# bandwidth.  A single window longer than this runs alone, one row at a time.
+_GATHER_BUDGET = 1 << 14
 
 
 def _positions_below(a: np.ndarray, n: int, inclusive: bool) -> np.ndarray:
@@ -180,12 +180,11 @@ def quantile_density_profile(
 
     ghat(p) = sum_j (X_(j+1) - X_(j)) * k_b(j/n - p), the derivative of the
     Epanechnikov-smoothed empirical quantile function.  Only the spacings
-    inside each window (p - b, p + b) enter, and each window is reduced over
-    its own terms alone: its width is padded by a rule that reads that width
-    only, with zero weights past its end, and summed along its padded width.
-    So an estimate depends on n, its probability and the rule, never on the
-    other probabilities or the number of rows: each row of a batch is
-    reduced exactly as that sample alone.
+    inside each window (p - b, p + b) enter, and each window is one segment
+    of a flat array of weighted spacings, summed on its own by
+    ``np.add.reduceat``.  So an estimate depends on n, its probability and
+    the rule, never on the other probabilities or the number of rows: each
+    row of a batch is reduced exactly as that sample alone.
 
     For one sample, raises QuantileDensityError listing every p whose
     estimate is not strictly positive (possible only under ties).  For a
@@ -200,46 +199,44 @@ def quantile_density_profile(
     b = rule.bandwidth(n, probs)
     lo = _positions_below(probs - b, n, inclusive=True)
     width = _positions_below(probs + b, n, inclusive=False) - lo
-    # A window reads the spacings X_(k+1) - X_(k) at k = lo+1 .. lo+width, padded
-    # to a multiple of 8, or of a quarter of the power of two at or below its
-    # width where that is larger: at most four padded widths per octave.  The
-    # windows of one padded width are weighted and summed together, a few rows
-    # at a time.  The spacings come from one diff of the whole rows where the
-    # padded widths add up to n - 1 or more, else from each window's own
-    # gather and diff; both give the same floats, and zero past x[n-1].
-    quarter = np.maximum(8.0, np.ldexp(1.0, np.frexp(width)[1] - 3))
-    padded = (np.ceil(width / quarter) * quarter).astype(np.intp)
-    whole = np.diff(rows, axis=-1, append=rows[:, -1:]) if n - 1 <= padded.sum() else None
-    out = np.empty((rows.shape[0], probs.size))
-    cols = np.arange(padded.max(initial=0) + 1)
-    for w in np.unique(padded).tolist():
-        same = np.flatnonzero(padded == w)
-        step = max(1, _GATHER_BUDGET // max(1, w))  # windows at a time
-        for head in range(0, same.size, step):
-            idx = same[head : head + step]
-            bw = b[idx]
-            reads = lo[idx, None] + cols[: w + 1]  # positions lo .. lo+w
-            # Epanechnikov weights 0.75 (1 - u^2) at u = (k/n - p) / b where |u| < 1,
-            # else 0, in place; fmax is exact, as u*u >= 1 exactly where |u| >= 1,
-            # and takes a NaN u to 0
-            u = reads[:, 1:] / n
-            u -= probs[idx, None]
-            u /= bw[:, None]
-            np.square(u, out=u)
-            np.subtract(1.0, u, out=u)
-            u *= 0.75
-            weights = np.fmax(u, 0.0, out=u)
-            weights *= cols[:w] < width[idx, None]  # zero past each window's end
-            chunk = max(1, _GATHER_BUDGET // max(1, weights.size))  # rows at a time
-            # ``take`` lays out each window's terms contiguously, so ``sum``
-            # adds them in one order whatever the number of rows and windows
-            for t in range(0, rows.shape[0], chunk):
-                if whole is None:
-                    spacings = np.diff(np.take(rows[t : t + chunk], reads, axis=1, mode="clip"), axis=-1)
-                else:
-                    spacings = np.take(whole[t : t + chunk], reads[:, :-1], axis=1, mode="clip")
-                spacings *= weights
-                out[t : t + chunk, idx] = spacings.sum(axis=-1) / bw
+    # A window reads the spacings X_(j+1) - X_(j) at j = lo+1 .. lo+width, from
+    # one diff of the whole rows where the windows hold n - 1 terms or more,
+    # else term by term; both give the same floats.  Windows are taken in
+    # order, in runs of at most _GATHER_BUDGET terms, a few rows at a time.
+    # An empty window (no j/n inside it, or a NaN p) would make reduceat read
+    # its neighbour, so it is skipped and keeps its zero.
+    whole = np.diff(rows, axis=-1) if n - 1 <= width.sum() else None
+    out = np.zeros((rows.shape[0], probs.size))
+    full = np.flatnonzero(width)
+    ends = np.cumsum(width[full])
+    head = 0
+    while head < full.size:
+        base = ends[head] - width[full[head]]
+        stop = max(head + 1, int(np.searchsorted(ends, base + _GATHER_BUDGET, "right")))
+        idx = full[head:stop]
+        w = width[idx]
+        starts = ends[head:stop] - w - base
+        at = np.arange(ends[stop - 1] - base) + np.repeat(lo[idx] + 1 - starts, w)
+        # Epanechnikov weights 0.75 (1 - u^2) at u = (j/n - p) / b where |u| < 1,
+        # else 0, in place; fmax is exact, as u*u >= 1 exactly where |u| >= 1
+        u = at / n
+        u -= np.repeat(probs[idx], w)
+        u /= np.repeat(b[idx], w)
+        np.square(u, out=u)
+        np.subtract(1.0, u, out=u)
+        u *= 0.75
+        weights = np.fmax(u, 0.0, out=u)
+        chunk = max(1, _GATHER_BUDGET // weights.size)  # rows at a time
+        for t in range(0, rows.shape[0], chunk):
+            if whole is None:
+                spacings = np.take(rows[t : t + chunk], at, axis=1)
+                spacings -= np.take(rows[t : t + chunk], at - 1, axis=1)
+            else:
+                spacings = np.take(whole[t : t + chunk], at - 1, axis=1)
+            spacings *= weights
+            out[t : t + chunk, idx] = np.add.reduceat(spacings, starts, axis=1)
+        head = stop
+    out /= b
 
     if x.ndim > 1:
         return out

@@ -83,10 +83,18 @@ class SimConfig:
     bandwidth: BandwidthRule = DEFAULT_BANDWIDTH
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.n < 10:
-            raise ValueError("per-trial sample size must be at least 10")
+        for key, ok, expected in (
+            ("n", self.n >= 10, "an integer of at least 10"),
+            ("trials", self.trials >= 1, "a positive integer"),
+            ("seed", self.seed >= 0, "a non-negative integer"),
+            ("level", 0.0 < self.level < 1.0, "a number strictly inside (0, 1)"),
+            ("threads", self.threads == "auto" or type(self.threads) is int and self.threads >= 1,
+             "a positive integer or 'auto'"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"simulation config key {key!r} must be {expected}, got {getattr(self, key)!r}"
+                )
         if not self.measures:
             raise ValueError("at least one measure is required")
         for m in self.measures:
@@ -104,10 +112,6 @@ class SimConfig:
             if len(values) > 1:
                 mixed = " and ".join(map(str, sorted(values)))
                 raise ValueError(f"the measures mix {key} {mixed}; a simulation config has one")
-        if not (0.0 < self.level < 1.0):
-            raise ValueError("level must lie strictly inside (0, 1)")
-        if self.threads != "auto" and (type(self.threads) is not int or self.threads < 1):
-            raise ValueError("threads must be a positive integer or 'auto'")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
@@ -125,10 +129,6 @@ class SimConfig:
         )
         j_points = _config_value(doc, "j", _integer, "an integer", 100)
         tokens = _config_value(doc, "measures", _tokens, "a list of tokens or a comma-separated string")
-        bw = _config_value(
-            doc, "bandwidth", lambda v: None if v == "default" else float(v),
-            "'default' or a number", "default",
-        )
         return cls(
             dist=dist,
             n=_config_value(doc, "n", _integer, "an integer"),
@@ -140,7 +140,10 @@ class SimConfig:
                 doc, "threads", lambda v: v if v == "auto" else _integer(v),
                 "a positive integer or 'auto'", "auto",
             ),
-            bandwidth=BandwidthRule(fixed=bw),
+            bandwidth=_config_value(
+                doc, "bandwidth", lambda v: BandwidthRule(None if v == "default" else float(v)),
+                "'default' or a number in (0, 0.5)", "default",
+            ),
         )
 
     def to_dict(self) -> dict:

@@ -372,19 +372,32 @@ def test_read_numeric_column_drops_nonfinite(tmp_path, capsys):
 
 def test_read_numeric_column_counts_unparseable_cells_apart(tmp_path, capsys):
     path = tmp_path / "mixed.csv"
-    with open(path, "w") as fh:
-        fh.write("x\n" + "".join(f"{float(i)}\n" for i in range(10)))
-        fh.write("1.5\nnp.float64(1.5)\ninf\nabc\n")
-    values = read_numeric_column(str(path), "x")
-    assert values.size == 11
-    err = capsys.readouterr().err
-    assert err == f"{path}: dropped 1 non-finite row(s) and 2 unparseable row(s)\n"
+    for encoding in ("utf-8", "utf-8-sig"):  # utf-8-sig writes a byte-order mark
+        with open(path, "w", encoding=encoding) as fh:
+            fh.write("x\n" + "".join(f"{float(i)}\n" for i in range(10)))
+            fh.write("1.5\nnp.float64(1.5)\ninf\nabc\n")
+        values = read_numeric_column(str(path), "x")
+        assert values.size == 11
+        err = capsys.readouterr().err
+        assert err == f"{path}: dropped 1 non-finite row(s) and 2 unparseable row(s)\n"
 
 
 def test_read_numeric_column_by_index(tmp_path):
     path = write_csv(tmp_path / "plain.csv", np.arange(10.0, 30.0), header=None)
     values = read_numeric_column(str(path), "0")
     assert values.size == 20
+    # a byte-order mark before the first value does not make that row a header
+    bom = tmp_path / "bom.csv"
+    bom.write_text("".join(f"{v}\n" for v in np.arange(10.0, 30.0)), encoding="utf-8-sig")
+    np.testing.assert_array_equal(read_numeric_column(str(bom), "0"), values)
+
+
+def test_estimate_a_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_text("caf\xe9\n" + "".join(f"{float(i)}\n" for i in range(20)), encoding="latin-1")
+    code, out, err = run_cli(capsys, "estimate", str(path), "--column", "0", "--measures", "b3")
+    assert (code, out) == (EXIT_DATA, "")
+    assert f"{path}: not UTF-8 text" in err and "Traceback" not in err
 
 
 # --- compare ------------------------------------------------------------------
@@ -649,12 +662,18 @@ def test_simulate_invalid_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("key, value, message", [
     ("measures", 5, "key 'measures' must be a list of tokens or a comma-separated string, got 5"),
     ("level", "x", "key 'level' must be a number, got 'x'"),
-    ("bandwidth", [1], "key 'bandwidth' must be 'default' or a number, got [1]"),
+    ("bandwidth", [1], "key 'bandwidth' must be 'default' or a number in (0, 0.5), got [1]"),
     ("direction", 5, "key 'direction' must be 'right' or 'left', got 5"),
     ("threads", [1], "key 'threads' must be a positive integer or 'auto', got [1]"),
     ("threads", 2.5, "key 'threads' must be a positive integer or 'auto', got 2.5"),
     ("threads", True, "key 'threads' must be a positive integer or 'auto', got True"),
     ("levle", 0.5, "unknown key(s) 'levle'"),
+    ("bandwidth", 0.7, "key 'bandwidth' must be 'default' or a number in (0, 0.5), got 0.7"),
+    ("n", 5, "key 'n' must be an integer of at least 10, got 5"),
+    ("trials", 0, "key 'trials' must be a positive integer, got 0"),
+    ("seed", -1, "key 'seed' must be a non-negative integer, got -1"),
+    ("level", 1.5, "key 'level' must be a number strictly inside (0, 1), got 1.5"),
+    ("threads", 0, "key 'threads' must be a positive integer or 'auto', got 0"),
 ])
 def test_simulate_config_errors_name_their_key(tmp_path, capsys, key, value, message):
     config = tmp_path / "cfg.json"

@@ -293,6 +293,10 @@ def test_window_bounds_match_searchsorted_at_exact_positions():
             np.testing.assert_array_equal(got, np.searchsorted(positions, a, side=side))
 
 
+# windows of widths 0, 1, 0, 1, 0: an empty window first, between two others
+# and last, which a segment sum must skip rather than read its neighbour for
+@example(n=50, probs=[0.31, 0.3, 0.33, 0.5, 0.71], fixed=1e-5, tied=False, seed=5)
+@example(n=50, probs=[0.31, 0.3, 0.33, 0.5, 0.71], fixed=1e-5, tied=True, seed=6)
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     n=st.integers(min_value=4, max_value=3000),
@@ -334,6 +338,9 @@ def test_density_nan_probability_matches_loop():
 @example(rows=3, n=20_011, probs=[0.5, 0.3, 0.7], fixed=0.3, tied=True, seed=2)
 @example(rows=2, n=29_000, probs=[0.45, 0.5, 0.2, 0.9], fixed=0.3, tied=True, seed=3)
 @example(rows=4, n=40_000, probs=[0.5, 0.05, 0.25], fixed=0.3, tied=False, seed=4)
+# windows of widths 0, 1, 0, 1, 0 (see test_density_matches_loop_property)
+@example(rows=2, n=50, probs=[0.31, 0.3, 0.33, 0.5, 0.71], fixed=1e-5, tied=False, seed=5)
+@example(rows=2, n=50, probs=[0.31, 0.3, 0.33, 0.5, 0.71], fixed=1e-5, tied=True, seed=6)
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     rows=st.integers(min_value=1, max_value=8),
