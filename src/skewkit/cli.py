@@ -1,8 +1,9 @@
 """Command-line surface: population, estimate, compare, simulate, curve.
 
 Exit codes: 0 success, 2 usage/parse error, 3 data error (bad column,
-degenerate scale), 4 simulation failure-rate breach.  Results go to stdout,
-diagnostics to stderr.
+degenerate scale), 4 simulation failure-rate breach, 141 stdout closed
+before the output was written (as a shell reports a command ended by
+SIGPIPE).  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -32,6 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SIMULATION = 4
+EXIT_PIPE = 141
 
 
 class DataError(SkewkitError):
@@ -44,62 +48,122 @@ def _fmt(x) -> str:
     return f"{x:.6g}"
 
 
-def read_numeric_column(path: str, column: str) -> np.ndarray:
-    """Load one numeric CSV column, dropping non-finite and unparseable rows
-    with a count of each.
+def _filled(row: list[str]) -> bool:
+    """Whether a CSV row holds anything but whitespace; other rows are skipped."""
+    return any(map(str.strip, row))
 
-    The first line is treated as a header whenever any of its fields is
-    non-numeric.  ``column`` is a 0-based index if it parses as an integer,
-    otherwise a header name.
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _locate(path: str, first: list[str], column: str) -> tuple[bool, int]:
+    """Whether ``first``, the first filled row, is a header, and the 0-based
+    index that ``column`` selects.
+
+    The row is a header whenever any of its fields is non-numeric.  ``column``
+    is an index if it parses as an integer, otherwise a header name.
+    """
+    has_header = not all(map(_is_number, first))
+    try:
+        return has_header, int(column)
+    except ValueError:
+        if not has_header:
+            raise DataError(f"{path}: no header row, select the column by index") from None
+    try:
+        return True, [c.strip() for c in first].index(column)
+    except ValueError:
+        raise DataError(f"{path}: no column named {column!r}") from None
+
+
+def _parse_clean(path: str, column: str) -> np.ndarray | None:
+    """The selected column as numpy's C parser reads it, non-finite values
+    included, or None for any file that the per-cell reader must take.
+
+    numpy rejects an unparseable cell, a short row, a whitespace-only row and
+    a file with no data rows (a warning), and splits quoted fields as ``csv``
+    does, so a file it accepts reads as the per-cell loop reads it.  It reads
+    the open file, already past the header, so blank lines before the header
+    need no count.  Every error is left to the per-cell loop, which reads
+    the whole file first and so reports a bad byte before a bad column.
     """
     try:
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = next(filter(_filled, csv.reader(fh)), None)
+            if first is None:
+                return None
+            has_header, idx = _locate(path, first, column)
+            # usecols counts a negative index from the right and overflows
+            # on a huge one
+            if not 0 <= idx < len(first):
+                return None
+            if not has_header:
+                fh.seek(0)
+            # comments=None: a "#5" cell is unparseable, not a comment
+            return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, usecols=idx,
+                              ndmin=1)
+    except (OSError, ValueError, Warning, csv.Error, DataError):
+        return None
+
+
+def _parse_cells(path: str, column: str) -> tuple[np.ndarray, dict[str, int]]:
+    """The finite values of the selected column, cell by cell, and the count
+    of rows dropped as non-finite and as unparseable."""
+    try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [r for r in csv.reader(fh) if r and any(cell.strip() for cell in r)]
+            rows = list(filter(_filled, csv.reader(fh)))
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     if not rows:
         raise DataError(f"{path}: file is empty")
-
-    def number(cell: str) -> float | None:
-        try:
-            return float(cell)
-        except ValueError:
-            return None
-
-    has_header = any(number(c) is None for c in rows[0])
-    header = [c.strip() for c in rows[0]] if has_header else None
+    has_header, idx = _locate(path, rows[0], column)
     body = rows[1:] if has_header else rows
-
-    try:
-        idx = int(column)
-    except ValueError:
-        if header is None:
-            raise DataError(f"{path}: no header row, select the column by index") from None
-        try:
-            idx = header.index(column)
-        except ValueError:
-            raise DataError(f"{path}: no column named {column!r}") from None
-    if body and not (0 <= idx < max(len(r) for r in body)):
+    if body and not (0 <= idx < max(map(len, body))):
         raise DataError(f"{path}: column index {idx} out of range")
 
     values = []
     dropped = {"non-finite": 0, "unparseable": 0}
     for row in body:
-        v = number(row[idx].strip() if idx < len(row) else "")
-        if v is None:
+        try:
+            v = float(row[idx].strip() if idx < len(row) else "")
+        except ValueError:
             dropped["unparseable"] += 1
-        elif not np.isfinite(v):
-            dropped["non-finite"] += 1
-        else:
+            continue
+        if math.isfinite(v):
             values.append(v)
+        else:
+            dropped["non-finite"] += 1
+    return np.asarray(values), dropped
+
+
+def read_numeric_column(path: str, column: str) -> np.ndarray:
+    """Load one numeric CSV column, dropping non-finite and unparseable rows
+    with a count of each.
+
+    The first filled line is treated as a header whenever any of its fields
+    is non-numeric.  ``column`` is a 0-based index if it parses as an
+    integer, otherwise a header name.  numpy's parser reads a clean file;
+    any other file is read cell by cell, with the same result.
+    """
+    parsed = _parse_clean(path, column)
+    if parsed is None:
+        values, dropped = _parse_cells(path, column)
+    else:
+        values = parsed[np.isfinite(parsed)]
+        dropped = {"non-finite": parsed.size - values.size, "unparseable": 0}
     counts = [f"{count} {kind} row(s)" for kind, count in dropped.items() if count]
     if counts:
         print(f"{path}: dropped {' and '.join(counts)}", file=sys.stderr)
     if len(values) < 10:
         raise DataError(f"{path}: need at least 10 finite rows, got {len(values)}")
-    return np.asarray(values)
+    return values
 
 
 def _emit(fmt: str, payload: dict, header: list[str], rows: list[list[str]]) -> None:
@@ -374,7 +438,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``); point it at devnull, so that
+        # the interpreter's last flush of the pending output raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ValueError as exc:
         # bad measure grammar, bad parameters, unreadable configs: caller-side mistakes
         print(f"skewkit: {exc}", file=sys.stderr)

@@ -47,16 +47,13 @@ class DistributionSpec:
 
     Subclasses are frozen dataclasses whose fields are the family's
     parameters, in the order its ``repr`` and parser use.  They implement
-    ``_quantile``, ``_cdf``, ``_pdf`` and ``mean`` on float arrays; the
+    ``_quantile``, ``_pdf`` and ``mean`` on float arrays; the
     public wrappers validate domains and preserve scalars.
     """
 
     name = "distribution"
 
     def _quantile(self, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _cdf(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _pdf(self, x: np.ndarray) -> np.ndarray:
@@ -69,10 +66,6 @@ class DistributionSpec:
         """Return x_p with F(x_p) = p, for p strictly inside (0, 1)."""
         arr = np.atleast_1d(_as_prob(p))
         return _match_shape(self._quantile(arr), p)
-
-    def cdf(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        return _match_shape(self._cdf(arr), x)
 
     def density(self, x):
         """Density f(x); zero outside the support rather than an error."""
@@ -132,10 +125,6 @@ class Normal(_LocationScale):
         from scipy import special
         return self.mu + self.sigma * special.ndtri(p)
 
-    def _cdf(self, x):
-        from scipy import special
-        return special.ndtr((x - self.mu) / self.sigma)
-
     def _pdf(self, x):
         z = (x - self.mu) / self.sigma
         return np.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI)
@@ -150,13 +139,6 @@ class LogNormal(_LocationScale):
     def _quantile(self, p):
         from scipy import special
         return np.exp(self.mu + self.sigma * special.ndtri(p))
-
-    def _cdf(self, x):
-        from scipy import special
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        out[pos] = special.ndtr((np.log(x[pos]) - self.mu) / self.sigma)
-        return out
 
     def _pdf(self, x):
         out = np.zeros_like(x)
@@ -180,9 +162,6 @@ class Exponential(DistributionSpec):
     def _quantile(self, p):
         return -np.log1p(-p) / self.rate
 
-    def _cdf(self, x):
-        return np.where(x >= 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
-
     def _pdf(self, x):
         return np.where(x >= 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
 
@@ -201,10 +180,6 @@ class ChiSquare(DistributionSpec):
     def _quantile(self, p):
         from scipy import special
         return 2.0 * special.gammaincinv(0.5 * self.df, p)
-
-    def _cdf(self, x):
-        from scipy import special
-        return np.where(x > 0.0, special.gammainc(0.5 * self.df, 0.5 * np.maximum(x, 0.0)), 0.0)
 
     def _pdf(self, x):
         from scipy import special
@@ -233,11 +208,6 @@ class ParetoII(DistributionSpec):
     def _quantile(self, p):
         return self.scale * np.expm1(-np.log1p(-p) / self.shape)
 
-    def _cdf(self, x):
-        return np.where(
-            x >= 0.0, -np.expm1(-self.shape * np.log1p(np.maximum(x, 0.0) / self.scale)), 0.0
-        )
-
     def _pdf(self, x):
         out = np.zeros_like(x)
         ok = x >= 0.0
@@ -260,9 +230,6 @@ class Weibull(DistributionSpec):
 
     def _quantile(self, p):
         return (-np.log1p(-p)) ** (1.0 / self.shape)
-
-    def _cdf(self, x):
-        return np.where(x > 0.0, -np.expm1(-np.maximum(x, 0.0) ** self.shape), 0.0)
 
     def _pdf(self, x):
         k = self.shape
@@ -287,10 +254,6 @@ class Gamma(DistributionSpec):
     def _quantile(self, p):
         from scipy import special
         return special.gammaincinv(self.shape, p)
-
-    def _cdf(self, x):
-        from scipy import special
-        return np.where(x > 0.0, special.gammainc(self.shape, np.maximum(x, 0.0)), 0.0)
 
     def _pdf(self, x):
         from scipy import special
@@ -317,11 +280,6 @@ class Beta(DistributionSpec):
     def _quantile(self, p):
         from scipy import special
         return special.betaincinv(self.a, self.b, p)
-
-    def _cdf(self, x):
-        from scipy import special
-        xo = np.clip(x, 0.0, 1.0)
-        return special.betainc(self.a, self.b, xo)
 
     def _pdf(self, x):
         from scipy import special
@@ -354,12 +312,6 @@ class FisherF(DistributionSpec):
         # W ~ F(d1, d2)  <=>  d1 W / (d1 W + d2) ~ Beta(d1/2, d2/2)
         y = special.betaincinv(0.5 * self.d1, 0.5 * self.d2, p)
         return self.d2 * y / (self.d1 * (1.0 - y))
-
-    def _cdf(self, x):
-        from scipy import special
-        xo = np.maximum(x, 0.0)
-        y = self.d1 * xo / (self.d1 * xo + self.d2)
-        return np.where(x > 0.0, special.betainc(0.5 * self.d1, 0.5 * self.d2, y), 0.0)
 
     def _pdf(self, x):
         from scipy import special

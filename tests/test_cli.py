@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,12 +7,16 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import skewkit
+from skewkit import cli
 from skewkit.cli import EXIT_DATA, EXIT_SIMULATION, EXIT_USAGE, main, read_numeric_column
 from skewkit.skewness import parse_measures
 
@@ -398,6 +403,219 @@ def test_estimate_a_file_that_is_not_utf8_exits_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, "estimate", str(path), "--column", "0", "--measures", "b3")
     assert (code, out) == (EXIT_DATA, "")
     assert f"{path}: not UTF-8 text" in err and "Traceback" not in err
+
+
+_SQUARES = "".join(f"{i * i}\n" for i in range(1, 13))  # 1, 4, ..., 144
+_B3_ALL = "measure,estimate,lower,upper\nb3,0.299145,-,-\n"  # b3 of the twelve squares
+
+# file text, --column, and what the per-cell reader gave for it: exit code,
+# stdout and stderr ("{path}" stands for the file's path)
+HOSTILE_CSVS = {
+    "byte-order mark": ("\ufeffx\n" + _SQUARES, "x", 0, _B3_ALL, ""),
+    "byte-order mark, no header": ("\ufeff" + _SQUARES, "0", 0, _B3_ALL, ""),
+    "blank line before the header": ("\nx\n" + _SQUARES, "x", 0, _B3_ALL, ""),
+    "blank line mid-file": ("x\n1\n4\n\n" + _SQUARES[4:], "x", 0, _B3_ALL, ""),
+    "a #5 cell": (
+        "x\n" + _SQUARES + "#5\n", "x", 0, _B3_ALL, "{path}: dropped 1 unparseable row(s)\n",
+    ),
+    "1_000 and a fullwidth 12": (
+        "x\n" + _SQUARES + "1_000\n１２\n", "x",
+        0, "measure,estimate,lower,upper\nb3,0.73283,-,-\n", "",
+    ),
+    "column -1": (
+        "a,x\n" + _SQUARES.replace("\n", ",7\n"), "-1",
+        EXIT_DATA, "", "skewkit: {path}: column index -1 out of range\n",
+    ),
+    "column index past int64": (
+        "x\n" + _SQUARES, "1" + "0" * 30,
+        EXIT_DATA, "", "skewkit: {path}: column index 1" + "0" * 30 + " out of range\n",
+    ),
+    "column past a ragged row": (
+        "a,x\n" + "".join(f"7,{v}\n" for v in _SQUARES.split()) + "5\n", "1",
+        0, _B3_ALL, "{path}: dropped 1 unparseable row(s)\n",
+    ),
+    "quoted number": (
+        '"x"\n"1.5"\n' + _SQUARES, "x", 0, "measure,estimate,lower,upper\nb3,0.365174,-,-\n", "",
+    ),
+    "quoted comma before the column": (
+        'label,x\n"a,7,b",9\n' + "".join(f"r,{v}\n" for v in _SQUARES.split()), "x",
+        0, "measure,estimate,lower,upper\nb3,0.385859,-,-\n", "",
+    ),
+    "whitespace-only row": ("x\n" + _SQUARES + "   \n", "x", 0, _B3_ALL, ""),
+    "nan, inf and Infinity": (
+        "x\n" + _SQUARES + "nan\ninf\nInfinity\n", "x",
+        0, _B3_ALL, "{path}: dropped 3 non-finite row(s)\n",
+    ),
+    "CRLF and CR line ends": (
+        "x\r\n" + _SQUARES.replace("\n", "\r\n")[:-2] + "\r5\r", "x",
+        0, "measure,estimate,lower,upper\nb3,0.374749,-,-\n", "",
+    ),
+    "header only": (
+        "x\n", "x", EXIT_DATA, "", "skewkit: {path}: need at least 10 finite rows, got 0\n",
+    ),
+    "not UTF-8": (
+        "caf\xe9\n" + _SQUARES, "0",
+        EXIT_DATA, "", "skewkit: {path}: not UTF-8 text (byte 3: invalid continuation byte)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+@pytest.mark.parametrize("case", HOSTILE_CSVS)
+def test_hostile_csvs_read_as_the_per_cell_reader_read_them(tmp_path, capsys, case, action):
+    # "always": numpy's warning on a header-only file must not reach the user
+    text, column, code, out, err = HOSTILE_CSVS[case]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("latin-1" if case == "not UTF-8" else "utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        got = run_cli(capsys, "estimate", str(path), "--column", column, "--measures", "b3",
+                      "--format", "csv")
+    assert got == (code, out, err.format(path=path))
+    assert caught == []
+
+
+def _read_outcome(path, column):
+    """``read_numeric_column``'s array or DataError message, and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            result = read_numeric_column(path, column)
+        except cli.DataError as exc:
+            result = str(exc)
+    return result, err.getvalue()
+
+
+def _estimate_outcome(path, column):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["estimate", path, "--column", column, "--measures", "b3", "--format", "csv"])
+    return code, out.getvalue(), err.getvalue()
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1.", ".5", "+3", "-0", "1e500", "-1E-400", "007", " 1", "\xa02\xa0", "\t3"]),
+    st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "-INFINITY"]),
+)
+_JUNK = st.sampled_from([
+    "", " ", "abc", "#5", "1_000", "１２", "1d5", "0x10", "nan(1)", "infinit", "1 2", "'1'",
+    '"1"5', '1"5"', '""', '"a""b"', '" 1', "\r",
+])
+# labels; numpy's parser would split a quoted "a,1,b" and read its 1, and drop
+# a "#a" line as a comment, unless told about quotes and comments
+_LABELS = st.sampled_from(["a", "a,1,b", "#a", "1", "", "a\nb"])
+_TEXT = st.one_of(_LABELS, _LABELS, _LABELS, st.text(' ,"#\n\r1a.', max_size=6))
+
+
+def _quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _cell(text_strategy):
+    """Cells of ``text_strategy``, quoted where CSV needs it and at times where not."""
+    bare = text_strategy.map(lambda t: _quoted(t) if set(t) & set(',"\n\r') else t)
+    return st.one_of(bare, bare, text_strategy.map(_quoted))
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text with numeric and label columns and, unless the file is
+    clean, junk cells, ragged rows and whitespace-only lines; and a column
+    to select, a numeric one in a clean file."""
+    clean = draw(st.booleans())
+    kinds = sorted(draw(st.lists(st.sampled_from(["number", "label"]), min_size=1, max_size=3)))
+    # a few labels and one quoting habit per file, as in a real export
+    labels = draw(st.lists(_cell(_TEXT), min_size=1, max_size=3))
+    number = draw(st.sampled_from([_NUMBERS, _NUMBERS.map(_quoted), _cell(_NUMBERS)]))
+    cell = {"number": number, "label": st.sampled_from(labels)}
+    rows = draw(st.lists(st.tuples(*(cell[k] for k in kinds)).map(list),
+                         min_size=8 if clean else 0, max_size=25))
+    if not clean:
+        for row in rows:
+            if draw(st.integers(0, 3)) == 0:
+                del row[draw(st.integers(1, len(row))):]  # a short row
+            if draw(st.integers(0, 3)) == 0:
+                row[draw(st.integers(0, len(row) - 1))] = draw(_JUNK)
+    lines = [",".join(r) for r in rows]
+    for at, blank in draw(st.lists(st.tuples(st.integers(0, len(lines)),
+                                             st.sampled_from(["", "  ", ",,"])), max_size=2)):
+        if not clean or blank == "":
+            lines.insert(at, blank)
+    names = draw(st.lists(st.sampled_from(["x", "y", "y,z", "x\ny", "1"]),
+                          min_size=len(kinds), max_size=len(kinds)))
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, ",".join(draw(_cell(st.just(n))) for n in names))
+    lines[:0] = [""] * draw(st.integers(0, 1))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines)
+    text += draw(st.sampled_from(["", newline]))
+    columns = [str(i) for i, k in enumerate(kinds) if k == "number"]
+    columns += [names[i] for i, k in enumerate(kinds) if k == "number" and header]
+    if not clean or not columns:
+        columns = ["0", "1", "2", "-1", "x", "y", "y,z"]
+    return text, draw(st.sampled_from(columns))
+
+
+_ROWS = "".join(f"{label},{v}\n" for label, v in zip(("a", '"a,1,b"', "#a") * 4, range(12)))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_csv_files())
+@example(("id,x\n" + _ROWS, "x"))
+@example((_ROWS, "1"))
+def test_numpy_and_per_cell_readers_agree(tmp_path_factory, file):
+    text, column = file
+    path = str(tmp_path_factory.getbasetemp() / "differential.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = _read_outcome(path, column), _estimate_outcome(path, column)
+        with mock.patch.object(cli, "_parse_clean", return_value=None):
+            cells = _read_outcome(path, column), _estimate_outcome(path, column)
+    (fast_values, fast_err), fast_run = fast
+    (cell_values, cell_err), cell_run = cells
+    if isinstance(cell_values, str):
+        assert fast_values == cell_values
+    else:
+        assert np.array_equal(fast_values, cell_values)
+    assert (fast_err, fast_run) == (cell_err, cell_run)
+
+
+def test_a_clean_file_takes_numpy_s_parser(tmp_path):
+    # the fast path must stay reachable: the benchmark's layout, a byte-order
+    # mark, quoted names, CRLF line ends and blank lines
+    path = tmp_path / "clean.csv"
+    rows = "".join(f"{k},{k / 7!r}\r\n\r\n" for k in range(20))
+    path.write_text('\ufeff\r\n"id","x"\r\n' + rows)
+    values = cli._parse_clean(str(path), "x")
+    np.testing.assert_array_equal(values, np.arange(20) / 7)
+    np.testing.assert_array_equal(read_numeric_column(str(path), "1"), values)
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["compare", "{a}", "{a}", "--column", "x", "--measures", "all", "--format", "json"], 0),
+    (["curve", "--dist", "lognormal(0,1)", "--family", "gamma", "--points", "20000",
+      "--format", "json"], 1),
+])
+def test_closed_stdout_exits_quietly(tmp_path, argv, lines_read):
+    # 0 lines: the pipe closes before the first write; 1 line: a 1 MB report
+    # cannot fit in the pipe, so a write meets the closed end
+    env = dict(os.environ, PYTHONPATH=str(Path(skewkit.__file__).resolve().parents[1]))
+    a = write_csv(tmp_path / "a.csv", np.random.default_rng(2).lognormal(size=300))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "skewkit.cli", *(arg.format(a=a) for arg in argv)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    for _ in range(lines_read):
+        assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == cli.EXIT_PIPE
+    assert err == b""
 
 
 # --- compare ------------------------------------------------------------------
