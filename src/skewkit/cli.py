@@ -9,7 +9,9 @@ SIGPIPE).  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
+import itertools
 import json
 import math
 import os
@@ -88,8 +90,8 @@ def _parse_clean(path: str, column: str) -> np.ndarray | None:
     a file with no data rows (a warning), and splits quoted fields as ``csv``
     does, so a file it accepts reads as the per-cell loop reads it.  It reads
     the open file, already past the header, so blank lines before the header
-    need no count.  Every error is left to the per-cell loop, which reads
-    the whole file first and so reports a bad byte before a bad column.
+    need no count.  Every error is left to the per-cell loop, which reports
+    a bad byte anywhere before a bad column.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
@@ -113,33 +115,45 @@ def _parse_clean(path: str, column: str) -> np.ndarray | None:
 
 def _parse_cells(path: str, column: str) -> tuple[np.ndarray, dict[str, int]]:
     """The finite values of the selected column, cell by cell, and the count
-    of rows dropped as non-finite and as unparseable."""
+    of rows dropped as non-finite and as unparseable.
+
+    The rows stream through the loop, one at a time.  A bad byte anywhere is
+    reported first, so a bad column and an index out of range wait until the
+    whole file has been read.
+    """
+    from array import array  # not loaded on numpy's path
+
+    values = array("d")  # 8 bytes a value, where a list of floats takes 32
+    dropped = {"non-finite": 0, "unparseable": 0}
+    width = 0  # of the widest data row
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(filter(_filled, csv.reader(fh)))
+            rows = filter(_filled, csv.reader(fh))
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"{path}: file is empty")
+            try:
+                has_header, idx = _locate(path, first, column)
+            except DataError:
+                collections.deque(rows, maxlen=0)  # a bad byte further on comes first
+                raise
+            for row in rows if has_header else itertools.chain([first], rows):
+                width = max(width, len(row))
+                try:
+                    v = float(row[idx].strip() if 0 <= idx < len(row) else "")
+                except ValueError:
+                    dropped["unparseable"] += 1
+                    continue
+                if math.isfinite(v):
+                    values.append(v)
+                else:
+                    dropped["non-finite"] += 1
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
-    if not rows:
-        raise DataError(f"{path}: file is empty")
-    has_header, idx = _locate(path, rows[0], column)
-    body = rows[1:] if has_header else rows
-    if body and not (0 <= idx < max(map(len, body))):
+    if width and not 0 <= idx < width:
         raise DataError(f"{path}: column index {idx} out of range")
-
-    values = []
-    dropped = {"non-finite": 0, "unparseable": 0}
-    for row in body:
-        try:
-            v = float(row[idx].strip() if idx < len(row) else "")
-        except ValueError:
-            dropped["unparseable"] += 1
-            continue
-        if math.isfinite(v):
-            values.append(v)
-        else:
-            dropped["non-finite"] += 1
     return np.asarray(values), dropped
 
 

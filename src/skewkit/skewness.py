@@ -296,7 +296,13 @@ def point_sets(measures, base=None) -> tuple[np.ndarray, list[tuple[list[int], n
     points = {k: midpoint_probs(k) for k in dict.fromkeys(keys) if k}
     if base is None:
         ps = [m.p for m in measures if m.is_pointwise]
-        base, order = np.unique(np.concatenate([ps, *points.values()])), None
+        union = np.sort(np.concatenate([ps, *points.values()]))
+        # not np.unique: its first call imports numpy.ma (16-19 ms of a cold
+        # `skewkit estimate`); the first value of each run of equal values
+        # gives the same floats
+        keep = np.ones(union.size, dtype=bool)
+        keep[1:] = union[1:] != union[:-1]
+        base, order = union[keep], None
     else:
         order = np.argsort(base, kind="stable")
     groups = []

@@ -475,6 +475,16 @@ def test_hostile_csvs_read_as_the_per_cell_reader_read_them(tmp_path, capsys, ca
     assert caught == []
 
 
+
+@pytest.mark.parametrize("header, column", [("x\n", "nope"), ("x\n", "5"), ("", "-1"), ("", "x")])
+def test_a_bad_byte_anywhere_comes_before_a_bad_column(tmp_path, capsys, header, column):
+    # the byte lies past the reader's first chunks, so the column errors wait
+    path = tmp_path / "late.csv"
+    path.write_bytes((header + _SQUARES * 1000).encode() + b"caf\xe9\n")
+    code, out, err = run_cli(capsys, "estimate", str(path), "--column", column, "--measures", "b3")
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith(f"skewkit: {path}: not UTF-8 text (byte ")
+
 def _read_outcome(path, column):
     """``read_numeric_column``'s array or DataError message, and its stderr."""
     err = io.StringIO()
@@ -1075,28 +1085,41 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 def test_estimate_and_compare_leave_scipy_unloaded(tmp_path):
     # intervals need only the normal quantile, which the standard library
-    # gives; a subprocess, because pytest's filterwarnings entry imports
+    # gives, and no np.unique, whose first call imports numpy.ma; a
+    # subprocess, because pytest's filterwarnings entry imports
     # scipy.integrate into this one
     env = dict(os.environ, PYTHONPATH=str(Path(skewkit.__file__).resolve().parents[1]))
     rng = np.random.default_rng(4)
     a = write_csv(tmp_path / "a.csv", rng.lognormal(size=300))
     b = write_csv(tmp_path / "b.csv", rng.lognormal(size=200))
     probe = (
-        "import contextlib, io, sys, skewkit.cli as cli\n"
-        "print('scipy' in sys.modules)\n"
+        "import contextlib, io, sys, numpy as np, skewkit as sk, skewkit.cli as cli\n"
+        "def loaded(step):\n"
+        "    print(step, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        "loaded('import')\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main(['estimate', {a!r}, '--column', 'x', '--measures', 'all',"
         " '--format', 'json'])\n"
-        "print(code, 'scipy' in sys.modules)\n"
+        "loaded(f'estimate {code}')\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main(['compare', {a!r}, {b!r}, '--column', 'x', '--measures', 'all'])\n"
-        "print(code, 'scipy' in sys.modules)\n"
+        "loaded(f'compare {code}')\n"
+        "s = sk.SortedSample.from_data(np.random.default_rng(1).lognormal(size=200))\n"
+        "sk.intervals(s, sk.parse_measures('all', include_b3=False))\n"
+        "sk.interval(s, sk.parse_measures('auc_gamma')[0])\n"
+        "loaded('intervals')\n"
+        "for m in sk.parse_measures('gamma@0.1,auc_lambda_star,b3'):\n"
+        "    sk.point_estimate(s, m)\n"
+        "loaded('point_estimate')\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:3] == ["False", "0 False", "0 False"]
+    assert done.stdout.splitlines() == [
+        "import False False", "estimate 0 False False", "compare 0 False False",
+        "intervals False False", "point_estimate False False",
+    ]
 
 
 @pytest.mark.parametrize("argv, env, message", [

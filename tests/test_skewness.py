@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from skewkit import (
@@ -33,6 +35,7 @@ from skewkit import (
     quantile_type8,
 )
 from skewkit.skewness import (
+    AUC_KINDS,
     MeasureKind,
     QuantileGrid,
     estimate,
@@ -157,6 +160,40 @@ def test_s_r_identities():
     with pytest.raises(ValueError, match="gamma@0.2: the quantile grid lacks its probabilities"):
         estimate_pointwise(g, parse_measure("gamma@0.2"))
 
+
+
+_POINTWISE = st.builds(
+    SkewMeasure,
+    st.sampled_from([MeasureKind.GAMMA, MeasureKind.LAMBDA, MeasureKind.GAMMA_STAR,
+                     MeasureKind.LAMBDA_STAR]),
+    # a few p's that an AUC grid shares, or that a second draw repeats
+    st.one_of(st.floats(1e-12, 0.5, exclude_max=True), st.sampled_from([0.0025, 0.1, 0.25, 0.375])),
+    st.sampled_from(list(Direction)),
+)
+_AUC = st.builds(
+    SkewMeasure, st.sampled_from(AUC_KINDS), j_points=st.sampled_from([2, 3, 4, 40, 100, 101]),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.one_of(_POINTWISE, _AUC), max_size=12))
+@example([SkewMeasure(MeasureKind.GAMMA, p=0.0025), SkewMeasure(MeasureKind.AUC_GAMMA)])
+@example([SkewMeasure(MeasureKind.GAMMA, p=0.1), SkewMeasure(MeasureKind.LAMBDA, p=0.1)])
+@example([SkewMeasure(k, j_points=j) for k, j in zip(AUC_KINDS, (100, 40, 100, 2))])
+@example([])
+def test_point_sets_union_is_np_unique_bit_for_bit(measures):
+    # point_sets sorts and drops repeats by hand, to keep np.unique (and so
+    # numpy.ma) off the estimate path; the floats and their order must match
+    union = [m.p for m in measures if m.is_pointwise]
+    union += [q for m in measures if m.is_auc for q in midpoint_probs(m.j_points)]
+    want = np.unique(np.array(union, dtype=float))
+    base, groups = point_sets(measures)
+    assert base.dtype == want.dtype and base.tobytes() == want.tobytes()
+    # and the groups index it as they index a given base
+    _, given_groups = point_sets(measures, want)
+    assert [idx for idx, _ in groups] == [idx for idx, _ in given_groups]
+    for (_, take), (_, given_take) in zip(groups, given_groups):
+        np.testing.assert_array_equal(take, given_take)
 
 def test_pointwise_population_values():
     ln = population_grid(LogNormal(0.0, 1.0), base_probs=[0.05, 0.25])
