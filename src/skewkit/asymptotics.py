@@ -19,8 +19,8 @@ from .skewness import Direction, MeasureKind, QuantileGrid, SkewMeasure
 
 @dataclass(frozen=True)
 class XiKernel:
-    """Quantile-covariance kernel: sample size plus the quantile densities g
-    at the probabilities ``probs`` (a grid's ``QuantileGrid.probs``).
+    """Quantile-covariance kernel: the quantile densities g at the
+    probabilities ``probs`` (a grid's ``QuantileGrid.probs``); n Var needs no n.
 
     ``g`` holds kernel estimates (inference) or exact quantile densities
     (population oracles).  The engine accepts the kernel only for a grid
@@ -28,7 +28,6 @@ class XiKernel:
     per sample.
     """
 
-    n: int
     probs: np.ndarray
     g: np.ndarray
 
@@ -41,9 +40,9 @@ class XiKernel:
 
     @classmethod
     def from_grid(cls, grid: QuantileGrid) -> "XiKernel":
-        if grid.n is None:
-            raise ValueError("grid has no sample size; use an explicit n")
-        return cls(n=grid.n, probs=grid.probs, g=grid.g)
+        if grid.g is None:
+            raise ValueError("grid has no quantile densities; pass them to XiKernel")
+        return cls(probs=grid.probs, g=grid.g)
 
 
 def _variance(k: XiKernel, grid: QuantileGrid, measure: SkewMeasure):

@@ -1,9 +1,10 @@
 """Command-line surface: population, estimate, compare, simulate, curve.
 
-Exit codes: 0 success, 2 usage/parse error, 3 data error (bad column,
-degenerate scale), 4 simulation failure-rate breach, 141 stdout closed
-before the output was written (as a shell reports a command ended by
-SIGPIPE).  Results go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 2 usage/parse error or a size too large for
+memory, 3 data error (bad column, degenerate scale), 4 simulation
+failure-rate breach, 141 stdout closed before the output was written (as a
+shell reports a command ended by SIGPIPE).  Results go to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -374,6 +375,12 @@ def _level(text: str) -> float:
     raise argparse.ArgumentTypeError("confidence level must lie strictly inside (0, 1)")
 
 
+def _grid_points(text: str) -> int:
+    if text.isascii() and text.strip().isdigit() and int(text) >= 2:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {text!r}")
+
+
 def _threads(text: str) -> str:
     if text == "auto" or text.isascii() and text.strip().isdigit() and int(text) > 0:
         return text
@@ -388,7 +395,7 @@ def _add_options(parser, *names: str, overrides: bool = False) -> None:
         "measures": dict(required=not overrides,
                          help="comma list: gamma@0.25, lambda@0.05, auc_gamma, ..., b3, or 'all'"),
         "level": dict(type=_level, default=0.95, help="confidence level in (0, 1)"),
-        "j": dict(type=int, default=100, help="midpoint grid size for AUC kinds (default 100)"),
+        "j": dict(type=_grid_points, default=100, help="midpoint grid size for AUC kinds (default 100)"),
         "direction": dict(type=_direction, default=Direction.RIGHT, help="'right' or 'left'"),
         "format": dict(choices=("text", "json", "csv"), default="text",
                        help="output format (default: text)"),
@@ -410,13 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True, type=parse_distribution,
                    help="distribution, e.g. 'lognormal(0,1)' or 'exp(1)'")
     _add_options(p, "measures", "j", "direction", "format")
-    p.set_defaults(func=cmd_population)
+    p.set_defaults(func=cmd_population, sizes="--j")
 
     p = sub.add_parser("estimate", help="estimates and confidence intervals from a CSV column")
     p.add_argument("input", help="CSV file")
     p.add_argument("--column", required=True, help="column name or 0-based index")
     _add_options(p, "measures", "level", "j", "direction", "format")
-    p.set_defaults(func=cmd_estimate)
+    p.set_defaults(func=cmd_estimate, sizes="--j or the input")
 
     p = sub.add_parser("compare", help="difference of measures between two samples")
     p.add_argument("input_a", help="CSV file for group A")
@@ -424,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--column", required=True, help="column (both files unless --column-b)")
     p.add_argument("--column-b", default=None, help="column for group B")
     _add_options(p, "measures", "level", "j", "direction", "format")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, sizes="--j or the inputs")
 
     p = sub.add_parser("simulate", help="Monte Carlo coverage study from a JSON config")
     p.add_argument("config", nargs="?", default=None, help="JSON config path")
@@ -436,14 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="positive integer or 'auto'; accepted, changes nothing")
     p.add_argument("--bandwidth", default=None, help="'default' or a fixed value in (0,0.5)")
     _add_options(p, "measures", "level", "j", "direction", "format", overrides=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, sizes="--n, --trials or --j")
 
     p = sub.add_parser("curve", help="population skewness curve data for plotting")
     p.add_argument("--dist", required=True, type=parse_distribution)
     p.add_argument("--family", required=True, choices=_CURVE_FAMILIES)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_grid_points, default=100)
     _add_options(p, "direction", "format")
-    p.set_defaults(func=cmd_curve)
+    p.set_defaults(func=cmd_curve, sizes="--points")
 
     return parser
 
@@ -467,6 +474,10 @@ def main(argv=None) -> int:
     except SkewkitError as exc:
         print(f"skewkit: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        reason = str(exc) or "an allocation failed"
+        print(f"skewkit: out of memory: {reason}; lower {args.sizes}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

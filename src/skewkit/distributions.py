@@ -1,6 +1,6 @@
 """Analytic distribution zoo: quantiles, densities, quantile densities, sampling.
 
-Every member exposes a closed-form (or special-function) quantile, CDF and
+Every member exposes a closed-form (or special-function) quantile and
 density, which makes population skewness values and inversion sampling exact
 up to floating point.  All distributions are immutable and safe to share.
 Methods import scipy.special themselves: only evaluating a distribution loads scipy.
@@ -175,20 +175,14 @@ class ChiSquare(DistributionSpec):
     name = "chisq"
 
     def __post_init__(self):
-        _require_positive(df=self.df)
+        # chi-square(df) is 2 * Gamma(df / 2), so df / 2 must not underflow to 0
+        _require_positive(df=self.df, **{"df / 2": 0.5 * self.df})
 
     def _quantile(self, p):
-        from scipy import special
-        return 2.0 * special.gammaincinv(0.5 * self.df, p)
+        return 2.0 * Gamma(0.5 * self.df)._quantile(p)
 
     def _pdf(self, x):
-        from scipy import special
-        k = 0.5 * self.df
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        xv = x[pos]
-        out[pos] = np.exp((k - 1.0) * np.log(0.5 * xv) - 0.5 * xv - special.gammaln(k)) * 0.5
-        return out
+        return 0.5 * Gamma(0.5 * self.df)._pdf(0.5 * x)
 
     def mean(self):
         return self.df

@@ -24,7 +24,7 @@ def z_quantile(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A point estimate; ``se`` is None for measures without one (b3)."""
+    """A point estimate; ``se`` is always None (``interval`` gives the SE)."""
 
     measure: SkewMeasure
     value: float

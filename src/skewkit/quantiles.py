@@ -27,9 +27,9 @@ class SortedSample:
     Every function of this module accepts either and works row by row.
 
     A sample memoizes the quantile grids computed from it (``grids``), so
-    its values must never change: the constructors and images below return
-    read-only values, and a sample built directly from an array must not be
-    mutated afterwards.
+    its values must never change: the constructors below return read-only
+    values, and a sample built directly from an array must not be mutated
+    afterwards.
     """
 
     values: np.ndarray
@@ -60,15 +60,6 @@ class SortedSample:
     def batch(self) -> "SortedSample":
         """One sample as a batch of one row, with its own grids."""
         return SortedSample(self.values[None])
-
-    def transformed(self, scale: float, shift: float) -> "SortedSample":
-        """Affine image scale*x + shift (scale > 0 keeps the ordering)."""
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        return SortedSample(values=_read_only(self.values * scale + shift))
-
-    def negated(self) -> "SortedSample":
-        return SortedSample(values=_read_only(-self.values[..., ::-1]))
 
 
 def _sorted(arr: np.ndarray) -> np.ndarray:

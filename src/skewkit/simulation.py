@@ -41,12 +41,14 @@ def coverage_standard_error(trials: int, p0: float) -> float:
     return float(np.sqrt(p0 * (1.0 - p0) / trials))
 
 
-def _integer(value) -> int:
+def _integer(value, least=None) -> int:
     """``value`` as an int: an int but not a bool, an integral float such as
-    1e4, or an integer string; else a TypeError."""
+    1e4, or an integer string; else a TypeError, or a ValueError below ``least``."""
     if type(value) is int or isinstance(value, float) and value.is_integer() or (
         isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d+\s*", value)
     ):
+        if least is not None and int(value) < least:
+            raise ValueError
         return int(value)
     raise TypeError
 
@@ -127,7 +129,7 @@ class SimConfig:
             doc, "direction", lambda v: Direction(v.lower() if isinstance(v, str) else v),
             "'right' or 'left'", "right",
         )
-        j_points = _config_value(doc, "j", _integer, "an integer", 100)
+        j_points = _config_value(doc, "j", lambda v: _integer(v, least=2), "an integer of at least 2", 100)
         tokens = _config_value(doc, "measures", _tokens, "a list of tokens or a comma-separated string")
         return cls(
             dist=dist,

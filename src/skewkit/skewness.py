@@ -189,31 +189,17 @@ class QuantileGrid:
     and quantile-density values at those 2J+1 probabilities, each computed
     exactly once.  For a batch of samples ``x`` and ``g`` have one row per
     sample, and every function of this module works row by row.  The grids
-    of point values (sample estimates and population values) have ``n`` and
-    ``g`` None: a point value never reads a quantile density.
+    of point values (sample estimates and population values) have ``g``
+    None: a point value never reads a quantile density.
     """
 
     probs: np.ndarray
     x: np.ndarray
     g: np.ndarray | None
-    n: int | None
 
     @property
     def base_probs(self) -> np.ndarray:
         return self.probs[: self.probs.size // 2]
-
-    @property
-    def x_low(self) -> np.ndarray:
-        return self.x[..., : self.probs.size // 2]
-
-    @property
-    def x_high(self) -> np.ndarray:
-        return self.x[..., self.probs.size // 2 : -1]
-
-    @property
-    def x_median(self):
-        """The median: a float for one sample, one value per row for a batch."""
-        return _scalar(self.x[..., -1])
 
 
 def grid_for_probs(
@@ -234,7 +220,7 @@ def grid_for_probs(
         probs = _grid_probs(base)
         x = quantile_type8(sample, probs)
         g = quantile_density_profile(sample, probs, rule)
-        sample.grids[key] = QuantileGrid(*map(_read_only, (probs, x, g)), sample.n)
+        sample.grids[key] = QuantileGrid(*map(_read_only, (probs, x, g)))
     return sample.grids[key]
 
 
@@ -252,7 +238,7 @@ def population_grid(dist, j_points: int = DEFAULT_GRID_POINTS, base_probs=None) 
     default the J-point midpoint rule, without quantile densities."""
     base = midpoint_probs(j_points) if base_probs is None else np.asarray(base_probs, dtype=float)
     probs = _grid_probs(base)
-    return QuantileGrid(probs, np.asarray(dist.quantile(probs), dtype=float), None, None)
+    return QuantileGrid(probs, np.asarray(dist.quantile(probs), dtype=float), None)
 
 
 def denominator_slopes(measure: SkewMeasure) -> tuple[float, float, float]:

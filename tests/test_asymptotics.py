@@ -36,8 +36,8 @@ class RefKernel:
         self.g_at = g_at
 
     @classmethod
-    def from_grid(cls, grid):
-        return cls(grid.n, {float(p): float(g) for p, g in zip(grid.probs, grid.g)})
+    def from_grid(cls, grid, n):
+        return cls(n, {float(p): float(g) for p, g in zip(grid.probs, grid.g)})
 
 
 def xi(k, p, q):
@@ -82,7 +82,7 @@ def sigma_cross(k, grid, p, q, family="gamma", direction=Direction.RIGHT):
 
     def plug(x):
         i = base.index(x)
-        lo, hi, med = grid.x_low[i], grid.x_high[i], grid.x_median
+        lo, hi, med = grid.x[i], grid.x[len(base) + i], grid.x[-1]
         if not lam:
             r = hi - lo
         else:
@@ -176,18 +176,20 @@ def test_xi_missing_probability():
     shifted = np.concatenate([auc.base_probs, 1.0 - auc.base_probs, [0.5]]) + 0.01
     g_shifted = LogNormal(0.0, 1.0).quantile_density(shifted)
     with pytest.raises(ValueError):
-        auc_variance(XiKernel(200, shifted, g_shifted), auc, "gamma")
+        auc_variance(XiKernel(shifted, g_shifted), auc, "gamma")
     # the kernel of the grid itself is accepted
     assert sigma1_sq(k, grid, 0.15) > 0.0
 
 
 def test_xi_kernel_rejects_nonpositive_density():
     with pytest.raises(ValueError):
-        XiKernel(n=10, probs=np.array([0.1, 0.9, 0.5]), g=np.array([1.0, 0.0, 2.0]))
+        XiKernel(probs=np.array([0.1, 0.9, 0.5]), g=np.array([1.0, 0.0, 2.0]))
     with pytest.raises(ValueError):
-        XiKernel(n=10, probs=np.array([0.5]), g=np.array([np.nan]))
+        XiKernel(probs=np.array([0.5]), g=np.array([np.nan]))
     with pytest.raises(ValueError):
-        XiKernel(n=10, probs=np.array([0.1, 0.9, 0.5]), g=np.array([1.0, 2.0]))
+        XiKernel(probs=np.array([0.1, 0.9, 0.5]), g=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="grid has no quantile densities"):
+        XiKernel.from_grid(population_grid(LogNormal(0.0, 1.0), base_probs=[0.1]))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -296,7 +298,7 @@ def _sample_grid_and_kernel(seed=11, n=400, probs=(0.15, 0.35)):
 def test_sigma_cross_diagonal_equals_pointwise_variances():
     # one-hot gradients on a two-point grid against the hand expansion
     grid, k = _sample_grid_and_kernel()
-    ref = RefKernel.from_grid(grid)
+    ref = RefKernel.from_grid(grid, 400)  # _sample_grid_and_kernel's n
     for p in (0.15, 0.35):
         assert sigma1_sq(k, grid, p) == pytest.approx(
             sigma_cross(ref, grid, p, p, "gamma"), rel=1e-12
@@ -309,7 +311,7 @@ def test_sigma_cross_diagonal_equals_pointwise_variances():
 
 def test_sigma_cross_symmetric_in_p_q():
     grid, k = _sample_grid_and_kernel()
-    ref = RefKernel.from_grid(grid)
+    ref = RefKernel.from_grid(grid, 400)  # _sample_grid_and_kernel's n
     for kind, family in ((MeasureKind.GAMMA, "gamma"), (MeasureKind.LAMBDA, "lambda")):
         ma, mb = SkewMeasure(kind, p=0.15), SkewMeasure(kind, p=0.35)
         a = library_cross(grid, k, ma, mb)
@@ -325,7 +327,7 @@ def test_pointwise_variances_match_reference(n, p):
     s = SortedSample.from_data(rng.lognormal(size=n))
     grid = grid_for_probs(s, [p])
     k = XiKernel.from_grid(grid)
-    ref = RefKernel.from_grid(grid)
+    ref = RefKernel.from_grid(grid, s.n)
     assert sigma1_sq(k, grid, p) == pytest.approx(sigma_cross(ref, grid, p, p), rel=1e-12)
     for d in Direction:
         assert sigma2_sq(k, grid, p, d) == pytest.approx(
@@ -341,9 +343,9 @@ def test_sigma1_handles_symmetric_data():
     grid = grid_for_probs(s, [0.25])
     k = XiKernel.from_grid(grid)
     got = sigma1_sq(k, grid, 0.25)
-    ref = RefKernel.from_grid(grid)
+    ref = RefKernel.from_grid(grid, s.n)
     var_s = cov_engine(ref, combo_s(0.25), combo_s(0.25))[0]
-    want = k.n * var_s / (grid.x_high[0] - grid.x_low[0]) ** 2
+    want = s.n * var_s / (grid.x[1] - grid.x[0]) ** 2
     assert got == pytest.approx(want, rel=1e-12)
     assert got >= 0.0
 
@@ -352,7 +354,7 @@ def test_scale_equivariance_of_variances():
     rng = np.random.default_rng(12)
     data = rng.lognormal(size=500)
     s = SortedSample.from_data(data)
-    t = s.transformed(7.5, 0.0)
+    t = SortedSample.from_data(s.values * 7.5)
     g1 = grid_for_probs(s, [0.2])
     g2 = grid_for_probs(t, [0.2])
     k1 = XiKernel.from_grid(g1)
@@ -386,7 +388,7 @@ def test_auc_variance_matches_naive_double_loop():
     s = SortedSample.from_data(rng.exponential(size=300))
     grid = build_grid(s, j_points=25)
     k = XiKernel.from_grid(grid)
-    ref = RefKernel.from_grid(grid)
+    ref = RefKernel.from_grid(grid, s.n)
     pj = [float(p) for p in grid.base_probs]
     for fam in ("gamma", "lambda"):
         naive = np.mean([[sigma_cross(ref, grid, a, b, fam) for b in pj] for a in pj])
@@ -417,7 +419,7 @@ def test_auc_variance_quadratic_form_matches_sigma_cross(n, family, weighted, di
     s = SortedSample.from_data(rng.lognormal(size=n))
     grid = build_grid(s, j_points=20)
     k = XiKernel.from_grid(grid)
-    ref = RefKernel.from_grid(grid)
+    ref = RefKernel.from_grid(grid, s.n)
     pj = [float(p) for p in grid.base_probs]
     naive = np.mean([
         [(a * b if weighted else 1.0) * sigma_cross(ref, grid, a, b, family, direction)
@@ -434,7 +436,7 @@ def test_auc_variance_two_point_grid_equals_mean_of_cells():
     s = SortedSample.from_data(rng.exponential(size=500))
     grid = build_grid(s, j_points=2)
     k = XiKernel.from_grid(grid)
-    ref = RefKernel.from_grid(grid)
+    ref = RefKernel.from_grid(grid, s.n)
     cells = [
         sigma_cross(ref, grid, float(a), float(b), "gamma")
         for a in grid.base_probs for b in grid.base_probs
@@ -461,7 +463,7 @@ def test_sigma1_matches_simulation_normal():
     p, n, reps = 0.25, 10_000, 20_000
     probs = np.array([p, 1 - p, 0.5])
     grid = population_grid(dist, base_probs=[p])
-    k = XiKernel(n=n, probs=grid.probs, g=dist.quantile_density(grid.probs))
+    k = XiKernel(probs=grid.probs, g=dist.quantile_density(grid.probs))
     predicted = sigma1_sq(k, grid, p)
 
     rng = np.random.default_rng(160)
@@ -487,7 +489,7 @@ def test_auc_variance_matches_simulation_lognormal():
     pj = midpoint_probs(J)
     probs = np.concatenate([pj, 1 - pj, [0.5]])
     grid = population_grid(dist, j_points=J)
-    k = XiKernel(n=n, probs=grid.probs, g=dist.quantile_density(grid.probs))
+    k = XiKernel(probs=grid.probs, g=dist.quantile_density(grid.probs))
     predicted = auc_variance(k, grid, "gamma")
 
     rng = np.random.default_rng(161)

@@ -902,6 +902,8 @@ def test_simulate_invalid_config_exits_2(tmp_path, capsys):
     ("seed", -1, "key 'seed' must be a non-negative integer, got -1"),
     ("level", 1.5, "key 'level' must be a number strictly inside (0, 1), got 1.5"),
     ("threads", 0, "key 'threads' must be a positive integer or 'auto', got 0"),
+    ("j", 1, "key 'j' must be an integer of at least 2, got 1"),
+    ("j", -3, "key 'j' must be an integer of at least 2, got -3"),
 ])
 def test_simulate_config_errors_name_their_key(tmp_path, capsys, key, value, message):
     config = tmp_path / "cfg.json"
@@ -1028,11 +1030,48 @@ def test_curve_json_equals_the_population_grid_curve(capsys, dist, family, direc
     assert json.loads(out)["points"] == want
 
 
-def test_curve_too_few_points_exits_2(capsys):
-    code, _, err = run_cli(
-        capsys, "curve", "--dist", "exp(1)", "--family", "gamma", "--points", "1",
-    )
-    assert code == EXIT_USAGE
+def test_curve_too_few_points_exits_2(ln_file, capsys):
+    # a grid size below 2 exits 2 naming its flag, pointwise measures or not
+    for argv, flag in (
+        (["curve", "--dist", "exp(1)", "--family", "gamma", "--points", "1"], "--points"),
+        (["curve", "--dist", "exp(1)", "--family", "gamma", "--points", "x"], "--points"),
+        (["estimate", ln_file, "--column", "price", "--measures", "auc_gamma", "--j", "1"], "--j"),
+        (["estimate", ln_file, "--column", "price", "--measures", "gamma@0.1", "--j", "0"], "--j"),
+        (["population", "--dist", "exp(1)", "--measures", "auc_gamma", "--j", "-2"], "--j"),
+        (["simulate", "--dist", "exp(1)", "--n", "20", "--trials", "1", "--seed", "1",
+          "--measures", "auc_gamma", "--j", "1"], "--j"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_USAGE, argv
+        assert f"argument {flag}: must be an integer of at least 2" in capsys.readouterr().err
+
+
+NUMPY_MESSAGE = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+
+@pytest.mark.parametrize("argv, callee, error, message", [
+    (["population", "--dist", "exp(1)", "--measures", "auc_gamma"], "population_measures",
+     MemoryError(NUMPY_MESSAGE), f"{NUMPY_MESSAGE}; lower --j"),
+    (["curve", "--dist", "exp(1)", "--family", "gamma"], "point_values",
+     MemoryError(NUMPY_MESSAGE), f"{NUMPY_MESSAGE}; lower --points"),
+    (["simulate", "--dist", "exp(1)", "--n", "50", "--trials", "3", "--seed", "1",
+      "--measures", "gamma@0.25"], "run_coverage",
+     MemoryError(NUMPY_MESSAGE), f"{NUMPY_MESSAGE}; lower --n, --trials or --j"),
+    (["estimate", "{ln_file}", "--column", "price", "--measures", "all"], "interval_rows",
+     MemoryError(), "an allocation failed; lower --j or the input"),
+])
+def test_a_size_too_large_for_memory_exits_2(ln_file, monkeypatch, capsys, argv, callee, error,
+                                             message):
+    # a stand-in for numpy's allocation failure: a real one would not fail at
+    # once on a host that overcommits memory
+    def exhaust(*args):
+        raise error
+
+    monkeypatch.setattr(cli, callee, exhaust)
+    code, out, err = run_cli(capsys, *[a.format(ln_file=ln_file) for a in argv])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"skewkit: out of memory: {message}\n"
 
 
 # --- json round trips ----------------------------------------------------------

@@ -160,6 +160,22 @@ def test_chisq2_equals_halfrate_exponential():
         assert a == pytest.approx(b, abs=1e-9)
 
 
+@pytest.mark.parametrize("df", [0.3, 1.0, 2.0, 4.0, 5.0, 7.5, 50.0, 1e4])
+def test_chisq_as_twice_a_gamma_keeps_its_bits(df):
+    # ChiSquare evaluates 2 * Gamma(df / 2); the chi-square formulas written
+    # out in scipy terms must give the same floats
+    rng = np.random.default_rng(int(10 * df))
+    p = np.concatenate([rng.random(10_000), [1e-300, 1e-16, 0.5, 1.0 - 1e-16]])
+    x = 2.0 * special.gammaincinv(0.5 * df, p)
+    pdf = np.zeros_like(x)
+    pos, k = x > 0.0, 0.5 * df
+    pdf[pos] = np.exp((k - 1.0) * np.log(0.5 * x[pos]) - 0.5 * x[pos] - special.gammaln(k)) * 0.5
+    dist = ChiSquare(df)
+    np.testing.assert_array_equal(dist.quantile(p), x)
+    np.testing.assert_array_equal(dist.density(x), pdf)
+    assert dist.mean() == df
+
+
 @pytest.mark.parametrize("dist", [Normal(2.0, 1.0), Beta(3.0, 3.0)], ids=repr)
 def test_symmetric_members_have_zero_skew(dist):
     for tok in ("gamma@0.1", "lambda@0.1", "auc_gamma", "auc_lambda",
@@ -249,3 +265,5 @@ def test_invalid_parameters_rejected():
         Beta(1.0, -2.0)
     with pytest.raises(ValueError):
         Exponential(0.0)
+    with pytest.raises(ValueError, match="df / 2 must be strictly positive, got 0.0"):
+        ChiSquare(5e-324)  # the one positive df whose half underflows

@@ -135,7 +135,7 @@ def test_point_values_never_read_a_quantile_density(monkeypatch):
 
 def test_interval_affine_invariance():
     s = _ln_sample(800)
-    t = s.transformed(3.5, 12.0)
+    t = SortedSample.from_data(s.values * 3.5 + 12.0)
     for tok in ("gamma@0.2", "lambda@0.1", "auc_gamma", "auc_lambda_star"):
         a = interval(s, parse_measure(tok))
         b = interval(t, parse_measure(tok))
@@ -310,8 +310,8 @@ def test_interval_calls_on_one_sample_share_its_grids(monkeypatch):
     interval(s, parse_measure("auc_gamma"), rule=BandwidthRule(fixed=0.3))
     assert sizes == [201, 3, 101, 201]
     # an image is a new sample with grids of its own
-    interval(s.transformed(2.0, 1.0), parse_measure("gamma@0.1"))
-    interval(s.negated(), parse_measure("gamma@0.1"))
+    interval(SortedSample.from_data(s.values * 2.0 + 1.0), parse_measure("gamma@0.1"))
+    interval(SortedSample.from_data(-s.values), parse_measure("gamma@0.1"))
     assert sizes == [201, 3, 101, 201, 3, 3]
 
 
