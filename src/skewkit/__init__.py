@@ -1,74 +1,52 @@
 """Quantile-based skewness: point estimates, delta-method intervals, coverage
-simulations, and an analytic distribution zoo."""
+simulations, and an analytic distribution zoo.
 
-from .distributions import (
-    Beta,
-    ChiSquare,
-    DistributionSpec,
-    Exponential,
-    FisherF,
-    Gamma,
-    LogNormal,
-    Normal,
-    ParetoII,
-    Weibull,
-    parse_distribution,
-)
-from .errors import (
-    DegenerateScaleError,
-    NumericalError,
-    QuantileDensityError,
-    SkewkitError,
-    UnsupportedMeasureError,
-)
-from .inference import (
-    DifferenceEstimate,
-    Estimate,
-    IntervalEstimate,
-    difference_interval,
-    difference_intervals,
-    interval,
-    intervals,
-    point_estimate,
-    z_quantile,
-)
-from .quantiles import (
-    BandwidthRule,
-    SortedSample,
-    default_bandwidth,
-    quantile_type8,
-)
-from .simulation import CoverageReport, SimConfig, coverage_standard_error, run_coverage
-from .skewness import (
-    Direction,
-    MeasureKind,
-    QuantileGrid,
-    SkewMeasure,
-    build_grid,
-    estimate_auc,
-    estimate_b3,
-    estimate_pointwise,
-    midpoint_probs,
-    parse_measure,
-    parse_measures,
-    point_values,
-    population_measure,
-    population_measures,
-)
+Every public name resolves on first use: reading ``skewkit.interval``
+imports ``skewkit.inference`` then, so ``import skewkit`` loads no
+submodule, and ``skewkit estimate`` never loads the distribution zoo or the
+coverage harness.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Beta", "ChiSquare", "DistributionSpec", "Exponential", "FisherF", "Gamma",
-    "LogNormal", "Normal", "ParetoII", "Weibull", "parse_distribution",
-    "SkewkitError", "DegenerateScaleError", "QuantileDensityError",
-    "UnsupportedMeasureError", "NumericalError",
-    "SortedSample", "BandwidthRule", "quantile_type8", "default_bandwidth",
-    "Direction", "MeasureKind", "SkewMeasure", "QuantileGrid", "parse_measure",
-    "parse_measures", "midpoint_probs", "build_grid", "estimate_pointwise", "estimate_auc",
-    "estimate_b3", "point_values", "population_measure", "population_measures",
-    "Estimate", "IntervalEstimate", "DifferenceEstimate", "interval",
-    "intervals", "difference_interval", "difference_intervals", "point_estimate", "z_quantile",
-    "SimConfig", "CoverageReport", "run_coverage", "coverage_standard_error",
-    "__version__",
-]
+# module -> the public names it defines, in the order of ``__all__``
+_EXPORTS = {
+    "distributions": (
+        "Beta", "ChiSquare", "DistributionSpec", "Exponential", "FisherF", "Gamma",
+        "LogNormal", "Normal", "ParetoII", "Weibull", "parse_distribution",
+    ),
+    "errors": (
+        "SkewkitError", "DegenerateScaleError", "QuantileDensityError",
+        "UnsupportedMeasureError", "NumericalError",
+    ),
+    "quantiles": ("SortedSample", "BandwidthRule", "quantile_type8", "default_bandwidth"),
+    "skewness": (
+        "Direction", "MeasureKind", "SkewMeasure", "QuantileGrid", "parse_measure",
+        "parse_measures", "midpoint_probs", "build_grid", "estimate_pointwise", "estimate_auc",
+        "estimate_b3", "point_values", "population_measure", "population_measures",
+    ),
+    "inference": (
+        "Estimate", "IntervalEstimate", "DifferenceEstimate", "interval", "intervals",
+        "difference_interval", "difference_intervals", "point_estimate", "z_quantile",
+    ),
+    "simulation": ("SimConfig", "CoverageReport", "run_coverage", "coverage_standard_error"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

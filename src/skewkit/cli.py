@@ -21,14 +21,12 @@ import warnings
 
 import numpy as np
 
-from .distributions import parse_distribution
 from .errors import SkewkitError
 # ``interval`` is not called here; perfbench/tracer.py binds it on this module.
 from .inference import (  # noqa: F401
     difference_intervals, interval, interval_rows, point_estimate,
 )
 from .quantiles import DEFAULT_BANDWIDTH, SortedSample
-from .simulation import SimConfig, run_coverage
 from .skewness import (
     Direction, MeasureKind, SkewMeasure, midpoint_probs, parse_measures, point_values,
     population_measures,
@@ -311,7 +309,9 @@ def cmd_simulate(args) -> int:
             doc["threads"] = _threads(os.environ["SKEWKIT_THREADS"])
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"SKEWKIT_THREADS {exc}") from None
-    report = run_coverage(SimConfig.from_dict(doc))
+    from . import simulation  # the coverage harness loads only here
+
+    report = simulation.run_coverage(simulation.SimConfig.from_dict(doc))
     if args.format == "text":
         print(report.render_text())
     else:
@@ -366,6 +366,15 @@ def _direction(text: str) -> Direction:
         raise argparse.ArgumentTypeError("direction must be 'right' or 'left'") from None
 
 
+def _distribution(text: str):
+    from .distributions import parse_distribution  # the zoo loads only for --dist
+
+    try:
+        return parse_distribution(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _level(text: str) -> float:
     try:
         if 0.0 < float(text) < 1.0:
@@ -414,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("population", help="population values of skewness measures")
-    p.add_argument("--dist", required=True, type=parse_distribution,
+    p.add_argument("--dist", required=True, type=_distribution,
                    help="distribution, e.g. 'lognormal(0,1)' or 'exp(1)'")
     _add_options(p, "measures", "j", "direction", "format")
     p.set_defaults(func=cmd_population, sizes="--j")
@@ -446,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate, sizes="--n, --trials or --j")
 
     p = sub.add_parser("curve", help="population skewness curve data for plotting")
-    p.add_argument("--dist", required=True, type=parse_distribution)
+    p.add_argument("--dist", required=True, type=_distribution)
     p.add_argument("--family", required=True, choices=_CURVE_FAMILIES)
     p.add_argument("--points", type=_grid_points, default=100)
     _add_options(p, "direction", "format")

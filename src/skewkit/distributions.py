@@ -16,16 +16,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NumericalError
+from .skewness import format_exact
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TINY = np.finfo(float).tiny
-
-
-def format_exact(x: float) -> str:
-    """``x`` as ``:g`` prints it where that reads back as the same float,
-    else its shortest round-trip ``repr``."""
-    text = f"{x:g}"
-    return text if float(text) == x else repr(float(x))
 
 
 def _as_prob(p):

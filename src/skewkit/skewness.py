@@ -29,7 +29,6 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import format_exact, median_absolute_moment
 from .errors import DegenerateScaleError, NumericalError, SkewkitError
 from .quantiles import (
     DEFAULT_BANDWIDTH,
@@ -41,6 +40,13 @@ from .quantiles import (
 )
 
 DEFAULT_GRID_POINTS = 100
+
+
+def format_exact(x: float) -> str:
+    """``x`` as ``:g`` prints it where that reads back as the same float,
+    else its shortest round-trip ``repr``."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 class MeasureKind(str, Enum):
@@ -521,6 +527,8 @@ def estimate(sample: SortedSample, measure: SkewMeasure) -> float:
 
 
 def _population_b3(dist) -> float:
+    from .distributions import median_absolute_moment  # keeps the zoo out of this import
+
     try:
         mu = dist.mean()
     except OverflowError:

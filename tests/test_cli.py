@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import skewkit
-from skewkit import cli
+from skewkit import cli, simulation
 from skewkit.cli import EXIT_DATA, EXIT_SIMULATION, EXIT_USAGE, main, read_numeric_column
 from skewkit.skewness import parse_measures
 
@@ -82,6 +82,20 @@ def test_population_bad_distribution_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["population", "--dist", "cauchy(0,1)", "--measures", "b3"])
     assert info.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", [
+    ["population", "--measures", "b3"], ["curve", "--family", "gamma"],
+])
+@pytest.mark.parametrize("dist, reason", [
+    ("exp(0)", "rate must be strictly positive, got 0.0"),
+    ("cauchy(0,1)", "unknown distribution family 'cauchy'; known: beta, chisq, exp, f,"),
+])
+def test_a_bad_dist_names_its_reason(capsys, command, dist, reason):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--dist", dist])
+    assert info.value.code == EXIT_USAGE
+    assert f"error: argument --dist: {reason}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -926,7 +940,6 @@ def test_simulate_env_var_sets_threads(tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_failure_rate_breach_exits_4(tmp_path, capsys, monkeypatch):
-    from skewkit import cli as cli_module
     from skewkit.simulation import CoverageReport, MeasureCoverage, SimConfig
     from skewkit import parse_measure, Exponential
 
@@ -939,7 +952,7 @@ def test_simulate_failure_rate_breach_exits_4(tmp_path, capsys, monkeypatch):
         results=(MeasureCoverage(parse_measure("gamma@0.2"), 0.2, 0.9, 1.0, failures=5),),
         failure_reasons={"DegenerateScaleError": 5},
     )
-    monkeypatch.setattr(cli_module, "run_coverage", lambda _cfg: fake)
+    monkeypatch.setattr(simulation, "run_coverage", lambda _cfg: fake)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "dist": "exp(1)", "n": 50, "trials": 100,
@@ -1068,7 +1081,9 @@ def test_a_size_too_large_for_memory_exits_2(ln_file, monkeypatch, capsys, argv,
     def exhaust(*args):
         raise error
 
-    monkeypatch.setattr(cli, callee, exhaust)
+    # cmd_simulate imports the coverage harness when it runs; cli binds no run_coverage
+    owner = simulation if callee == "run_coverage" else cli
+    monkeypatch.setattr(owner, callee, exhaust)
     code, out, err = run_cli(capsys, *[a.format(ln_file=ln_file) for a in argv])
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"skewkit: out of memory: {message}\n"
@@ -1158,6 +1173,44 @@ def test_estimate_and_compare_leave_scipy_unloaded(tmp_path):
     assert done.stdout.splitlines() == [
         "import False False", "estimate 0 False False", "compare 0 False False",
         "intervals False False", "point_estimate False False",
+    ]
+
+
+def test_estimate_and_compare_load_neither_the_zoo_nor_the_harness(tmp_path):
+    # the package's names resolve on first use, and cli imports
+    # skewkit.distributions for --dist and skewkit.simulation in simulate
+    env = dict(os.environ, PYTHONPATH=str(Path(skewkit.__file__).resolve().parents[1]))
+    rng = np.random.default_rng(4)
+    a = write_csv(tmp_path / "a.csv", rng.lognormal(size=300))
+    b = write_csv(tmp_path / "b.csv", rng.lognormal(size=200))
+    probe = (
+        "import contextlib, io, sys\n"
+        "def loaded(step):\n"
+        "    mods = sorted(m[8:] for m in sys.modules if m.startswith('skewkit.'))\n"
+        "    print(step, ','.join(mods) or '-')\n"
+        "import skewkit\n"
+        "loaded('package')\n"
+        "import skewkit.cli as cli\n"
+        "loaded('cli')\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(list(argv))\n"
+        "    loaded(f'{argv[0]} {code}')\n"
+        f"run('estimate', {a!r}, '--column', 'x', '--measures', 'all', '--format', 'json')\n"
+        f"run('compare', {a!r}, {b!r}, '--column', 'x', '--measures', 'all')\n"
+        "run('population', '--dist', 'exp(1)', '--measures', 'gamma@0.25')\n"
+        "run('simulate', '--dist', 'exp(1)', '--n', '50', '--trials', '3', '--seed', '1',"
+        " '--measures', 'gamma@0.25')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    compute = "cli,errors,inference,quantiles,skewness"
+    assert done.stdout.splitlines() == [
+        "package -", f"cli {compute}", f"estimate 0 {compute}", f"compare 0 {compute}",
+        "population 0 cli,distributions,errors,inference,quantiles,skewness",
+        "simulate 0 cli,distributions,errors,inference,quantiles,simulation,skewness",
     ]
 
 
