@@ -5,6 +5,18 @@ memory, 3 data error (bad column, degenerate scale), 4 simulation
 failure-rate breach, 141 stdout closed before the output was written (as a
 shell reports a command ended by SIGPIPE).  Results go to stdout,
 diagnostics to stderr.
+
+A run ends through ``run``: it flushes stdout and stderr and leaves with
+``os._exit``, skipping the interpreter's teardown (module cleanup and a
+garbage collection over numpy's objects, 30-40 ms of a cold run on a 2-core
+host), so ``atexit`` handlers and finalizers do not run.  That is safe
+because no command writes a file and every command closes what it opens
+before it returns; only the two streams hold pending output.  Under a
+tracer or a profiler (``sys.gettrace()`` or ``sys.getprofile()`` set, as
+coverage tools and ``python -m cProfile`` do) ``run`` exits normally, so
+they write their output.  argparse's own exits (usage errors, ``--help``)
+and uncaught exceptions also take the normal exit.  ``main(argv)`` only
+returns the code.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ import math
 import os
 import sys
 import warnings
+from typing import NoReturn
 
 import numpy as np
 
@@ -489,5 +502,22 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """Process entry of ``skewkit`` and ``python -m skewkit.cli``: ``main``,
+    then an exit without interpreter teardown (see the module docstring)."""
+    code = main()
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        sys.exit(code)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_PIPE
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass  # as the interpreter's own exit ignores a failed stderr flush
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

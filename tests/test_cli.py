@@ -27,6 +27,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_child(*argv):
+    """``python -m skewkit.cli argv`` in a child process that imports this
+    checkout's skewkit, with both streams piped.  PYTHONUNBUFFERED is dropped,
+    so stdout is block-buffered and its output reaches the pipe only through
+    writes of a full buffer and the flushes before exit."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(skewkit.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-m", "skewkit.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+
+
 def write_csv(path, values, header="x"):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -628,18 +641,99 @@ def test_a_clean_file_takes_numpy_s_parser(tmp_path):
 def test_closed_stdout_exits_quietly(tmp_path, argv, lines_read):
     # 0 lines: the pipe closes before the first write; 1 line: a 1 MB report
     # cannot fit in the pipe, so a write meets the closed end
-    env = dict(os.environ, PYTHONPATH=str(Path(skewkit.__file__).resolve().parents[1]))
     a = write_csv(tmp_path / "a.csv", np.random.default_rng(2).lognormal(size=300))
-    child = subprocess.Popen(
-        [sys.executable, "-m", "skewkit.cli", *(arg.format(a=a) for arg in argv)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
+    child = cli_child(*(arg.format(a=a) for arg in argv))
     for _ in range(lines_read):
         assert child.stdout.readline() == b"{\n"
     child.stdout.close()
     err = child.stderr.read()
     assert child.wait(timeout=120) == cli.EXIT_PIPE
     assert err == b""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["estimate", "{a}", "--column", "x", "--measures", "all", "--format", "json"], 0),
+    (["estimate", "{a}", "--column", "x", "--measures", "all", "--format", "csv"], 0),
+    (["estimate", "{a}", "--column", "x", "--measures", "all", "--format", "text"], 0),
+    (["compare", "{a}", "{b}", "--column", "x", "--measures", "all"], 0),
+    (["population", "--dist", "chisq(5)", "--measures", "all", "--format", "json"], 0),
+    # about 1 MB through the pipe: all of it must be flushed before the exit
+    (["curve", "--dist", "lognormal(0,1)", "--family", "gamma", "--points", "20000",
+      "--format", "json"], 0),
+    (["estimate", "{a}", "--column", "price", "--measures", "all"], EXIT_DATA),
+    (["estimate", "{a}", "--column", "x", "--measures", "bogus"], EXIT_USAGE),
+])
+def test_a_child_process_prints_what_main_returns(tmp_path, capsys, argv, code):
+    rng = np.random.default_rng(5)
+    a = write_csv(tmp_path / "a.csv", rng.lognormal(size=300))
+    b = write_csv(tmp_path / "b.csv", rng.lognormal(size=200))
+    argv = [arg.format(a=a, b=b) for arg in argv]
+    child = cli_child(*argv)
+    out, err = child.communicate(timeout=120)
+    assert run_cli(capsys, *argv) == (code, out.decode(), err.decode())
+    assert child.returncode == code
+
+
+@pytest.mark.parametrize("hook, teardown", [
+    ("", False),
+    ("sys.settrace(lambda *event: None)", True),
+    ("sys.setprofile(lambda *event: None)", True),
+])
+def test_a_run_skips_teardown_unless_traced(tmp_path, hook, teardown):
+    # os._exit skips atexit handlers; a tracer or profiler (coverage tools,
+    # cProfile) writes its output from one, so under either the exit is normal
+    a = write_csv(tmp_path / "a.csv", np.random.default_rng(2).lognormal(size=300))
+    argv = ["skewkit", "estimate", a, "--column", "x", "--measures", "gamma@0.25",
+            "--format", "json"]
+    probe = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print('teardown', file=sys.stderr))\n"
+        f"sys.argv = {argv!r}\n"
+        f"{hook}\n"
+        "runpy.run_module('skewkit.cli', run_name='__main__')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(skewkit.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "estimate"
+    assert done.stderr == ("teardown\n" if teardown else "")
+
+
+def test_cprofile_still_writes_its_profile(tmp_path):
+    import pstats
+
+    a = write_csv(tmp_path / "a.csv", np.random.default_rng(2).lognormal(size=300))
+    profile = tmp_path / "out.prof"
+    env = dict(os.environ, PYTHONPATH=str(Path(skewkit.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(profile), "-m", "skewkit.cli",
+         "estimate", a, "--column", "x", "--measures", "gamma@0.25"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    functions = pstats.Stats(str(profile)).stats
+    assert any(path.endswith("cli.py") and name == "main" for path, _, name in functions)
+
+
+def test_the_console_script_and_the_main_block_call_one_entry(tmp_path, capsys):
+    import ast
+    import importlib
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["skewkit"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [block] = [node for node in tree.body
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
+    # main itself still returns its code, for in-process callers
+    a = write_csv(tmp_path / "a.csv", np.random.default_rng(2).lognormal(size=300))
+    code, _, _ = run_cli(capsys, "estimate", a, "--column", "x", "--measures", "gamma@0.25")
+    assert type(code) is int and code == 0
 
 
 # --- compare ------------------------------------------------------------------
@@ -1138,10 +1232,10 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 
 def test_estimate_and_compare_leave_scipy_unloaded(tmp_path):
-    # intervals need only the normal quantile, which the standard library
-    # gives, and no np.unique, whose first call imports numpy.ma; a
-    # subprocess, because pytest's filterwarnings entry imports
-    # scipy.integrate into this one
+    # intervals need only the normal quantile, which the standard library's
+    # C accelerator gives without statistics (and its fractions and decimal),
+    # and no np.unique, whose first call imports numpy.ma; a subprocess,
+    # because pytest's filterwarnings entry imports scipy.integrate into this one
     env = dict(os.environ, PYTHONPATH=str(Path(skewkit.__file__).resolve().parents[1]))
     rng = np.random.default_rng(4)
     a = write_csv(tmp_path / "a.csv", rng.lognormal(size=300))
@@ -1149,7 +1243,8 @@ def test_estimate_and_compare_leave_scipy_unloaded(tmp_path):
     probe = (
         "import contextlib, io, sys, numpy as np, skewkit as sk, skewkit.cli as cli\n"
         "def loaded(step):\n"
-        "    print(step, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        "    heavy = ('scipy', 'numpy.ma', 'statistics', 'fractions', 'decimal')\n"
+        "    print(step, *(m in sys.modules for m in heavy))\n"
         "loaded('import')\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main(['estimate', {a!r}, '--column', 'x', '--measures', 'all',"
@@ -1170,9 +1265,10 @@ def test_estimate_and_compare_leave_scipy_unloaded(tmp_path):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    unloaded = " False" * 5
     assert done.stdout.splitlines() == [
-        "import False False", "estimate 0 False False", "compare 0 False False",
-        "intervals False False", "point_estimate False False",
+        f"import{unloaded}", f"estimate 0{unloaded}", f"compare 0{unloaded}",
+        f"intervals{unloaded}", f"point_estimate{unloaded}",
     ]
 
 

@@ -68,6 +68,18 @@ def test_z_constants_match_scipy():
     assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
 
 
+def test_z_quantile_is_normal_dist_inv_cdf_bit_for_bit():
+    # z_quantile calls the function behind NormalDist.inv_cdf without
+    # importing statistics; the two must agree on every float
+    from statistics import NormalDist
+
+    rng = np.random.default_rng(25)
+    alphas = [*rng.uniform(0.0, 1.0, 100_000).tolist(), 0.95, 0.975, 0.995, 1e-300, 1.0 - 1e-16]
+    inv_cdf = NormalDist().inv_cdf
+    mismatched = [a for a in alphas if z_quantile(a) != inv_cdf(a)]
+    assert mismatched == []
+
+
 def _ln_sample(n, seed=123):
     rng = np.random.default_rng(seed)
     return SortedSample.from_data(np.exp(special.ndtri(rng.random(n))))
