@@ -2,7 +2,9 @@
 
 Every member exposes a closed-form (or special-function) quantile and
 density, which makes population skewness values and inversion sampling exact
-up to floating point.  All distributions are immutable and safe to share.
+up to floating point.  All distributions are immutable and safe to share;
+the population values memoized on one (``DistributionSpec.truths``) rely on
+that.
 Methods import scipy.special themselves: only evaluating a distribution loads scipy.
 """
 
@@ -12,6 +14,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -76,15 +79,30 @@ class DistributionSpec:
             )
         return _match_shape(1.0 / dens, p)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    @cached_property
+    def truths(self) -> dict:
+        """The population values computed for this distribution, by measure
+        tuple (see ``skewness.population_measures``).  The memo lives as long
+        as the object; the distribution is immutable, so it never goes stale."""
+        return {}
+
+    def sample(self, n: int, rng: np.random.Generator | list[np.random.Generator]) -> np.ndarray:
         """Draw n i.i.d. values by inversion of a uniform stream.
 
         Sampling is inversion-only, so the draws are a deterministic function
-        of the generator state.
+        of the generator state.  ``rng`` is one generator, or a list or tuple
+        of T generators for a (T, n) array whose row t is bit for bit what
+        ``sample(n, rng[t])`` draws: the uniforms fill the rows one generator
+        each, and one call of the quantile function inverts them all.
         """
         if n < 1:
             raise ValueError("sample size must be at least 1")
-        u = rng.random(n)
+        if isinstance(rng, (list, tuple)):
+            u = np.empty((len(rng), n))
+            for r, row in zip(rng, u):
+                r.random(out=row)
+        else:
+            u = rng.random(n)
         np.maximum(u, _TINY, out=u)  # keep u strictly inside (0, 1)
         return self._quantile(u)
 

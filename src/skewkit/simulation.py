@@ -2,10 +2,16 @@
 
 Each trial draws its own generator from the (master seed, trial index) pair,
 so trials are order-independent.  Trials run in chunks whose size is fixed
-by n: one (trials x n) array, sorted row by row, and one quantile grid per
-chunk serve every measure (see ``inference.interval_rows``).  The
-population truths come from one grid too: one call of the distribution's
-quantile function serves all of them (see ``skewness.population_measures``).
+by n: the chunk's generators fill one (trials x n) array of uniforms row by
+row, one call of the distribution's quantile function inverts it (see
+``DistributionSpec.sample``), and that array, sorted row by row, and one
+quantile grid per chunk serve every measure (see ``inference.interval_rows``).
+The population truths come from one grid too: one call of the distribution's
+quantile function serves all of them, and they are memoized on the
+distribution object by the measure tuple, so a second run on the same object
+reuses them (see ``skewness.population_measures``).  The measures' point sets
+are memoized by the measure tuple for the life of the process (see
+``skewness.point_sets``).
 Results land in (measures x trials) arrays and are reduced along the trial
 axis in fixed index order, so equal configs give byte-identical reports.
 """
@@ -248,7 +254,7 @@ def run_coverage(cfg: SimConfig) -> CoverageReport:
     for lo in range(0, trials, chunk):
         ts = slice(lo, min(lo + chunk, trials))
         rows = SortedSample.from_rows(
-            [cfg.dist.sample(cfg.n, _trial_rng(cfg.seed, t)) for t in range(ts.start, ts.stop)]
+            cfg.dist.sample(cfg.n, [_trial_rng(cfg.seed, t) for t in range(ts.start, ts.stop)])
         )
         res = interval_rows(rows, cfg.measures, cfg.level, cfg.bandwidth)
         lower, upper = np.array([r.lower for r in res]), np.array([r.upper for r in res])

@@ -19,6 +19,12 @@ Point values read quantiles only: ``point_values`` evaluates every measure
 from one call of a quantile function (Type 8 on the sample, or the
 distribution's) over the union of their probabilities, one pass per point
 set (see ``point_sets``).  Only intervals read quantile densities.
+
+Two results depend on the measures alone and are memoized: the union point
+sets of a measure tuple, in a bounded process-wide cache with read-only
+arrays (``point_sets``), and the population values of a measure tuple, on
+the distribution object for as long as it lives (``population_measures``;
+the distributions are immutable, so the values never go stale).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -273,7 +280,7 @@ def point_layout(j: np.ndarray, size: int) -> np.ndarray:
     return take
 
 
-def point_sets(measures, base=None) -> tuple[np.ndarray, list[tuple[list[int], np.ndarray]]]:
+def point_sets(measures, base=None) -> tuple[np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
     """The base probabilities ``base`` (by default the union of the
     measures'), and one group of measures per point set: every pointwise
     measure, each AUC grid size J.
@@ -283,7 +290,25 @@ def point_sets(measures, base=None) -> tuple[np.ndarray, list[tuple[list[int], n
     one row per pointwise measure or one row shared by an AUC J.  Raises
     ValueError naming the first measure whose probabilities a given ``base``
     lacks.
+
+    Without ``base`` the result is memoized by the measure tuple for the
+    life of the process, in a bounded cache, with read-only arrays: a
+    repeated call returns the same arrays.
     """
+    if base is None:
+        base, groups = _union_point_sets(tuple(measures))
+        return base, list(groups)
+    return _point_sets(measures, base)
+
+
+@lru_cache(maxsize=64)
+def _union_point_sets(measures: tuple) -> tuple:
+    base, groups = _point_sets(measures, None)
+    return _read_only(base), tuple((idx, _read_only(take)) for idx, take in groups)
+
+
+def _point_sets(measures, base):
+    """``point_sets`` computed afresh."""
     keys = [m.j_points if m.is_auc else 0 for m in measures]
     points = {k: midpoint_probs(k) for k in dict.fromkeys(keys) if k}
     if base is None:
@@ -299,7 +324,7 @@ def point_sets(measures, base=None) -> tuple[np.ndarray, list[tuple[list[int], n
         order = np.argsort(base, kind="stable")
     groups = []
     for key in dict.fromkeys(keys):
-        idx = [i for i, k in enumerate(keys) if k == key]
+        idx = tuple(i for i, k in enumerate(keys) if k == key)
         probs = points[key][None] if key else np.array([[measures[i].p] for i in idx])
         at = np.searchsorted(base, probs, sorter=order)
         if order is not None:  # a given base may lack them; the union cannot
@@ -549,13 +574,19 @@ def population_measures(dist, measures) -> list[float]:
     AUC kinds reuse the estimation-side midpoint summation so that simulated
     coverage is judged against the same discretization.  Raises the error of
     the first measure that fails.
+
+    The values are memoized on the distribution (``dist.truths``) by the
+    measure tuple, for as long as the distribution lives; a call that raises
+    is not memoized, and every call returns a new list.
     """
-    measures = list(measures)
-    values = iter(_point_values(dist.quantile, [m for m in measures if m.kind is not MeasureKind.B3]))
-    return [
-        _checked(_population_b3(dist) if m.kind is MeasureKind.B3 else next(values))
-        for m in measures
-    ]
+    key = tuple(measures)
+    if key not in dist.truths:
+        values = iter(_point_values(dist.quantile, [m for m in key if m.kind is not MeasureKind.B3]))
+        dist.truths[key] = [
+            _checked(_population_b3(dist) if m.kind is MeasureKind.B3 else next(values))
+            for m in key
+        ]
+    return list(dist.truths[key])
 
 
 def population_measure(dist, measure: SkewMeasure) -> float:

@@ -135,6 +135,22 @@ def test_sampling_is_deterministic_and_inverts_uniforms():
     assert np.allclose(a, -np.log1p(-u), rtol=1e-15)
 
 
+def _generators(trials):
+    return [np.random.default_rng(np.random.SeedSequence((11, t))) for t in range(trials)]
+
+
+@pytest.mark.parametrize("dist", ZOO, ids=repr)
+@pytest.mark.parametrize("trials", [1, 2, 10])
+def test_sampling_a_batch_of_generators_draws_each_row_bit_for_bit(dist, trials):
+    # one (trials, n) inverse transform must give every row the bits of that
+    # row's generator drawn alone
+    batch = dist.sample(200, _generators(trials))
+    assert batch.shape == (trials, 200)
+    for row, rng in zip(batch, _generators(trials)):
+        alone = dist.sample(200, rng)
+        assert row.dtype == alone.dtype and row.tobytes() == alone.tobytes()
+
+
 def test_sampling_mean_within_clt_bound():
     x = Normal(2.0, 1.0).sample(100_000, np.random.default_rng(7))
     assert abs(x.mean() - 2.0) < 0.02

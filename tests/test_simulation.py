@@ -157,6 +157,15 @@ class RoundedExponential(Exponential):
         return np.round(super().sample(n, rng) / self.step) * self.step
 
 
+def test_an_overriding_sample_applies_to_every_row_of_a_batch():
+    dist, n = RoundedExponential(1.0, step=0.25), 200
+    batch = dist.sample(n, [simulation_module._trial_rng(9, t) for t in range(10)])
+    assert batch.shape == (10, n)
+    assert np.array_equal(batch, np.round(batch / 0.25) * 0.25)
+    for t, row in enumerate(batch):
+        assert row.tobytes() == dist.sample(n, simulation_module._trial_rng(9, t)).tobytes()
+
+
 def own_grid_error(sample, measure):
     """The error of the measure's own one-sample grid: the density check of
     the grid build first, then the scale check of the curve."""
@@ -288,6 +297,37 @@ def test_a_coverage_run_reads_one_population_grid_and_one_grid_per_chunk(monkeyp
     report = run_coverage(_config(n=200, trials=25, measures=measures))
     assert len(report.results) == 14
     assert calls == {"quantile": 1, "grid_for_probs": 3}
+
+
+def test_a_coverage_run_inverts_each_chunk_once_and_memoizes_its_truths(monkeypatch):
+    calls = Counter()
+
+    class Spy(LogNormal):
+        def quantile(self, p):
+            calls["quantile"] += 1
+            return super().quantile(p)
+
+        def _quantile(self, p):
+            # the truths' probabilities are 1-D, each chunk's uniforms 2-D
+            calls["_quantile", np.ndim(p)] += 1
+            return super()._quantile(p)
+
+    monkeypatch.setattr(simulation_module, "_CHUNK_ELEMENTS", 10 * 200)
+    dist = Spy(0.0, 1.0)
+    cfg = _config(dist=dist, n=200, trials=25)  # chunks of 10, 10 and 5 trials
+    first = run_coverage(cfg)
+    assert calls == {"quantile": 1, ("_quantile", 1): 1, ("_quantile", 2): 3}
+    calls.clear()
+    assert run_coverage(cfg).to_json() == first.to_json()
+    assert calls == {("_quantile", 2): 3}
+
+
+def test_reports_are_byte_identical_on_a_cold_and_a_warm_distribution():
+    warm = LogNormal(0.0, 1.0)
+    run_coverage(_config(dist=warm, seed=1, trials=3))
+    assert warm.truths
+    cold = run_coverage(_config(dist=LogNormal(0.0, 1.0)))
+    assert run_coverage(_config(dist=warm)).to_json() == cold.to_json()
 
 
 @dataclass(frozen=True, eq=False, repr=False)

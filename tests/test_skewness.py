@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -436,6 +437,7 @@ ONE_PER_FAMILY = [
 
 @pytest.mark.parametrize("dist", ONE_PER_FAMILY, ids=repr)
 def test_population_measure_reads_no_quantile_density(dist, monkeypatch):
+    dist = replace(dist)  # a fresh object: a shared one may hold memoized truths
     measures = [SkewMeasure(MeasureKind.B3)] + [
         parse_measure(tok, direction=d)
         for d in Direction
@@ -484,6 +486,43 @@ def test_population_measures_equal_the_per_measure_loop_bit_for_bit(dist):
             ]
             assert population_measures(dist, measures) == own
             assert [population_measure(dist, m) for m in measures] == own
+
+
+def test_repeated_point_sets_share_read_only_arrays():
+    measures = [parse_measure(t, j_points=j) for t in TRUTH_TOKENS[:-1] for j in (7, 100)]
+    base, groups = point_sets(measures)
+    again, again_groups = point_sets(list(measures))
+    assert again is base
+    assert all(a is b for (_, a), (_, b) in zip(again_groups, groups))
+    for arr in [base] + [take for _, take in groups]:
+        with pytest.raises(ValueError):
+            arr[0] = arr[-1]
+    # the given-base path computes afresh
+    _, given = point_sets(measures, base)
+    assert all(take.flags.writeable for _, take in given)
+
+
+def test_memoized_truths_are_a_new_list_each_call():
+    measures = [parse_measure(t) for t in TRUTH_TOKENS]
+    warm = LogNormal(0.0, 1.0)
+    first = population_measures(warm, measures)
+    again = population_measures(warm, measures)
+    assert again == first and again is not first
+    again[0] = math.nan
+    assert population_measures(warm, measures) == first
+    # and equal to a cold, equal distribution's, bit for bit
+    assert population_measures(LogNormal(0.0, 1.0), measures) == first
+    assert population_measures(warm, tuple(measures)) == first
+
+
+def test_a_failing_truth_raises_on_every_call_and_is_not_memoized():
+    dist = ParetoII(1.0, 0.5)  # no finite mean, so no b3
+    measures = [parse_measure("gamma@0.25"), SkewMeasure(MeasureKind.B3)]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="b3 needs a finite mean"):
+            population_measures(dist, measures)
+    assert dist.truths == {}
+    assert population_measures(dist, measures[:1]) == [population_measure(ParetoII(1.0, 0.5), measures[0])]
 
 
 def test_point_values_raise_the_first_failing_measure_alone():
