@@ -147,7 +147,7 @@ def interval_rows(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         grid = skewness.grid_for_probs(rows, base, rule)
         for idx, estimate, nvar, width, errors, bad_g in skewness.measure_rows(
-            grid.x, grid.probs, groups, measures, grid.g
+            grid.x, groups, measures, grid.g
         ):
             se = width * np.sqrt(nvar / rows.n)
             for k, t, cols in bad_g:  # a density failure wins over the curve's own

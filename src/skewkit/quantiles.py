@@ -4,10 +4,20 @@ estimation with a pluggable bandwidth rule.
 The quantile-density estimator differentiates the kernel-smoothed empirical
 quantile function, which reduces to an Epanechnikov-weighted sum of order
 statistic spacings.  It is exactly location-invariant and scale-equivariant.
+
+Its window plan (the bandwidths, the kernel windows' layout and their
+weights) depends on n, the probabilities and the bandwidth rule alone, and
+is memoized for the life of the process in a cache of the 8 most recently
+used plans, with read-only arrays.  Only a plan of one run of at most
+_GATHER_BUDGET terms at n <= _GATHER_BUDGET is kept, so the cache holds
+at most about 2 MB and a call at larger n keeps nothing.  A memoized plan
+holds the same floats as a fresh one: the estimates are bit-identical
+either way.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,40 +174,57 @@ def _positions_below(a: np.ndarray, n: int, inclusive: bool) -> np.ndarray:
     return c
 
 
-def quantile_density_profile(
-    sample: SortedSample, probs, rule: BandwidthRule = DEFAULT_BANDWIDTH
-) -> np.ndarray:
-    """Kernel quantile-density estimates ghat(p) at an array of probabilities.
+# The memoized window plans (see ``_density_plan``), most recently used last.
+_PLANS: dict = {}
+_PLAN_LIMIT = 8
+_PLAN_LOCK = threading.Lock()
 
-    ghat(p) = sum_j (X_(j+1) - X_(j)) * k_b(j/n - p), the derivative of the
-    Epanechnikov-smoothed empirical quantile function.  Only the spacings
-    inside each window (p - b, p + b) enter, and each window is one segment
-    of a flat array of weighted spacings, summed on its own by
-    ``np.add.reduceat``.  So an estimate depends on n, its probability and
-    the rule, never on the other probabilities or the number of rows: each
-    row of a batch is reduced exactly as that sample alone.
 
-    For one sample, raises QuantileDensityError listing every p whose
-    estimate is not strictly positive (possible only under ties).  For a
-    batch the (T, P) estimates come back unchecked: whether a non-positive
-    one fails anything depends on which measure uses it (``density_error``
-    builds the error for one row).
+def _density_plan(n: int, probs: np.ndarray, rule: BandwidthRule) -> tuple:
+    """The part of ``quantile_density_profile`` that depends on n, the
+    probabilities and the rule alone: the bandwidths ``b``, whether the
+    windows read the whole rows' diff, and the runs of windows (see
+    ``_window_runs``).
+
+    A plan of one run (at most _GATHER_BUDGET terms) at n <= _GATHER_BUDGET
+    is memoized in ``_PLANS``, by (n, the probabilities' bytes, rule), with
+    read-only arrays; the least recently used of more than _PLAN_LIMIT
+    plans is dropped.  Any other plan yields its runs one at a time.
     """
-    probs = np.asarray(probs, dtype=float)
-    x = sample.values
-    rows = x.reshape(-1, sample.n)
-    n = sample.n
+    key = (n, probs.tobytes(), rule)
+    with _PLAN_LOCK:
+        plan = _PLANS.pop(key, None)
+        if plan is not None:
+            _PLANS[key] = plan
+            return plan
     b = rule.bandwidth(n, probs)
     lo = _positions_below(probs - b, n, inclusive=True)
     width = _positions_below(probs + b, n, inclusive=False) - lo
-    # A window reads the spacings X_(j+1) - X_(j) at j = lo+1 .. lo+width, from
-    # one diff of the whole rows where the windows hold n - 1 terms or more,
-    # else term by term; both give the same floats.  Windows are taken in
-    # order, in runs of at most _GATHER_BUDGET terms, a few rows at a time.
-    # An empty window (no j/n inside it, or a NaN p) would make reduceat read
-    # its neighbour, so it is skipped and keeps its zero.
-    whole = np.diff(rows, axis=-1) if n - 1 <= width.sum() else None
-    out = np.zeros((rows.shape[0], probs.size))
+    terms = int(width.sum())
+    # A window reads the spacings X_(j+1) - X_(j) at j = lo+1 .. lo+width,
+    # from one diff of the whole rows where the windows hold n - 1 terms or
+    # more, else term by term; both give the same floats.
+    whole = n - 1 <= terms
+    runs = _window_runs(n, probs, b, lo, width)
+    if n > _GATHER_BUDGET or terms > _GATHER_BUDGET:
+        return b, whole, runs
+    plan = _read_only(b), whole, tuple(tuple(map(_read_only, run)) for run in runs)
+    with _PLAN_LOCK:
+        _PLANS[key] = plan
+        if len(_PLANS) > _PLAN_LIMIT:
+            del _PLANS[next(iter(_PLANS))]
+    return plan
+
+
+def _window_runs(n: int, probs: np.ndarray, b: np.ndarray, lo: np.ndarray, width: np.ndarray):
+    """The non-empty windows in order, in runs of at most _GATHER_BUDGET
+    terms (a longer window alone): for each run, the windows' indices
+    ``idx``, each window's first term ``starts`` in the run's flat array,
+    the spacing index ``at`` of every term and its Epanechnikov ``weights``.
+
+    An empty window (no j/n inside it, or a NaN p) would make reduceat read
+    its neighbour, so it is left out and keeps its zero.
+    """
     full = np.flatnonzero(width)
     ends = np.cumsum(width[full])
     head = 0
@@ -216,8 +243,46 @@ def quantile_density_profile(
         np.square(u, out=u)
         np.subtract(1.0, u, out=u)
         u *= 0.75
-        weights = np.fmax(u, 0.0, out=u)
-        chunk = max(1, _GATHER_BUDGET // weights.size)  # rows at a time
+        yield idx, starts, at, np.fmax(u, 0.0, out=u)
+        head = stop
+
+
+def quantile_density_profile(
+    sample: SortedSample, probs, rule: BandwidthRule = DEFAULT_BANDWIDTH
+) -> np.ndarray:
+    """Kernel quantile-density estimates ghat(p) at an array of probabilities.
+
+    ghat(p) = sum_j (X_(j+1) - X_(j)) * k_b(j/n - p), the derivative of the
+    Epanechnikov-smoothed empirical quantile function.  Only the spacings
+    inside each window (p - b, p + b) enter, and each window is one segment
+    of a flat array of weighted spacings, summed on its own by
+    ``np.add.reduceat``.  So an estimate depends on n, its probability and
+    the rule, never on the other probabilities or the number of rows: each
+    row of a batch is reduced exactly as that sample alone.
+
+    The window layout and weights depend on (n, probs, rule) alone
+    (``_density_plan``).  Where they fit one run of _GATHER_BUDGET terms
+    and n <= _GATHER_BUDGET they are memoized for the life of the process
+    in a cache of the 8 most recently used, with read-only arrays; larger
+    plans are built run by run and dropped after use.  A memoized plan
+    holds the same floats as a fresh one, so the estimates are
+    bit-identical either way.
+
+    For one sample, raises QuantileDensityError listing every p whose
+    estimate is not strictly positive (possible only under ties).  For a
+    batch the (T, P) estimates come back unchecked: whether a non-positive
+    one fails anything depends on which measure uses it (``density_error``
+    builds the error for one row).
+    """
+    probs = np.asarray(probs, dtype=float)
+    x = sample.values
+    rows = x.reshape(-1, sample.n)
+    b, read_diff, runs = _density_plan(sample.n, probs, rule)
+    whole = np.diff(rows, axis=-1) if read_diff else None
+    out = np.zeros((rows.shape[0], probs.size))
+    # each run's windows are taken a few rows at a time
+    for idx, starts, at, weights in runs:
+        chunk = max(1, _GATHER_BUDGET // weights.size)
         for t in range(0, rows.shape[0], chunk):
             if whole is None:
                 spacings = np.take(rows[t : t + chunk], at, axis=1)
@@ -226,7 +291,6 @@ def quantile_density_profile(
                 spacings = np.take(whole[t : t + chunk], at - 1, axis=1)
             spacings *= weights
             out[t : t + chunk, idx] = np.add.reduceat(spacings, starts, axis=1)
-        head = stop
     out /= b
 
     if x.ndim > 1:

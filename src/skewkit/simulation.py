@@ -41,9 +41,12 @@ _CHUNK_ELEMENTS = 1 << 18
 
 
 def coverage_standard_error(trials: int, p0: float) -> float:
-    """Binomial standard error sqrt(p0 (1 - p0) / trials) of a coverage estimate."""
+    """Binomial standard error sqrt(p0 (1 - p0) / trials) of a coverage
+    estimate; raises ValueError unless trials >= 1 and p0 lies in [0, 1]."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not 0.0 <= p0 <= 1.0:  # NaN fails too
+        raise ValueError(f"p0 must lie in [0, 1], got {p0}")
     return float(np.sqrt(p0 * (1.0 - p0) / trials))
 
 

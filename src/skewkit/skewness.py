@@ -21,7 +21,8 @@ distribution's) over the union of their probabilities, one pass per point
 set (see ``point_sets``).  Only intervals read quantile densities.
 
 Two results depend on the measures alone and are memoized: the union point
-sets of a measure tuple, in a bounded process-wide cache with read-only
+sets of a measure tuple, each with the constants of its curves and
+variances (``PointSet``), in a bounded process-wide cache with read-only
 arrays (``point_sets``), and the population values of a measure tuple, on
 the distribution object for as long as it lives (``population_measures``;
 the distributions are immutable, so the values never go stale).
@@ -33,6 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,20 +282,46 @@ def point_layout(j: np.ndarray, size: int) -> np.ndarray:
     return take
 
 
-def point_sets(measures, base=None) -> tuple[np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
+class PointSet(NamedTuple):
+    """One point set of a group of measures and the terms of their curves
+    and variances that depend on no data: ``take`` indexes the point layouts
+    in the probabilities [base, 1 - base, 0.5] (see ``point_layout``), one
+    row per pointwise measure or one row shared by an AUC J; ``p`` holds
+    the layouts' probabilities (layouts, 1, points), ``slopes`` the
+    ``denominator_slopes`` (3, measures, 1, 1), ``width`` the cell width
+    (0.5 / J for each of an AUC's J points, else 1), ``weight`` the
+    ``curve_weights`` and ``cells`` the ``bridge_cells`` of ``p``."""
+
+    take: np.ndarray
+    p: np.ndarray
+    slopes: np.ndarray
+    width: float
+    weight: np.ndarray
+    cells: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, probs: np.ndarray, take: np.ndarray, measures) -> "PointSet":
+        """The point set ``take`` into ``probs`` of ``measures``."""
+        p = probs[take][:, None]
+        weighted = np.array([m.weighted for m in measures])[:, None, None]
+        slopes = np.array([denominator_slopes(m) for m in measures]).T[:, :, None, None]
+        width = 0.5 if measures[0].is_auc else 1.0
+        return cls(take, p, slopes, width, curve_weights(p, weighted), bridge_cells(p))
+
+
+def point_sets(measures, base=None) -> tuple[np.ndarray, list[tuple[tuple[int, ...], PointSet]]]:
     """The base probabilities ``base`` (by default the union of the
     measures'), and one group of measures per point set: every pointwise
     measure, each AUC grid size J.
 
-    A group is (its measures' indices, ``take``): ``take`` indexes the point
-    layouts in the probabilities [base, 1 - base, 0.5] (see ``point_layout``),
-    one row per pointwise measure or one row shared by an AUC J.  Raises
-    ValueError naming the first measure whose probabilities a given ``base``
-    lacks.
+    A group is (its measures' indices, their ``PointSet``).  Raises
+    ValueError naming the first measure whose probabilities a given
+    ``base`` lacks.
 
     Without ``base`` the result is memoized by the measure tuple for the
     life of the process, in a bounded cache, with read-only arrays: a
-    repeated call returns the same arrays.
+    repeated call returns the same point sets, each with its constants
+    built once.  With ``base`` they are built afresh.
     """
     if base is None:
         base, groups = _union_point_sets(tuple(measures))
@@ -304,7 +332,10 @@ def point_sets(measures, base=None) -> tuple[np.ndarray, list[tuple[tuple[int, .
 @lru_cache(maxsize=64)
 def _union_point_sets(measures: tuple) -> tuple:
     base, groups = _point_sets(measures, None)
-    return _read_only(base), tuple((idx, _read_only(take)) for idx, take in groups)
+    for _, ps in groups:
+        for arr in (ps.take, ps.p, ps.slopes, ps.weight, *ps.cells):
+            _read_only(arr)
+    return _read_only(base), tuple(groups)
 
 
 def _point_sets(measures, base):
@@ -322,6 +353,7 @@ def _point_sets(measures, base):
         base, order = union[keep], None
     else:
         order = np.argsort(base, kind="stable")
+    grid_probs = _grid_probs(base)
     groups = []
     for key in dict.fromkeys(keys):
         idx = tuple(i for i, k in enumerate(keys) if k == key)
@@ -333,27 +365,35 @@ def _point_sets(measures, base):
                 lacking = measures[idx[found.argmin()]]
                 raise ValueError(f"{lacking}: the quantile grid lacks its probabilities")
             at = order[at]
-        groups.append((idx, point_layout(at, base.size)))
+        take = point_layout(at, base.size)
+        groups.append((idx, PointSet.of(grid_probs, take, [measures[i] for i in idx])))
     return base, groups
 
 
-def curve(x: np.ndarray, probs: np.ndarray, weighted, slopes) -> tuple[np.ndarray, ...]:
-    """The terms of the skewness curve w_j s_j / r_j from quantiles ``x`` at
-    probabilities ``probs`` on the point layout (see ``point_layout``): the
-    weights w_j (p_j where ``weighted``, else 1), the numerators
-    s_j = x_{1-p_j} + x_{p_j} - 2 x_{0.5} and the denominators r_j given by
-    ``slopes`` (see ``denominator_slopes``).  ``weighted`` and the slopes may
-    hold one entry per measure on a leading axis."""
+def curve_weights(probs: np.ndarray, weighted) -> np.ndarray:
+    """The weights w_j of the skewness curve w_j s_j / r_j at probabilities
+    ``probs`` on the point layout (see ``point_layout``): p_j where
+    ``weighted``, else 1.  ``weighted`` may hold one entry per measure on a
+    leading axis."""
+    return np.where(weighted, probs[..., : probs.shape[-1] // 2], 1.0)
+
+
+def curve(x: np.ndarray, slopes) -> tuple[np.ndarray, np.ndarray]:
+    """The numerators s_j = x_{1-p_j} + x_{p_j} - 2 x_{0.5} and the
+    denominators r_j, given by ``slopes`` (see ``denominator_slopes``), of
+    the skewness curve w_j s_j / r_j from quantiles ``x`` on the point
+    layout (see ``point_layout``).  The slopes may hold one entry per
+    measure on a leading axis."""
     n_pts = x.shape[-1] // 2
     xl, xm, xh = x[..., :n_pts], x[..., n_pts : n_pts + 1], x[..., :n_pts:-1]
     al, ah, am = slopes
-    weight = np.where(weighted, probs[..., :n_pts], 1.0)
-    return weight, xh + xl - 2.0 * xm, al * xl + ah * xh + am * xm
+    return xh + xl - 2.0 * xm, al * xl + ah * xh + am * xm
 
 
 def gradient(weight: np.ndarray, s: np.ndarray, r: np.ndarray, slopes) -> np.ndarray:
     """Gradient of the curve mean (1/P) sum_j w_j s_j / r_j with respect to
-    the quantiles on the point layout, from the terms of ``curve``."""
+    the quantiles on the point layout, from the ``curve_weights`` and the
+    terms of ``curve``."""
     # d(s/r) = (ds - (s/r) dr) / r, with ds = (1, 1, -2) and dr the slopes on
     # (x_{p_j}, x_{1-p_j}, x_{0.5})
     al, ah, am = slopes
@@ -366,7 +406,15 @@ def gradient(weight: np.ndarray, s: np.ndarray, r: np.ndarray, slopes) -> np.nda
     ], axis=-1)
 
 
-def bridge_variance(probs: np.ndarray, v: np.ndarray):
+def bridge_cells(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of ``bridge_variance``'s form at ascending ``probs``: the
+    widths p_a - p_{a-1} (p_0 = 0) and the width 1 - p_P past the last."""
+    cells = probs.copy()
+    cells[..., 1:] -= probs[..., :-1]
+    return cells, 1.0 - probs[..., -1]
+
+
+def bridge_variance(probs: np.ndarray, v: np.ndarray, cells=None):
     """Var(sum_a v_a B(p_a)) for a standard Brownian bridge B on [0, 1].
 
     With v_a the ``gradient`` of a curve mean times the quantile density
@@ -376,7 +424,8 @@ def bridge_variance(probs: np.ndarray, v: np.ndarray):
     it equals int_0^1 (T(t) - m)^2 dt with T(t) = sum_{p_a > t} v_a and
     m = sum_a v_a p_a, so it is non-negative.  ``probs`` ascend on the last
     axis and broadcast against ``v``, which may hold one row of weights per
-    sample; the result has one entry per row.
+    sample; the result has one entry per row.  ``cells`` are the
+    ``bridge_cells`` of ``probs``, computed here where not given.
     """
     # T(t) is tail[..., a] on the cell (p_{a-1}, p_a] (p_0 = 0) and 0 past p_P.
     # Each sum runs along one contiguous row of its own terms, so its bits do
@@ -384,10 +433,8 @@ def bridge_variance(probs: np.ndarray, v: np.ndarray):
     tail = np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
     m = (v * probs).sum(axis=-1)
     dev = tail - m[..., None]
-    cells = probs.copy()
-    cells[..., 1:] -= probs[..., :-1]
-    past_last = m * m * (1.0 - probs[..., -1])
-    return _scalar((dev * dev * cells).sum(axis=-1) + past_last)
+    cells, past_last = bridge_cells(probs) if cells is None else cells
+    return _scalar((dev * dev * cells).sum(axis=-1) + m * m * past_last)
 
 
 def _scalar(value: np.ndarray):
@@ -401,7 +448,7 @@ def _grid_value(grid: QuantileGrid, measure: SkewMeasure, g=None):
     ``_scalar``); raises the error of its first failing row."""
     _, groups = point_sets([measure], grid.base_probs)
     x, g = np.atleast_2d(grid.x), None if g is None else np.atleast_2d(g)
-    [(_, values, nvar, _, [errors], _)] = measure_rows(x, grid.probs, groups, [measure], g)
+    [(_, values, nvar, _, [errors], _)] = measure_rows(x, groups, [measure], g)
     if errors:
         raise errors[min(errors)]
     out = values if g is None else nvar
@@ -438,26 +485,21 @@ def estimate_b3(sample: SortedSample) -> float:
     return value
 
 
-def group_curve(x: np.ndarray, probs: np.ndarray, take: np.ndarray, measures):
-    """The curves of measures that share one point set (see ``point_sets``)
-    from quantiles ``x`` at ``probs``, one row of ``x`` per sample, gathered
-    by ``layout_rows``.  Returns the layouts' probabilities (layouts, 1,
-    points), the ``denominator_slopes`` (3, measures, 1, 1), the ``curve``
-    terms, the cell width (0.5 / J for each of an AUC's J points, else 1)
-    and the values (measures, rows), the width times the curve mean."""
-    p = probs[take][:, None]
-    weighted = np.array([m.weighted for m in measures])[:, None, None]
-    slopes = np.array([denominator_slopes(m) for m in measures]).T[:, :, None, None]
-    width = 0.5 if measures[0].is_auc else 1.0
+def group_curve(x: np.ndarray, ps: PointSet):
+    """The curves of the measures that share the point set ``ps`` (see
+    ``point_sets``) from quantiles ``x`` at [base, 1 - base, 0.5], one row
+    of ``x`` per sample, gathered by ``layout_rows``.  Returns the ``curve``
+    terms (s, r) and the values (measures, rows), the cell width times the
+    curve mean."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        weight, s, r = terms = curve(layout_rows(x, take), p, weighted, slopes)
-        return p, slopes, terms, width, width * (weight * (s / r)).mean(axis=-1)
+        s, r = terms = curve(layout_rows(x, ps.take), ps.slopes)
+        return terms, ps.width * (ps.weight * (s / r)).mean(axis=-1)
 
 
 def curve_errors(measures, p: np.ndarray, r: np.ndarray, values: np.ndarray) -> list[dict]:
     """The failures of measures that share one point set, from the layouts'
-    probabilities ``p``, the curve denominators ``r`` and the ``values`` of
-    ``group_curve``: for each measure, row -> the DegenerateScaleError naming
+    probabilities ``p`` (``PointSet.p``), the curve denominators ``r`` and
+    the ``values`` of ``group_curve``: for each measure, row -> the DegenerateScaleError naming
     its own p_j where some r_j <= 0, else the NumericalError where its value
     is not finite."""
     bad_r = r <= 0.0
@@ -482,31 +524,32 @@ def layout_rows(a: np.ndarray, take: np.ndarray) -> np.ndarray:
     return np.take(a, take, axis=1).transpose(1, 0, 2)
 
 
-def measure_rows(x: np.ndarray, probs: np.ndarray, groups, measures, g=None) -> list[tuple]:
+def measure_rows(x: np.ndarray, groups, measures, g=None) -> list[tuple]:
     """The measures of each point set in ``groups`` (see ``point_sets``) on
     rows of quantiles ``x`` and, where given, quantile densities ``g`` at
-    ``probs`` = [base, 1 - base, 0.5], one vectorised pass per point set.
+    the probabilities [base, 1 - base, 0.5] that the groups index, one
+    vectorised pass per point set.
 
     Returns per group: its measures' indices; their values and, with ``g``,
     the n Var of their curve means without the cell width (each (measures,
     rows)); the width; their ``curve_errors``, a value whose n Var is not
     finite failing as not finite; and (k, row, the k-th measure's columns of
-    ``probs``) where a density there is not positive.
+    ``x``) where a density there is not positive.
     """
     out = []
-    for idx, take in groups:
-        group = [measures[i] for i in idx]
-        p, slopes, (weight, s, r), width, values = group_curve(x, probs, take, group)
+    for idx, ps in groups:
+        group, take = [measures[i] for i in idx], ps.take
+        (s, r), values = group_curve(x, ps)
         nvar, checked, bad_g = None, values, []
         if g is not None:
             g_at = layout_rows(g, take)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                nvar = bridge_variance(p, g_at * gradient(weight, s, r, slopes))
+                nvar = bridge_variance(ps.p, g_at * gradient(ps.weight, s, r, ps.slopes), ps.cells)
             checked = np.where(np.isfinite(nvar), values, np.nan)
             # an AUC group shares one row of ``take`` and of the densities
             bad = (g_at <= 0.0).any(axis=-1).repeat(len(group) // len(take), axis=0)
             bad_g = [(k, t, np.sort(take[k % len(take)])) for k, t in zip(*map(list, np.nonzero(bad)))]
-        out.append((idx, values, nvar, width, curve_errors(group, p, r, checked), bad_g))
+        out.append((idx, values, nvar, ps.width, curve_errors(group, ps.p, r, checked), bad_g))
     return out
 
 
@@ -519,7 +562,7 @@ def _point_values(quantile, measures) -> list:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.asarray(quantile(probs), dtype=float)[None]
     out = [None] * len(measures)
-    for idx, values, _, _, errors, _ in measure_rows(x, probs, groups, measures):
+    for idx, values, _, _, errors, _ in measure_rows(x, groups, measures):
         for i, value, failed in zip(idx, values, errors):
             out[i] = failed[0] if failed else float(value[0])
     return out

@@ -127,10 +127,10 @@ def library_cross(grid, kernel, ma, mb):
     order = np.argsort(grid.probs)
 
     def weights(m):
-        _, [(_, take)] = point_sets([m], grid.base_probs)
-        _, slopes, terms, _, _ = group_curve(grid.x[None], grid.probs, take, [m])
+        _, [(_, ps)] = point_sets([m], grid.base_probs)
+        (s, r), _ = group_curve(grid.x[None], ps)
         v = np.zeros(grid.probs.size)
-        v[take[0]] = gradient(*terms, slopes)[0, 0] * kernel.g[take[0]]
+        v[ps.take[0]] = gradient(ps.weight, s, r, ps.slopes)[0, 0] * kernel.g[ps.take[0]]
         return v[order]
 
     va, vb = weights(ma), weights(mb)

@@ -13,8 +13,17 @@ from skewkit import (
     default_bandwidth,
     quantile_type8,
 )
-from skewkit.quantiles import _positions_below, density_error, quantile_density_profile
-from skewkit.skewness import grid_for_probs, midpoint_probs
+from skewkit.quantiles import (
+    _GATHER_BUDGET,
+    _PLAN_LIMIT,
+    _PLANS,
+    _density_plan,
+    _positions_below,
+    density_error,
+    quantile_density_profile,
+)
+from skewkit.inference import intervals
+from skewkit.skewness import grid_for_probs, midpoint_probs, parse_measures
 
 
 def type8_reference(values, p):
@@ -311,7 +320,12 @@ def test_density_matches_loop_property(n, probs, fixed, tied, seed):
     rng = np.random.default_rng(seed)
     data = rng.poisson(2.0, size=n) if tied else rng.standard_t(3.0, size=n)
     s = SortedSample.from_data(data.astype(float))
-    assert_density_matches_loop(s, np.array(probs), BandwidthRule(fixed=fixed))
+    probs, rule = np.array(probs), BandwidthRule(fixed=fixed)
+    # first from an empty plan memo, so that a cached plan cannot hide a
+    # wrong one, then again with the plan memoized where it is kept
+    _PLANS.clear()
+    assert_density_matches_loop(s, probs, rule)
+    assert_density_matches_loop(s, probs, rule)
 
 
 def test_density_nan_probability_matches_loop():
@@ -358,6 +372,10 @@ def test_batch_equals_rows_property(rows, n, probs, fixed, tied, seed):
     batch = SortedSample.from_rows(data.astype(float))
     probs = np.array(probs)
     rule = BandwidthRule(fixed=fixed)
+    # the batch builds its plan from an empty memo, so that a cached plan
+    # cannot hide a wrong one; the calls on one row below reuse it where
+    # it is kept
+    _PLANS.clear()
     x = quantile_type8(batch, probs)
     g = quantile_density_profile(batch, probs, rule)
     assert x.shape == g.shape == (rows, probs.size)
@@ -400,3 +418,144 @@ def test_batch_gather_budget_counts_every_row():
     s = SortedSample.from_data(rng.lognormal(size=40_000))
     for probs in (np.array([0.5]), np.array([0.3, 0.5, 0.7])):
         assert_density_matches_loop(s, probs, BandwidthRule(fixed=0.3))
+
+
+def memo_probs(n):
+    """Grid probabilities, extreme ones and a NaN, in no order."""
+    base = midpoint_probs(20)
+    return np.concatenate([[0.3, np.nan, 0.5 / n], 1.0 - base, base, [0.5, 1.0 - 1e-9]])
+
+
+@pytest.mark.parametrize("n", [4, 5, 10, 50, 200, 1000])
+@pytest.mark.parametrize("fixed", [None, 1e-5, 0.3])
+@pytest.mark.parametrize("tied", [False, True])
+def test_a_warm_plan_gives_the_cold_bits(n, fixed, tied):
+    rng = np.random.default_rng((n, 31))
+    data = rng.poisson(2.0, size=(3, n)) if tied else rng.standard_t(3.0, size=(3, n))
+    batch = SortedSample.from_rows(data.astype(float))
+    probs, rule = memo_probs(n), BandwidthRule(fixed=fixed)
+    _PLANS.clear()
+    cold = quantile_density_profile(batch, probs, rule)
+    key = (n, probs.tobytes(), rule)
+    memoized = key in _PLANS
+    # every plan here fits one run of _GATHER_BUDGET terms, except the
+    # fixed 0.3 at n = 1000
+    assert memoized == (fixed != 0.3 or n < 1000)
+    for _ in range(2):
+        warm = quantile_density_profile(batch, probs, rule)
+        assert warm.tobytes() == cold.tobytes()
+        assert (key in _PLANS) == memoized
+    # each row alone, warm, is the row of the batch, also with the row's
+    # check: the same error or the same estimates
+    for t in range(3):
+        row = SortedSample(values=batch.values[t])
+        try:
+            alone = quantile_density_profile(row, probs, rule)
+        except QuantileDensityError as exc:
+            assert str(exc) == str(density_error(row.values, probs, cold[t], rule))
+        else:
+            assert alone.tobytes() == cold[t].tobytes()
+
+
+def test_memoized_plans_are_read_only():
+    _PLANS.clear()
+    probs = memo_probs(200)
+    plan = _density_plan(200, probs, BandwidthRule())
+    assert _density_plan(200, probs.copy(), BandwidthRule()) is plan
+    b, whole, runs = plan
+    assert len(runs) == 1
+    for arr in [b, *runs[0]]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[-1]
+
+
+def test_the_plan_memo_keeps_the_most_recently_used_within_its_bound():
+    _PLANS.clear()
+    probs, rule = memo_probs(100), BandwidthRule()
+    for n in range(100, 100 + 3 * _PLAN_LIMIT):
+        _density_plan(n, probs, rule)
+        _density_plan(100, probs, rule)  # kept by using it
+        assert len(_PLANS) <= _PLAN_LIMIT
+    assert len(_PLANS) == _PLAN_LIMIT
+    assert [key[0] for key in _PLANS] == [*range(100 + 2 * _PLAN_LIMIT + 1, 100 + 3 * _PLAN_LIMIT), 100]
+
+
+def test_large_and_multi_run_plans_are_not_memoized():
+    _PLANS.clear()
+    rule = BandwidthRule()
+    _density_plan(200, memo_probs(200), rule)
+    before = dict(_PLANS)
+    # n above _GATHER_BUDGET, even where its windows fit one run
+    large = SortedSample.from_data(np.random.default_rng(3).lognormal(size=100_000))
+    assert large.n > _GATHER_BUDGET
+    quantile_density_profile(large, np.array([0.25, 0.75, 0.5]), rule)
+    # more terms than one run holds, at small n
+    wide = BandwidthRule(fixed=0.3)
+    quantile_density_profile(SortedSample.from_rows([np.arange(1000.0)]), memo_probs(1000), wide)
+    assert _PLANS == before and all(_PLANS[k] is before[k] for k in before)
+
+
+def test_intervals_at_distinct_large_n_retain_no_memory():
+    # every op of a large-n workload has its own n; a memo that kept their
+    # plans would grow with each (3 probabilities fit one run at any n).
+    # Blocks under 1 KB are not counted: numpy's cumsum leaves about 60
+    # traced bytes behind per call without any growth of the process.
+    import gc
+    import tracemalloc
+
+    def kilobyte_blocks():
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(False, tracemalloc.__file__)])
+        return sum(trace.size for trace in snapshot.traces if trace.size >= 1024)
+
+    data = np.random.default_rng(17).lognormal(size=100_050)
+    measures = parse_measures("gamma@0.25,lambda@0.1")
+    intervals(SortedSample.from_data(data[:99_999]), measures)
+    tracemalloc.start()
+    try:
+        kilobyte_blocks()  # the filter compiles and caches its pattern once
+        before = kilobyte_blocks()
+        for k in range(50):
+            intervals(SortedSample.from_data(data[: 100_000 + k]), measures)
+        retained = kilobyte_blocks() - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 0
+
+
+def test_the_plan_memo_survives_threads():
+    # more threads than cores, switching often, each cycling through more
+    # (n, probs) keys than the memo holds, so hits, inserts and evictions
+    # interleave; every estimate must equal the one-thread estimate
+    import sys
+    import threading
+
+    rng = np.random.default_rng(29)
+    probs = memo_probs(100)
+    batches = [SortedSample.from_rows(rng.lognormal(size=(2, n))) for n in range(100, 100 + 2 * _PLAN_LIMIT)]
+    _PLANS.clear()
+    want = [quantile_density_profile(b, probs).tobytes() for b in batches]
+    failures = []
+
+    def work(k):
+        try:
+            for i in range(200):
+                j = (i * (k + 1)) % len(batches)
+                if quantile_density_profile(batches[j], probs).tobytes() != want[j]:
+                    failures.append(j)
+        except Exception as exc:  # a race would surface here
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == [] and len(_PLANS) <= _PLAN_LIMIT

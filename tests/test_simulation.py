@@ -49,6 +49,10 @@ def test_coverage_standard_error_examples():
     assert coverage_standard_error(400, 0.95) == pytest.approx(0.0109, abs=1e-4)
     with pytest.raises(ValueError):
         coverage_standard_error(0, 0.95)
+    assert coverage_standard_error(10, 0.0) == coverage_standard_error(10, 1.0) == 0.0
+    for p0 in (1.5, -0.2, float("nan")):
+        with pytest.raises(ValueError, match=r"p0 must lie in \[0, 1\], got " + str(p0)):
+            coverage_standard_error(10, p0)
 
 
 def test_config_validation():

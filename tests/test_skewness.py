@@ -42,6 +42,7 @@ from skewkit.skewness import (
     estimate,
     grid_for_probs,
     group_curve,
+    measure_rows,
     point_sets,
     population_grid,
 )
@@ -137,8 +138,9 @@ def test_grid_quantiles_monotone_over_key_set():
 
 def curve_terms(grid, measure):
     """The ``curve`` terms of one measure on a one-sample grid."""
-    _, [(_, take)] = point_sets([measure], grid.base_probs)
-    return [t[0, 0] for t in group_curve(grid.x[None], grid.probs, take, [measure])[2]]
+    _, [(_, ps)] = point_sets([measure], grid.base_probs)
+    (s, r), _ = group_curve(grid.x[None], ps)
+    return [t[0, 0] for t in (ps.weight, s, r)]
 
 
 def test_s_r_identities():
@@ -194,8 +196,8 @@ def test_point_sets_union_is_np_unique_bit_for_bit(measures):
     # and the groups index it as they index a given base
     _, given_groups = point_sets(measures, want)
     assert [idx for idx, _ in groups] == [idx for idx, _ in given_groups]
-    for (_, take), (_, given_take) in zip(groups, given_groups):
-        np.testing.assert_array_equal(take, given_take)
+    for (_, ps), (_, given_ps) in zip(groups, given_groups):
+        np.testing.assert_array_equal(ps.take, given_ps.take)
 
 def test_pointwise_population_values():
     ln = population_grid(LogNormal(0.0, 1.0), base_probs=[0.05, 0.25])
@@ -494,12 +496,47 @@ def test_repeated_point_sets_share_read_only_arrays():
     again, again_groups = point_sets(list(measures))
     assert again is base
     assert all(a is b for (_, a), (_, b) in zip(again_groups, groups))
-    for arr in [base] + [take for _, take in groups]:
+    for arr in [base] + [arr for _, ps in groups for arr in point_set_arrays(ps)]:
         with pytest.raises(ValueError):
             arr[0] = arr[-1]
     # the given-base path computes afresh
     _, given = point_sets(measures, base)
-    assert all(take.flags.writeable for _, take in given)
+    assert all(arr.flags.writeable for _, ps in given for arr in point_set_arrays(ps))
+
+
+def point_set_arrays(ps):
+    return [ps.take, ps.p, ps.slopes, ps.weight, *ps.cells]
+
+
+def test_memoized_point_set_constants_give_the_given_base_bits():
+    measures = [
+        parse_measure(t, direction=d, j_points=j)
+        for t in TRUTH_TOKENS[:-1] for d in Direction for j in (7, 100)
+    ]
+    rng = np.random.default_rng(23)
+    # lognormal rows, and tied rows whose densities and denominators fail
+    data = np.vstack([rng.lognormal(size=(4, 60)), rng.poisson(0.7, size=(3, 60))])
+    batch = SortedSample.from_rows(data)
+    base, memo = point_sets(measures)
+    _, given = point_sets(measures, base.copy())
+    assert not any(arr.flags.writeable for _, ps in memo for arr in point_set_arrays(ps))
+    grid = grid_for_probs(batch, base)
+    failures = 0
+    for g in (None, grid.g):
+        got = measure_rows(grid.x, memo, measures, g)
+        want = measure_rows(grid.x, given, measures, g)
+        for (idx, values, nvar, width, errors, bad_g), w in zip(got, want, strict=True):
+            assert (idx, width) == (w[0], w[3])
+            assert values.tobytes() == w[1].tobytes()
+            assert nvar is w[2] is None or nvar.tobytes() == w[2].tobytes()
+            assert [{t: str(e) for t, e in d.items()} for d in errors] == [
+                {t: str(e) for t, e in d.items()} for d in w[4]
+            ]
+            assert [(k, t, cols.tolist()) for k, t, cols in bad_g] == [
+                (k, t, cols.tolist()) for k, t, cols in w[5]
+            ]
+            failures += sum(map(len, errors)) + len(bad_g)
+    assert failures
 
 
 def test_memoized_truths_are_a_new_list_each_call():
