@@ -250,7 +250,8 @@ def _window_runs(n: int, probs: np.ndarray, b: np.ndarray, lo: np.ndarray, width
 def quantile_density_profile(
     sample: SortedSample, probs, rule: BandwidthRule = DEFAULT_BANDWIDTH
 ) -> np.ndarray:
-    """Kernel quantile-density estimates ghat(p) at an array of probabilities.
+    """Kernel quantile-density estimates ghat(p) at a 1-D array of
+    probabilities (any other shape is a ValueError naming it).
 
     ghat(p) = sum_j (X_(j+1) - X_(j)) * k_b(j/n - p), the derivative of the
     Epanechnikov-smoothed empirical quantile function.  Only the spacings
@@ -275,6 +276,8 @@ def quantile_density_profile(
     builds the error for one row).
     """
     probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1:
+        raise ValueError(f"probabilities must be a 1-D array, got shape {probs.shape}")
     x = sample.values
     rows = x.reshape(-1, sample.n)
     b, read_diff, runs = _density_plan(sample.n, probs, rule)

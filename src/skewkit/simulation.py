@@ -1,11 +1,16 @@
 """Seeded Monte Carlo coverage studies.
 
 Each trial draws its own generator from the (master seed, trial index) pair,
-so trials are order-independent.  Trials run in chunks whose size is fixed
-by n: the chunk's generators fill one (trials x n) array of uniforms row by
-row, one call of the distribution's quantile function inverts it (see
-``DistributionSpec.sample``), and that array, sorted row by row, and one
-quantile grid per chunk serve every measure (see ``inference.interval_rows``).
+so trials are order-independent: trial t's generator is bit for bit
+``np.random.default_rng(np.random.SeedSequence((seed, t)))``, so any trial
+can be redrawn alone.  Trials run in chunks whose size is fixed by n.  A
+chunk's generators are seeded in bulk: numpy's C hash makes each trial's
+entropy pool, and one vectorised pass hashes the chunk's pools into PCG64
+state words (see ``_chunk_generators``).  The generators fill one
+(trials x n) array of uniforms row by row, one call of the distribution's
+quantile function inverts it (see ``DistributionSpec.sample``), and that
+array, sorted row by row, and one quantile grid per chunk serve every
+measure (see ``inference.interval_rows``).
 The population truths come from one grid too: one call of the distribution's
 quantile function serves all of them, and they are memoized on the
 distribution object by the measure tuple, so a second run on the same object
@@ -19,12 +24,15 @@ axis in fixed index order, so equal configs give byte-identical reports.
 from __future__ import annotations
 
 import json
+import operator
 import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import DistributionSpec, parse_distribution
 # ``interval`` is not called here; perfbench/tracer.py binds it on this module.
@@ -51,11 +59,12 @@ def coverage_standard_error(trials: int, p0: float) -> float:
 
 
 def _integer(value, least=None) -> int:
-    """``value`` as an int: an int but not a bool, an integral float such as
-    1e4, or an integer string; else a TypeError, or a ValueError below ``least``."""
-    if type(value) is int or isinstance(value, float) and value.is_integer() or (
-        isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d+\s*", value)
-    ):
+    """``value`` as an int: an int but not a bool, a numpy integer, an
+    integral float such as 1e4, or an integer string; else a TypeError, or a
+    ValueError below ``least``."""
+    if type(value) is int or isinstance(value, np.integer) or (
+        isinstance(value, float) and value.is_integer()
+    ) or (isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d+\s*", value)):
         if least is not None and int(value) < least:
             raise ValueError
         return int(value)
@@ -68,7 +77,12 @@ def _config_value(doc: dict, key: str, parse, expected: str, *default):
     that names the key and what it ``expected``."""
     if key not in doc and not default:
         raise ValueError(f"simulation config is missing required key {key!r}")
-    value = doc.get(key, *default)
+    return _parsed(key, doc.get(key, *default), parse, expected)
+
+
+def _parsed(key: str, value, parse, expected: str):
+    """``parse(value)``; its TypeError or ValueError becomes a ValueError
+    that names config key ``key`` and what it ``expected``."""
     try:
         return parse(value)
     except (TypeError, ValueError):
@@ -94,10 +108,18 @@ class SimConfig:
     bandwidth: BandwidthRule = DEFAULT_BANDWIDTH
 
     def __post_init__(self):
+        # n, trials and seed are stored as plain ints, so that the report's
+        # echo is valid JSON that rebuilds the run
+        for key, least, expected in (
+            ("n", 10, "an integer of at least 10"),
+            ("trials", 1, "a positive integer"),
+            ("seed", 0, "a non-negative integer"),
+        ):
+            value = getattr(self, key)
+            if type(value) is not int or value < least:
+                value = _parsed(key, value, lambda v: _integer(v, least), expected)
+                object.__setattr__(self, key, value)
         for key, ok, expected in (
-            ("n", self.n >= 10, "an integer of at least 10"),
-            ("trials", self.trials >= 1, "a positive integer"),
-            ("seed", self.seed >= 0, "a non-negative integer"),
             ("level", 0.0 < self.level < 1.0, "a number strictly inside (0, 1)"),
             ("threads", self.threads == "auto" or type(self.threads) is int and self.threads >= 1,
              "a positive integer or 'auto'"),
@@ -233,8 +255,88 @@ class CoverageReport:
         return "\n".join(lines)
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, trial)))
+_MASK32 = 0xFFFFFFFF
+_WORD_SHIFTS = np.array([0, 32], dtype=np.uint64)
+
+
+def _state_constants() -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of ``SeedSequence.generate_state``'s
+    eight 32-bit output words (INIT_B and MULT_B of O'Neill's seed_seq
+    hash): word i is ((pool[i % 4] ^ xor[i]) * mult[i]) ^ (that >> 16)
+    mod 2^32, with xor[i] = INIT_B * MULT_B^i and mult[i] = xor[i] * MULT_B.
+    Shaped (2, 4) so that they broadcast over a (T, 1, 4) stack of pools."""
+    h = [0x8B51F9DD]
+    for _ in range(8):
+        h.append(h[-1] * 0x58F38DED & _MASK32)
+    h = np.array(h, dtype=np.uint32)
+    return h[:8].reshape(2, 4), h[1:].reshape(2, 4)
+
+
+_STATE_XOR, _STATE_MUL = _state_constants()
+
+
+def _uint32_words(value) -> list[int]:
+    """A non-negative integer's little-endian 32-bit words, [0] for 0: the
+    words ``np.random.SeedSequence`` makes of it."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+class _StateWords(ISeedSequence):
+    """Answers ``PCG64``'s one ``generate_state(4, np.uint64)`` call with
+    four precomputed state words, so that its C code does the 128-bit
+    seeding.  PCG64 reads the array's raw buffer, unchecked, so the words
+    must be a C-contiguous uint64 array."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _chunk_generators(seed, trials: range) -> list[np.random.Generator]:
+    """Trial t's generator for each t in ``trials`` (consecutive indices
+    below 2^64), bit for bit ``np.random.default_rng(np.random.SeedSequence((seed, t)))``.
+
+    numpy's C hash mixes each trial's entropy (the seed's words, then t's,
+    the uint32 array ``SeedSequence`` makes of the tuple) into its pool; the
+    pools' PCG64 state words are hashed for the whole chunk at once
+    (``_STATE_XOR``, ``_STATE_MUL``), where ``SeedSequence.generate_state``
+    would loop in Python trial by trial.  A generator's
+    ``bit_generator.seed_seq`` is its ``_StateWords``, so it cannot spawn.
+    """
+    head = _uint32_words(seed)
+    gens = []
+    start = trials.start
+    while start < trials.stop:
+        # every index in [start, stop) has as many words as start
+        width = len(_uint32_words(start))
+        stop = min(trials.stop, 1 << 32 * width)
+        entropy = np.empty((stop - start, len(head) + width), dtype=np.uint32)
+        entropy[:, : len(head)] = head
+        # the cast to uint32 keeps each shifted index's low word
+        entropy[:, len(head) :] = np.arange(start, stop, dtype=np.uint64)[:, None] >> _WORD_SHIFTS[:width]
+        pools = np.array([SeedSequence(row).pool for row in entropy])
+        words = pools[:, None, :] ^ _STATE_XOR
+        words *= _STATE_MUL
+        words ^= words >> 16
+        # little-endian pairs of 32-bit words, as generate_state(4, np.uint64) reads them
+        state = np.ascontiguousarray(
+            words.reshape(-1, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+        )
+        gens += [Generator(PCG64(_StateWords(w))) for w in state]
+        start = stop
+    return gens
 
 
 def run_coverage(cfg: SimConfig) -> CoverageReport:
@@ -257,7 +359,7 @@ def run_coverage(cfg: SimConfig) -> CoverageReport:
     for lo in range(0, trials, chunk):
         ts = slice(lo, min(lo + chunk, trials))
         rows = SortedSample.from_rows(
-            cfg.dist.sample(cfg.n, [_trial_rng(cfg.seed, t) for t in range(ts.start, ts.stop)])
+            cfg.dist.sample(cfg.n, _chunk_generators(cfg.seed, range(ts.start, ts.stop)))
         )
         res = interval_rows(rows, cfg.measures, cfg.level, cfg.bandwidth)
         lower, upper = np.array([r.lower for r in res]), np.array([r.upper for r in res])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -326,6 +327,13 @@ def test_density_matches_loop_property(n, probs, fixed, tied, seed):
     _PLANS.clear()
     assert_density_matches_loop(s, probs, rule)
     assert_density_matches_loop(s, probs, rule)
+
+
+def test_density_rejects_probabilities_that_are_not_1d():
+    s = SortedSample.from_data(np.arange(50.0))
+    for probs, shape in ((0.5, "()"), ([[0.3, 0.5]], "(1, 2)")):
+        with pytest.raises(ValueError, match=re.escape(f"1-D array, got shape {shape}")):
+            quantile_density_profile(s, probs)
 
 
 def test_density_nan_probability_matches_loop():

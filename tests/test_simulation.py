@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,6 +28,12 @@ from skewkit.quantiles import DEFAULT_BANDWIDTH
 from skewkit.simulation import CoverageReport, MeasureCoverage
 from skewkit.skewness import build_grid, estimate_auc, estimate_pointwise, grid_for_probs
 from skewkit import simulation as simulation_module
+
+
+def numpy_trial_rng(seed, trial):
+    """Trial ``trial``'s generator as numpy builds it from (seed, trial): the
+    oracle of ``simulation._chunk_generators``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, trial)))
 
 
 def _config(**overrides):
@@ -70,6 +77,25 @@ def test_config_validation():
         _config(threads="many")
     with pytest.raises(ValueError):
         _config(level=1.5)
+    # built directly, n, trials and seed are read as from_dict reads them
+    # and stored as plain ints
+    cfg = _config(n=np.int32(100), trials=3.0, seed=np.int64(7))
+    assert [(type(v), v) for v in (cfg.n, cfg.trials, cfg.seed)] == [(int, 100), (int, 3), (int, 7)]
+    report = run_coverage(cfg)
+    assert run_coverage(SimConfig.from_dict(json.loads(report.to_json())["config"])).to_json() == (
+        report.to_json()
+    )
+    for key, value, expected in (
+        ("seed", True, "a non-negative integer"),
+        ("seed", 7.5, "a non-negative integer"),
+        ("seed", np.int64(-1), "a non-negative integer"),
+        ("n", 200.5, "an integer of at least 10"),
+        ("n", np.int64(9), "an integer of at least 10"),
+        ("trials", "three", "a positive integer"),
+        ("trials", None, "a positive integer"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"key '{key}' must be {expected}, got {value!r}")):
+            _config(**{key: value})
 
 
 def test_config_json_round_trip():
@@ -163,11 +189,35 @@ class RoundedExponential(Exponential):
 
 def test_an_overriding_sample_applies_to_every_row_of_a_batch():
     dist, n = RoundedExponential(1.0, step=0.25), 200
-    batch = dist.sample(n, [simulation_module._trial_rng(9, t) for t in range(10)])
+    batch = dist.sample(n, [numpy_trial_rng(9, t) for t in range(10)])
     assert batch.shape == (10, n)
     assert np.array_equal(batch, np.round(batch / 0.25) * 0.25)
     for t, row in enumerate(batch):
-        assert row.tobytes() == dist.sample(n, simulation_module._trial_rng(9, t)).tobytes()
+        assert row.tobytes() == dist.sample(n, numpy_trial_rng(9, t)).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64, 2**96 + 3, np.int64(7)])
+def test_chunk_generators_are_numpys_per_trial_generators(seed):
+    # trial indices from one word to two, within one chunk and across chunks
+    chunks = {range(0, 1311): (0, 1309, 1310), range(2**32 - 1, 2**32 + 1): (2**32 - 1, 2**32)}
+    for trials, checked in chunks.items():
+        gens = simulation_module._chunk_generators(seed, trials)
+        assert len(gens) == len(trials)
+        for t in checked:
+            got, want = gens[t - trials.start], numpy_trial_rng(seed, t)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.random(200).tobytes() == want.random(200).tobytes()
+
+
+def test_bulk_seeding_reports_match_per_trial_seeding(monkeypatch):
+    cfg = _config(n=40, trials=30, seed=2**64 + 9)
+    monkeypatch.setattr(simulation_module, "_CHUNK_ELEMENTS", 7 * 40)  # chunks of 7, 7, 7, 7 and 2
+    bulk = run_coverage(cfg).to_json()
+    monkeypatch.setattr(
+        simulation_module, "_chunk_generators",
+        lambda seed, trials: [numpy_trial_rng(seed, t) for t in trials],
+    )
+    assert run_coverage(cfg).to_json() == bulk
 
 
 def own_grid_error(sample, measure):
@@ -196,7 +246,7 @@ TIE_GROUPS = (TIE_MEASURES[:-1], TIE_MEASURES[-1:])
 def test_tie_failures_match_a_row_by_row_loop(n, step):
     measures = TIE_MEASURES
     dist = RoundedExponential(1.0, step=step)
-    draws = [dist.sample(n, simulation_module._trial_rng(9, t)) for t in range(30)]
+    draws = [dist.sample(n, numpy_trial_rng(9, t)) for t in range(30)]
     batch = simulation_module.interval_rows(
         SortedSample.from_rows(draws), measures, 0.95, DEFAULT_BANDWIDTH
     )
@@ -241,7 +291,7 @@ def test_chunked_tallies_match_one_chunk_and_a_per_measure_reduction(n, step, mo
     one_chunk = [run_coverage(cfg).to_json() for cfg in configs]
 
     # the tallies measure by measure, over one interval_rows call on all trials
-    draws = [dist.sample(n, simulation_module._trial_rng(9, t)) for t in range(30)]
+    draws = [dist.sample(n, numpy_trial_rng(9, t)) for t in range(30)]
     failed_trials = 0
     for cfg, want in zip(configs, one_chunk):
         batch = interval_rows(SortedSample.from_rows(draws), cfg.measures, 0.95, cfg.bandwidth)
