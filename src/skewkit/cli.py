@@ -314,16 +314,12 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"{args.config}: invalid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: the config must be a JSON object")
-    keys = ("dist", "n", "trials", "seed", "level", "threads", "bandwidth", "direction", "j",
-            "measures")
-    doc.update({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
-    if "threads" not in doc and os.environ.get("SKEWKIT_THREADS"):
-        try:
-            doc["threads"] = _threads(os.environ["SKEWKIT_THREADS"])
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"SKEWKIT_THREADS {exc}") from None
     from . import simulation  # the coverage harness loads only here
 
+    # each config key has a flag of its name
+    doc.update({key: getattr(args, key) for key in simulation._READERS if getattr(args, key) is not None})
+    if "threads" not in doc and os.environ.get("SKEWKIT_THREADS"):
+        doc["threads"] = simulation._read("threads", os.environ["SKEWKIT_THREADS"], name="SKEWKIT_THREADS ")
     report = simulation.run_coverage(simulation.SimConfig.from_dict(doc))
     if args.format == "text":
         print(report.render_text())
@@ -403,10 +399,13 @@ def _grid_points(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {text!r}")
 
 
-def _threads(text: str) -> str:
-    if text == "auto" or text.isascii() and text.strip().isdigit() and int(text) > 0:
-        return text
-    raise argparse.ArgumentTypeError(f"must be a positive integer or 'auto', got {text!r}")
+def _threads(text: str) -> int | str:
+    from . import simulation  # only simulate registers --threads
+
+    try:
+        return simulation._read("threads", text, name="")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_options(parser, *names: str, overrides: bool = False) -> None:

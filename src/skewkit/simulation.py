@@ -19,6 +19,8 @@ are memoized by the measure tuple for the life of the process (see
 ``skewness.point_sets``).
 Results land in (measures x trials) arrays and are reduced along the trial
 axis in fixed index order, so equal configs give byte-identical reports.
+``SimConfig`` reads every field through one table, ``_READERS``, whether it
+is built directly or by ``from_dict``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import operator
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -40,7 +42,8 @@ from .inference import interval, interval_rows  # noqa: F401
 from .quantiles import BandwidthRule, DEFAULT_BANDWIDTH, SortedSample
 # ``population_measure`` is not called here; perfbench/tracer.py binds it on this module.
 from .skewness import (  # noqa: F401
-    Direction, MeasureKind, SkewMeasure, parse_measures, population_measure, population_measures,
+    DEFAULT_GRID_POINTS, Direction, MeasureKind, SkewMeasure, parse_measures, population_measure,
+    population_measures,
 )
 
 MAX_FAILURE_RATE = 0.01
@@ -58,46 +61,76 @@ def coverage_standard_error(trials: int, p0: float) -> float:
     return float(np.sqrt(p0 * (1.0 - p0) / trials))
 
 
-def _integer(value, least=None) -> int:
-    """``value`` as an int: an int but not a bool, a numpy integer, an
-    integral float such as 1e4, or an integer string; else a TypeError, or a
-    ValueError below ``least``."""
+def _integer(value, least: int) -> int:
+    """``value`` as an int of at least ``least``: an int but not a bool, a
+    numpy integer, an integral float such as 1e4, or an integer string; else
+    a ValueError."""
     if type(value) is int or isinstance(value, np.integer) or (
         isinstance(value, float) and value.is_integer()
     ) or (isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d+\s*", value)):
-        if least is not None and int(value) < least:
-            raise ValueError
-        return int(value)
+        if int(value) >= least:
+            return int(value)
+    raise ValueError
+
+
+def _level(value) -> float:
+    if 0.0 < float(value) < 1.0:
+        return float(value)
+    raise ValueError
+
+
+def _measures(value, direction=Direction.RIGHT, j_points=DEFAULT_GRID_POINTS) -> tuple:
+    """A measure list: ``SkewMeasure``s as they are, or tokens, a list or one
+    comma-separated string, parsed with ``direction`` and ``j_points`` as
+    ``skewness.parse_measures`` does without b3; else a TypeError."""
+    if isinstance(value, (list, tuple)) and value and all(isinstance(m, SkewMeasure) for m in value):
+        return tuple(value)
+    if isinstance(value, (str, list, tuple)):
+        return tuple(parse_measures(value, direction, j_points, include_b3=False))
     raise TypeError
 
 
-def _config_value(doc: dict, key: str, parse, expected: str, *default):
-    """Config key ``key``'s value, or ``default`` where it is absent, read by
-    ``parse``; a TypeError or ValueError of ``parse`` becomes a ValueError
-    that names the key and what it ``expected``."""
-    if key not in doc and not default:
-        raise ValueError(f"simulation config is missing required key {key!r}")
-    return _parsed(key, doc.get(key, *default), parse, expected)
+_BAD = (TypeError, ValueError)
+
+# Config key -> (reader, what its value must be, the reader's errors that
+# mean the value is not that, which ``_read`` turns into one message naming
+# the key; parse_distribution's and parse_measures' own errors name the bad
+# token).  direction and j are keys, not fields: they parse the measures.
+_READERS = {
+    "dist": (lambda v: v if isinstance(v, DistributionSpec) else parse_distribution(v), None, ()),
+    "n": (lambda v: _integer(v, 10), "an integer of at least 10", _BAD),
+    "trials": (lambda v: _integer(v, 1), "a positive integer", _BAD),
+    "measures": (_measures, "a list of tokens or a comma-separated string", TypeError),
+    "seed": (lambda v: _integer(v, 0), "a non-negative integer", _BAD),
+    "level": (_level, "a number strictly inside (0, 1)", _BAD),
+    "threads": (lambda v: v if v == "auto" else _integer(v, 1), "a positive integer or 'auto'", _BAD),
+    "bandwidth": (
+        lambda v: v if isinstance(v, BandwidthRule) else BandwidthRule(None if v == "default" else float(v)),
+        "'default' or a number in (0, 0.5)", _BAD,
+    ),
+    "direction": (lambda v: Direction(v.lower() if isinstance(v, str) else v), "'right' or 'left'", _BAD),
+    "j": (lambda v: _integer(v, 2), "an integer of at least 2", _BAD),
+}
 
 
-def _parsed(key: str, value, parse, expected: str):
-    """``parse(value)``; its TypeError or ValueError becomes a ValueError
-    that names config key ``key`` and what it ``expected``."""
+def _read(key: str, value, *args, name: str | None = None):
+    """``value`` as ``key``'s row of ``_READERS`` reads it, given ``args``; a
+    value it cannot read is a ValueError "<name>must be <what>, got <value>",
+    where ``name`` defaults to "simulation config key '<key>' "."""
+    read, expected, bad = _READERS[key]
     try:
-        return parse(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"simulation config key {key!r} must be {expected}, got {value!r}") from None
-
-
-def _tokens(value):
-    """A measure list as ``parse_measures`` reads it; else a TypeError."""
-    if isinstance(value, (str, list)):
-        return value
-    raise TypeError
+        return read(value, *args)
+    except bad:
+        name = f"simulation config key {key!r} " if name is None else name
+        raise ValueError(f"{name}must be {expected}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A coverage run's settings.  Every field is read through its row of
+    ``_READERS``, however the config is built, and stored as the field's
+    type; a value it cannot read raises ``ValueError`` naming the key."""
+
     dist: DistributionSpec
     n: int
     trials: int
@@ -108,28 +141,8 @@ class SimConfig:
     bandwidth: BandwidthRule = DEFAULT_BANDWIDTH
 
     def __post_init__(self):
-        # n, trials and seed are stored as plain ints, so that the report's
-        # echo is valid JSON that rebuilds the run
-        for key, least, expected in (
-            ("n", 10, "an integer of at least 10"),
-            ("trials", 1, "a positive integer"),
-            ("seed", 0, "a non-negative integer"),
-        ):
-            value = getattr(self, key)
-            if type(value) is not int or value < least:
-                value = _parsed(key, value, lambda v: _integer(v, least), expected)
-                object.__setattr__(self, key, value)
-        for key, ok, expected in (
-            ("level", 0.0 < self.level < 1.0, "a number strictly inside (0, 1)"),
-            ("threads", self.threads == "auto" or type(self.threads) is int and self.threads >= 1,
-             "a positive integer or 'auto'"),
-        ):
-            if not ok:
-                raise ValueError(
-                    f"simulation config key {key!r} must be {expected}, got {getattr(self, key)!r}"
-                )
-        if not self.measures:
-            raise ValueError("at least one measure is required")
+        for key in self.__dataclass_fields__:
+            object.__setattr__(self, key, _read(key, getattr(self, key)))
         for m in self.measures:
             if m.kind is MeasureKind.B3:
                 raise ValueError("b3 has no interval estimator; drop it from coverage runs")
@@ -148,41 +161,25 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
-        """Build from the JSON document schema used by the CLI; ``measures``
-        is a list of tokens or one comma-separated string, parsed as
-        ``skewness.parse_measures`` does without b3.  An unknown key, a
-        missing one or a value of the wrong type is a ValueError naming it."""
-        unknown = [key for key in doc if key not in {f.name for f in fields(cls)} | {"direction", "j"}]
+        """Build from the JSON document schema used by the CLI: the fields'
+        keys, read as ``SimConfig`` reads its fields, and ``direction`` and
+        ``j``, which the measure tokens are parsed with.  An unknown key, a
+        missing one or an unreadable value is a ValueError naming it."""
+        unknown = [key for key in doc if key not in _READERS]
         if unknown:
             raise ValueError(f"simulation config has unknown key(s) {', '.join(map(repr, unknown))}")
-        dist = parse_distribution(_config_value(doc, "dist", lambda v: v, "a distribution"))
-        direction = _config_value(
-            doc, "direction", lambda v: Direction(v.lower() if isinstance(v, str) else v),
-            "'right' or 'left'", "right",
-        )
-        j_points = _config_value(doc, "j", lambda v: _integer(v, least=2), "an integer of at least 2", 100)
-        tokens = _config_value(doc, "measures", _tokens, "a list of tokens or a comma-separated string")
-        return cls(
-            dist=dist,
-            n=_config_value(doc, "n", _integer, "an integer"),
-            trials=_config_value(doc, "trials", _integer, "an integer"),
-            measures=tuple(parse_measures(tokens, direction, j_points, include_b3=False)),
-            seed=_config_value(doc, "seed", _integer, "an integer"),
-            level=_config_value(doc, "level", float, "a number", 0.95),
-            threads=_config_value(
-                doc, "threads", lambda v: v if v == "auto" else _integer(v),
-                "a positive integer or 'auto'", "auto",
-            ),
-            bandwidth=_config_value(
-                doc, "bandwidth", lambda v: BandwidthRule(None if v == "default" else float(v)),
-                "'default' or a number in (0, 0.5)", "default",
-            ),
-        )
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in doc:
+                raise ValueError(f"simulation config is missing required key {f.name!r}")
+        direction = _read("direction", doc.get("direction", Direction.RIGHT))
+        j_points = _read("j", doc.get("j", DEFAULT_GRID_POINTS))
+        values = {key: value for key, value in doc.items() if key in cls.__dataclass_fields__}
+        values["measures"] = _read("measures", doc["measures"], direction, j_points)
+        return cls(**values)
 
     def to_dict(self) -> dict:
         # threads is accepted for compatibility and changes nothing, so it
         # is not echoed.
-        bw = "default" if self.bandwidth.fixed is None else self.bandwidth.fixed
         return {
             "dist": repr(self.dist),
             "n": self.n,
@@ -193,7 +190,7 @@ class SimConfig:
                 (m.direction for m in self.measures if m.is_lambda_family), self.measures[0].direction
             ).value,
             "seed": self.seed,
-            "bandwidth": bw,
+            "bandwidth": "default" if self.bandwidth.fixed is None else self.bandwidth.fixed,
             "j": next((m.j_points for m in self.measures if m.is_auc), 100),
         }
 

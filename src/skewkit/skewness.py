@@ -148,7 +148,10 @@ def parse_measure(
     if kind in _POINTWISE:
         if not param:
             raise ValueError(f"{name} requires '@p', e.g. '{name}@0.25'")
-        p = float(param)
+        try:
+            p = float(param)
+        except ValueError:
+            raise ValueError(f"{token.strip()}: p must be a number in (0, 0.5)") from None
         return SkewMeasure(kind, p=p, direction=direction, j_points=j_points)
     if param:
         raise ValueError(f"{name} takes no '@p' parameter")

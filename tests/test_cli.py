@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -137,6 +138,12 @@ def test_a_location_that_is_not_finite_exits_2(capsys, argv, dist):
     except SystemExit as exc:  # argparse rejects the distribution
         code = exc.code
     assert code == EXIT_USAGE
+
+
+def test_estimate_names_a_measure_whose_p_is_not_a_number(ln_file, capsys):
+    code, out, err = run_cli(capsys, "estimate", ln_file, "--column", "price", "--measures", "gamma@abc")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "skewkit: gamma@abc: p must be a number in (0, 0.5)" in err
 
 
 def test_population_bad_measure_exits_2(capsys):
@@ -978,8 +985,10 @@ def test_simulate_invalid_config_exits_2(tmp_path, capsys):
 
     # a non-string dist and a non-integer n, trials, seed or j name their key
     good = {"dist": "exp(1)", "n": 50, "trials": 3, "measures": "auc_gamma", "seed": 1, "j": 20}
+    must_be = {"n": "an integer of at least 10", "trials": "a positive integer",
+               "seed": "a non-negative integer", "j": "an integer of at least 2"}
     bad = [("dist", v, "cannot parse distribution") for v in (5, None, [1], {"a": 1})]
-    bad += [(key, v, f"config key '{key}' must be an integer")
+    bad += [(key, v, f"config key '{key}' must be {must_be[key]}, got {v!r}")
             for key, v in (("n", 50.9), ("trials", 2.5), ("seed", 1.7), ("j", 20.5), ("n", True),
                            ("trials", "3.0"), ("seed", None), ("j", [20]), ("n", float("inf")))]
     for key, value, message in bad:
@@ -995,9 +1004,10 @@ def test_simulate_invalid_config_exits_2(tmp_path, capsys):
     assert [echo[k] for k in ("n", "trials", "seed", "j")] == [50, 3, 1, 20]
 
 
-@pytest.mark.parametrize("key, value, message", [
+# config key, a bad value, what the error says
+CONFIG_ERRORS = [
     ("measures", 5, "key 'measures' must be a list of tokens or a comma-separated string, got 5"),
-    ("level", "x", "key 'level' must be a number, got 'x'"),
+    ("level", "x", "key 'level' must be a number strictly inside (0, 1), got 'x'"),
     ("bandwidth", [1], "key 'bandwidth' must be 'default' or a number in (0, 0.5), got [1]"),
     ("direction", 5, "key 'direction' must be 'right' or 'left', got 5"),
     ("threads", [1], "key 'threads' must be a positive integer or 'auto', got [1]"),
@@ -1012,14 +1022,34 @@ def test_simulate_invalid_config_exits_2(tmp_path, capsys):
     ("threads", 0, "key 'threads' must be a positive integer or 'auto', got 0"),
     ("j", 1, "key 'j' must be an integer of at least 2, got 1"),
     ("j", -3, "key 'j' must be an integer of at least 2, got -3"),
-])
+    ("measures", "gamma@abc", "gamma@abc: p must be a number in (0, 0.5)"),
+]
+GOOD_CONFIG = {"dist": "exp(1)", "n": 50, "trials": 3, "measures": "auc_gamma", "seed": 1}
+
+
+@pytest.mark.parametrize("key, value, message", CONFIG_ERRORS)
 def test_simulate_config_errors_name_their_key(tmp_path, capsys, key, value, message):
     config = tmp_path / "cfg.json"
-    good = {"dist": "exp(1)", "n": 50, "trials": 3, "measures": "auc_gamma", "seed": 1}
-    config.write_text(json.dumps({**good, key: value}))
+    config.write_text(json.dumps({**GOOD_CONFIG, key: value}))
     code, out, err = run_cli(capsys, "simulate", str(config))
     assert (code, out) == (EXIT_USAGE, "")
     assert message in err and "Traceback" not in err
+
+
+def test_config_errors_are_the_same_built_directly():
+    # every field is read through one table, so a SimConfig built directly
+    # raises from_dict's message for each bad field value
+    fields = {f.name for f in dataclasses.fields(simulation.SimConfig)}
+    rows = [row for row in CONFIG_ERRORS if row[0] in fields]
+    assert len(rows) == len(CONFIG_ERRORS) - 4  # direction, levle and the two j rows
+    for key, value, message in rows:
+        config = {**GOOD_CONFIG, key: value}
+        with pytest.raises(ValueError) as from_dict:
+            simulation.SimConfig.from_dict(config)
+        with pytest.raises(ValueError) as direct:
+            simulation.SimConfig(**config)
+        assert str(direct.value) == str(from_dict.value), (key, value)
+        assert message in str(direct.value), (key, value)
 
 
 def test_simulate_env_var_sets_threads(tmp_path, capsys, monkeypatch):

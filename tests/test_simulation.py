@@ -77,8 +77,8 @@ def test_config_validation():
         _config(threads="many")
     with pytest.raises(ValueError):
         _config(level=1.5)
-    # built directly, n, trials and seed are read as from_dict reads them
-    # and stored as plain ints
+    # built directly, every field is read as from_dict reads it; n, trials
+    # and seed are stored as plain ints
     cfg = _config(n=np.int32(100), trials=3.0, seed=np.int64(7))
     assert [(type(v), v) for v in (cfg.n, cfg.trials, cfg.seed)] == [(int, 100), (int, 3), (int, 7)]
     report = run_coverage(cfg)
@@ -95,6 +95,28 @@ def test_config_validation():
         ("trials", None, "a positive integer"),
     ):
         with pytest.raises(ValueError, match=re.escape(f"key '{key}' must be {expected}, got {value!r}")):
+            _config(**{key: value})
+    # a readable value gives the config, and the report bytes, of its
+    # from_dict twin; the measures are stored as a hashable tuple
+    doc = {"dist": "lognormal(0,1)", "n": 100, "trials": 40, "measures": ["lambda@0.1", "auc_gamma"],
+           "seed": 314, "threads": 1}
+    for key, value in (
+        ("dist", "lognormal(0,1)"), ("bandwidth", 0.05), ("level", "0.5"), ("level", np.float32(0.9)),
+        ("threads", np.int64(2)), ("measures", list(_config().measures)),
+        ("measures", ["lambda@0.1", "auc_gamma"]), ("measures", "lambda@0.1, auc_gamma"),
+    ):
+        cfg, twin = _config(**{key: value}), SimConfig.from_dict({**doc, key: value})
+        assert cfg == twin and hash(cfg) == hash(twin) and type(cfg.measures) is tuple, (key, value)
+        assert run_coverage(cfg).to_json() == run_coverage(twin).to_json(), (key, value)
+    # an unreadable value raises from_dict's ValueError
+    for key, value, message in (
+        ("level", None, "key 'level' must be a number strictly inside (0, 1), got None"),
+        ("bandwidth", "wide", "key 'bandwidth' must be 'default' or a number in (0, 0.5), got 'wide'"),
+        ("dist", 5, "cannot parse distribution 5"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)) as twin:
+            SimConfig.from_dict({**doc, key: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(twin.value))}$"):
             _config(**{key: value})
 
 

@@ -79,6 +79,9 @@ def test_measure_parsing_and_validation():
     for bad in ("gamma", "gamma@0.6", "lambda@0", "auc_gamma@0.1", "b3@0.1", "bowley@0.2"):
         with pytest.raises(ValueError):
             parse_measure(bad)
+    # a p that is not a number: the message names the token
+    with pytest.raises(ValueError, match=r"^gamma@abc: p must be a number in \(0, 0\.5\)$"):
+        parse_measure("gamma@abc")
     # 1 - p rounds to 1 below about 5.6e-17: the message names the measure and why
     for tiny in ("gamma@1e-17", "lambda@1e-300", "gamma_star@5e-17"):
         with pytest.raises(ValueError, match=f"^{tiny}: 1 - p rounds to 1"):
