@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage/parse error or a size too large for
 memory, 3 data error (bad column, degenerate scale), 4 simulation
 failure-rate breach, 141 stdout closed before the output was written (as a
 shell reports a command ended by SIGPIPE).  Results go to stdout,
-diagnostics to stderr.
+diagnostics to stderr.  Each flag named after a simulation config key, and
+``curve --points`` as ``j``, reads its text through ``skewness._READERS``.
 
 A run ends through ``run``: it flushes stdout and stderr and leaves with
 ``os._exit``, skipping the interpreter's teardown (module cleanup and a
@@ -41,8 +42,8 @@ from .inference import (  # noqa: F401
 )
 from .quantiles import DEFAULT_BANDWIDTH, SortedSample
 from .skewness import (
-    Direction, MeasureKind, SkewMeasure, midpoint_probs, parse_measures, point_values,
-    population_measures,
+    Direction, MeasureKind, SkewMeasure, _FAMILIES, _READERS, _read, midpoint_probs,
+    parse_measures, point_values, population_measures,
 )
 
 EXIT_OK = 0
@@ -317,9 +318,9 @@ def cmd_simulate(args) -> int:
     from . import simulation  # the coverage harness loads only here
 
     # each config key has a flag of its name
-    doc.update({key: getattr(args, key) for key in simulation._READERS if getattr(args, key) is not None})
+    doc.update({key: getattr(args, key) for key in _READERS if getattr(args, key) is not None})
     if "threads" not in doc and os.environ.get("SKEWKIT_THREADS"):
-        doc["threads"] = simulation._read("threads", os.environ["SKEWKIT_THREADS"], name="SKEWKIT_THREADS ")
+        doc["threads"] = _read("threads", os.environ["SKEWKIT_THREADS"], name="SKEWKIT_THREADS ")
     report = simulation.run_coverage(simulation.SimConfig.from_dict(doc))
     if args.format == "text":
         print(report.render_text())
@@ -340,9 +341,6 @@ def cmd_simulate(args) -> int:
         print("failure rate above 1%; coverage estimates are unreliable", file=sys.stderr)
         return EXIT_SIMULATION
     return EXIT_OK
-
-
-_CURVE_FAMILIES = ("gamma", "gamma_star", "lambda", "lambda_star")
 
 
 def cmd_curve(args) -> int:
@@ -368,44 +366,15 @@ def cmd_curve(args) -> int:
 # argument plumbing
 
 
-def _direction(text: str) -> Direction:
-    try:
-        return Direction(text.lower())
-    except ValueError:
-        raise argparse.ArgumentTypeError("direction must be 'right' or 'left'") from None
-
-
-def _distribution(text: str):
-    from .distributions import parse_distribution  # the zoo loads only for --dist
-
-    try:
-        return parse_distribution(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _level(text: str) -> float:
-    try:
-        if 0.0 < float(text) < 1.0:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError("confidence level must lie strictly inside (0, 1)")
-
-
-def _grid_points(text: str) -> int:
-    if text.isascii() and text.strip().isdigit() and int(text) >= 2:
-        return int(text)
-    raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {text!r}")
-
-
-def _threads(text: str) -> int | str:
-    from . import simulation  # only simulate registers --threads
-
-    try:
-        return simulation._read("threads", text, name="")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _flag(key: str):
+    """An argparse type that reads a flag's text through ``key``'s row of ``skewness._READERS``,
+    so the flag accepts what the config key accepts; argparse names the flag in the message."""
+    def read(text: str):
+        try:
+            return _read(key, text, name="")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
 
 
 def _add_options(parser, *names: str, overrides: bool = False) -> None:
@@ -413,11 +382,13 @@ def _add_options(parser, *names: str, overrides: bool = False) -> None:
     ``overrides`` (simulate) every default but --format's is None, so a flag
     overrides only the config key it sets."""
     specs = {
+        "dist": dict(type=_flag("dist"), required=not overrides,
+                     help="distribution, e.g. 'lognormal(0,1)' or 'exp(1)'"),
         "measures": dict(required=not overrides,
                          help="comma list: gamma@0.25, lambda@0.05, auc_gamma, ..., b3, or 'all'"),
-        "level": dict(type=_level, default=0.95, help="confidence level in (0, 1)"),
-        "j": dict(type=_grid_points, default=100, help="midpoint grid size for AUC kinds (default 100)"),
-        "direction": dict(type=_direction, default=Direction.RIGHT, help="'right' or 'left'"),
+        "level": dict(type=_flag("level"), default=0.95, help="confidence level in (0, 1)"),
+        "j": dict(type=_flag("j"), default=100, help="midpoint grid size for AUC kinds (default 100)"),
+        "direction": dict(type=_flag("direction"), default=Direction.RIGHT, help="'right' or 'left'"),
         "format": dict(choices=("text", "json", "csv"), default="text",
                        help="output format (default: text)"),
     }
@@ -435,9 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("population", help="population values of skewness measures")
-    p.add_argument("--dist", required=True, type=_distribution,
-                   help="distribution, e.g. 'lognormal(0,1)' or 'exp(1)'")
-    _add_options(p, "measures", "j", "direction", "format")
+    _add_options(p, "dist", "measures", "j", "direction", "format")
     p.set_defaults(func=cmd_population, sizes="--j")
 
     p = sub.add_parser("estimate", help="estimates and confidence intervals from a CSV column")
@@ -456,21 +425,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo coverage study from a JSON config")
     p.add_argument("config", nargs="?", default=None, help="JSON config path")
-    p.add_argument("--dist", default=None, help="override: distribution string")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=_threads, default=None,
+    for key in ("n", "trials", "seed", "bandwidth"):
+        p.add_argument(f"--{key}", type=_flag(key), help=_READERS[key][1])
+    p.add_argument("--threads", type=_flag("threads"),
                    help="positive integer or 'auto'; accepted, changes nothing")
-    p.add_argument("--bandwidth", default=None, help="'default' or a fixed value in (0,0.5)")
-    _add_options(p, "measures", "level", "j", "direction", "format", overrides=True)
+    _add_options(p, "dist", "measures", "level", "j", "direction", "format", overrides=True)
     p.set_defaults(func=cmd_simulate, sizes="--n, --trials or --j")
 
     p = sub.add_parser("curve", help="population skewness curve data for plotting")
-    p.add_argument("--dist", required=True, type=_distribution)
-    p.add_argument("--family", required=True, choices=_CURVE_FAMILIES)
-    p.add_argument("--points", type=_grid_points, default=100)
-    _add_options(p, "direction", "format")
+    p.add_argument("--family", required=True, choices=_FAMILIES)
+    p.add_argument("--points", type=_flag("j"), default=100)
+    _add_options(p, "dist", "direction", "format")
     p.set_defaults(func=cmd_curve, sizes="--points")
 
     return parser

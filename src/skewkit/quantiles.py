@@ -141,8 +141,10 @@ class BandwidthRule:
     fixed: float | None = None
 
     def __post_init__(self):
-        if self.fixed is not None and not (0.0 < self.fixed < 0.5):
-            raise ValueError("fixed bandwidth must lie in (0, 0.5)")
+        if self.fixed is not None:
+            if not 0.0 < self.fixed < 0.5:
+                raise ValueError("fixed bandwidth must lie in (0, 0.5)")
+            object.__setattr__(self, "fixed", float(self.fixed))  # a numpy float is not JSON
 
     def bandwidth(self, n: int, p):
         if self.fixed is not None:

@@ -19,15 +19,15 @@ are memoized by the measure tuple for the life of the process (see
 ``skewness.point_sets``).
 Results land in (measures x trials) arrays and are reduced along the trial
 axis in fixed index order, so equal configs give byte-identical reports.
-``SimConfig`` reads every field through one table, ``_READERS``, whether it
-is built directly or by ``from_dict``.
+``SimConfig`` reads every field through one table, ``skewness._READERS``,
+whether it is built directly or by ``from_dict``; the CLI's flags read
+through the same rows.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-import re
 import time
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
@@ -36,13 +36,13 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
-from .distributions import DistributionSpec, parse_distribution
+from .distributions import DistributionSpec
 # ``interval`` is not called here; perfbench/tracer.py binds it on this module.
 from .inference import interval, interval_rows  # noqa: F401
 from .quantiles import BandwidthRule, DEFAULT_BANDWIDTH, SortedSample
 # ``population_measure`` is not called here; perfbench/tracer.py binds it on this module.
 from .skewness import (  # noqa: F401
-    DEFAULT_GRID_POINTS, Direction, MeasureKind, SkewMeasure, parse_measures, population_measure,
+    DEFAULT_GRID_POINTS, Direction, MeasureKind, SkewMeasure, _READERS, _read, population_measure,
     population_measures,
 )
 
@@ -61,74 +61,10 @@ def coverage_standard_error(trials: int, p0: float) -> float:
     return float(np.sqrt(p0 * (1.0 - p0) / trials))
 
 
-def _integer(value, least: int) -> int:
-    """``value`` as an int of at least ``least``: an int but not a bool, a
-    numpy integer, an integral float such as 1e4, or an integer string; else
-    a ValueError."""
-    if type(value) is int or isinstance(value, np.integer) or (
-        isinstance(value, float) and value.is_integer()
-    ) or (isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d+\s*", value)):
-        if int(value) >= least:
-            return int(value)
-    raise ValueError
-
-
-def _level(value) -> float:
-    if 0.0 < float(value) < 1.0:
-        return float(value)
-    raise ValueError
-
-
-def _measures(value, direction=Direction.RIGHT, j_points=DEFAULT_GRID_POINTS) -> tuple:
-    """A measure list: ``SkewMeasure``s as they are, or tokens, a list or one
-    comma-separated string, parsed with ``direction`` and ``j_points`` as
-    ``skewness.parse_measures`` does without b3; else a TypeError."""
-    if isinstance(value, (list, tuple)) and value and all(isinstance(m, SkewMeasure) for m in value):
-        return tuple(value)
-    if isinstance(value, (str, list, tuple)):
-        return tuple(parse_measures(value, direction, j_points, include_b3=False))
-    raise TypeError
-
-
-_BAD = (TypeError, ValueError)
-
-# Config key -> (reader, what its value must be, the reader's errors that
-# mean the value is not that, which ``_read`` turns into one message naming
-# the key; parse_distribution's and parse_measures' own errors name the bad
-# token).  direction and j are keys, not fields: they parse the measures.
-_READERS = {
-    "dist": (lambda v: v if isinstance(v, DistributionSpec) else parse_distribution(v), None, ()),
-    "n": (lambda v: _integer(v, 10), "an integer of at least 10", _BAD),
-    "trials": (lambda v: _integer(v, 1), "a positive integer", _BAD),
-    "measures": (_measures, "a list of tokens or a comma-separated string", TypeError),
-    "seed": (lambda v: _integer(v, 0), "a non-negative integer", _BAD),
-    "level": (_level, "a number strictly inside (0, 1)", _BAD),
-    "threads": (lambda v: v if v == "auto" else _integer(v, 1), "a positive integer or 'auto'", _BAD),
-    "bandwidth": (
-        lambda v: v if isinstance(v, BandwidthRule) else BandwidthRule(None if v == "default" else float(v)),
-        "'default' or a number in (0, 0.5)", _BAD,
-    ),
-    "direction": (lambda v: Direction(v.lower() if isinstance(v, str) else v), "'right' or 'left'", _BAD),
-    "j": (lambda v: _integer(v, 2), "an integer of at least 2", _BAD),
-}
-
-
-def _read(key: str, value, *args, name: str | None = None):
-    """``value`` as ``key``'s row of ``_READERS`` reads it, given ``args``; a
-    value it cannot read is a ValueError "<name>must be <what>, got <value>",
-    where ``name`` defaults to "simulation config key '<key>' "."""
-    read, expected, bad = _READERS[key]
-    try:
-        return read(value, *args)
-    except bad:
-        name = f"simulation config key {key!r} " if name is None else name
-        raise ValueError(f"{name}must be {expected}, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """A coverage run's settings.  Every field is read through its row of
-    ``_READERS``, however the config is built, and stored as the field's
+    ``skewness._READERS``, however the config is built, and stored as the field's
     type; a value it cannot read raises ``ValueError`` naming the key."""
 
     dist: DistributionSpec

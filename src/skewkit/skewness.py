@@ -26,11 +26,17 @@ variances (``PointSet``), in a bounded process-wide cache with read-only
 arrays (``point_sets``), and the population values of a measure tuple, on
 the distribution object for as long as it lives (``population_measures``;
 the distributions are immutable, so the values never go stale).
+
+A coverage run's settings are read here too, beside the measure grammar:
+each ``SimConfig`` field, simulation config key and CLI flag named after one
+goes through the key's row of one table, ``_READERS`` (see ``_read``).
 """
 
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -184,6 +190,78 @@ def parse_measures(
     if not measures:
         raise ValueError("no measures given")
     return list(dict.fromkeys(measures))
+
+
+def _integer(value, least: int) -> int:
+    """``value`` as an int of at least ``least``: an int but not a bool, a
+    numpy integer, an integral float such as 1e4, or an integer string; else
+    a ValueError."""
+    if type(value) is int or isinstance(value, np.integer) or (
+        isinstance(value, float) and value.is_integer()
+    ) or (isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d+\s*", value)):
+        if int(value) >= least:
+            return int(value)
+    raise ValueError
+
+
+def _level(value) -> float:
+    if 0.0 < float(value) < 1.0:
+        return float(value)
+    raise ValueError
+
+
+def _measures(value, direction=Direction.RIGHT, j_points=DEFAULT_GRID_POINTS) -> tuple:
+    """A measure list: ``SkewMeasure``s as they are, or tokens, a list or one
+    comma-separated string, parsed with ``direction`` and ``j_points`` as
+    ``parse_measures`` does without b3; else a TypeError."""
+    if isinstance(value, (list, tuple)) and value and all(isinstance(m, SkewMeasure) for m in value):
+        return tuple(value)
+    if isinstance(value, (str, list, tuple)):
+        return tuple(parse_measures(value, direction, j_points, include_b3=False))
+    raise TypeError
+
+
+def _distribution(value):
+    """``value`` if it is a ``DistributionSpec`` (so the zoo is loaded), else the zoo's parse of it."""
+    zoo = sys.modules.get(f"{__package__}.distributions")
+    if zoo is None or not isinstance(value, zoo.DistributionSpec):
+        from .distributions import parse_distribution  # the estimate path never loads the zoo
+        value = parse_distribution(value)
+    return value
+
+
+_BAD = (TypeError, ValueError)
+
+# Config key -> (reader, what its value must be, the reader's errors that
+# mean it is not that, which ``_read`` turns into one message; the dist and
+# measures parsers name the bad token).  direction and j parse the measures.
+_READERS = {
+    "dist": (_distribution, None, ()),
+    "n": (lambda v: _integer(v, 10), "an integer of at least 10", _BAD),
+    "trials": (lambda v: _integer(v, 1), "a positive integer", _BAD),
+    "measures": (_measures, "a list of tokens or a comma-separated string", TypeError),
+    "seed": (lambda v: _integer(v, 0), "a non-negative integer", _BAD),
+    "level": (_level, "a number strictly inside (0, 1)", _BAD),
+    "threads": (lambda v: v if v == "auto" else _integer(v, 1), "a positive integer or 'auto'", _BAD),
+    "bandwidth": (
+        lambda v: v if isinstance(v, BandwidthRule) else BandwidthRule(None if v == "default" else float(v)),
+        "'default' or a number in (0, 0.5)", _BAD,
+    ),
+    "direction": (lambda v: Direction(v.lower() if isinstance(v, str) else v), "'right' or 'left'", _BAD),
+    "j": (lambda v: _integer(v, 2), "an integer of at least 2", _BAD),
+}
+
+
+def _read(key: str, value, *args, name: str | None = None):
+    """``value`` as ``key``'s row of ``_READERS`` reads it, given ``args``; a
+    value it cannot read is a ValueError "<name>must be <what>, got <value>",
+    where ``name`` defaults to "simulation config key '<key>' "."""
+    read, expected, bad = _READERS[key]
+    try:
+        return read(value, *args)
+    except bad:
+        name = f"simulation config key {key!r} " if name is None else name
+        raise ValueError(f"{name}must be {expected}, got {value!r}") from None
 
 
 def midpoint_probs(j_points: int) -> np.ndarray:

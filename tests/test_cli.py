@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -99,7 +100,7 @@ def test_population_bad_distribution_exits_2(capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["population", "--measures", "b3"], ["curve", "--family", "gamma"],
+    ["population", "--measures", "b3"], ["curve", "--family", "gamma"], ["simulate"],
 ])
 @pytest.mark.parametrize("dist, reason", [
     ("exp(0)", "rate must be strictly positive, got 0.0"),
@@ -934,7 +935,8 @@ def test_a_level_outside_0_1_exits_2_on_every_command(ln_file, capsys):
             with pytest.raises(SystemExit) as info:
                 main([*argv, "--level", level])
             assert info.value.code == EXIT_USAGE, (argv, level)
-            assert "confidence level must lie strictly inside (0, 1)" in capsys.readouterr().err
+            assert (f"argument --level: must be a number strictly inside (0, 1), got {level!r}"
+                    in capsys.readouterr().err)
 
 
 def test_simulate_all_trials_failed_emits_valid_json(capsys):
@@ -1050,6 +1052,105 @@ def test_config_errors_are_the_same_built_directly():
             simulation.SimConfig(**config)
         assert str(direct.value) == str(from_dict.value), (key, value)
         assert message in str(direct.value), (key, value)
+
+
+# a simulate flag, its text, and what the error says the value must be (None:
+# accepted, as the config key accepts the same string)
+FLAG_CASES = [
+    ("j", "+20", None),
+    ("threads", "+2", None),
+    ("trials", "0", "a positive integer"),
+    ("seed", "-1", "a non-negative integer"),
+    ("n", "5", "an integer of at least 10"),
+    ("n", "1e2", "an integer of at least 10"),
+    ("bandwidth", "0.7", "'default' or a number in (0, 0.5)"),
+    ("level", "1.5", "a number strictly inside (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("key, text, must_be", FLAG_CASES)
+def test_a_simulate_flag_reads_its_text_as_its_config_key(tmp_path, capsys, key, text, must_be):
+    values = {"dist": "exp(1)", "n": "50", "trials": "2", "seed": "1", "measures": "auc_gamma",
+              key: text}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(values))
+    from_file = run_cli(capsys, "simulate", str(config), "--format", "json")
+    flags = [arg for k, v in values.items() for arg in (f"--{k}", v)]
+    try:
+        from_flags = run_cli(capsys, "simulate", *flags, "--format", "json")
+    except SystemExit as exc:  # argparse rejects the flag
+        from_flags = (exc.code, *capsys.readouterr())
+    if must_be is None:
+        assert from_flags == from_file and from_file[0] == 0
+    else:
+        assert from_file[:2] == from_flags[:2] == (EXIT_USAGE, "")
+        assert f"simulation config key '{key}' must be {must_be}, got {text!r}\n" in from_file[2]
+        assert from_flags[2].endswith(f" error: argument --{key}: must be {must_be}, got {text!r}\n")
+
+
+# the flags named after a simulation config key, each with texts at and
+# around what the key accepts
+NEAR_TEXTS = {
+    "n": ["10", "9", " 200 ", "+50", "1e2", "50.0", "٣٠"],
+    "trials": ["1", "0", "+3", "3.0", "-2"],
+    "seed": ["0", "-1", "+7", "2e1", "1_0"],
+    "level": ["0.95", "1", "0", ".5", "nan", "1e-3", "0.9_9"],
+    "j": ["2", "1", "+20", "0x10", " 20 "],
+    "direction": ["left", "Left", "RIGHT", " right", "up"],
+    "threads": ["auto", "AUTO", "+2", "0", "8"],
+    "bandwidth": ["default", "Default", "0.05", "0.5", "1e-3", "-inf"],
+    "dist": ["exp(1)", "LogNormal(0, 1)", "pareto2(1,3)", "exp(0)", "foo(1)", "normal(nan,1)"],
+}
+FLAG_KEYS = tuple(NEAR_TEXTS)
+FLAG_SETTINGS = st.sampled_from(FLAG_KEYS).flatmap(lambda key: st.tuples(st.just(key), st.one_of(
+    st.sampled_from(NEAR_TEXTS[key]),
+    st.text(max_size=10),
+    st.from_regex(r"\s?[+-]?(\d{1,3}|\d?\.\d{1,3})(e[+-]?\d)?\s?", fullmatch=True),
+)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(setting=FLAG_SETTINGS)
+@example(setting=("dist", "foo(1)"))
+@example(setting=("n", "1e2"))
+def test_a_flag_accepts_exactly_the_strings_its_config_key_accepts(setting):
+    # parsing only: the flag's text, and the same string under the config key
+    key, text = setting
+    try:
+        config, reason = simulation.SimConfig.from_dict({**GOOD_CONFIG, key: text}), None
+    except ValueError as exc:
+        config, reason = None, str(exc).removeprefix(f"simulation config key {key!r} ")
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            args = cli.build_parser().parse_args(["simulate", f"--{key}={text}"])
+    except SystemExit as exc:
+        assert exc.code == EXIT_USAGE and reason is not None, (key, text)
+        assert err.getvalue().endswith(f" error: argument --{key}: {reason}\n"), (key, text)
+        assert key == "dist" or reason.startswith("must be ") and reason.endswith(f", got {text!r}")
+    else:
+        assert reason is None, (key, text)
+        assert simulation.SimConfig.from_dict({**GOOD_CONFIG, key: getattr(args, key)}) == config
+
+
+def test_every_value_flag_reads_through_the_config_table():
+    # a new flag reads its text through its key's row (``cli._flag``), or is
+    # free text: a path, a CSV column, a measure list (parsed with --direction
+    # and --j) or a choice
+    free_text = {"input", "input_a", "input_b", "config", "column", "column_b", "measures",
+                 "format", "family"}
+    [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    seen = set()
+    for command, parser in commands.choices.items():
+        for action in parser._actions:
+            if action.nargs == 0:  # --help
+                continue
+            seen.add(action.dest)
+            if action.dest in free_text:
+                assert action.type is None, (command, action.dest)
+            else:
+                assert action.type.__qualname__ == "_flag.<locals>.read", (command, action.dest)
+    assert seen - free_text == {*FLAG_KEYS, "points"}
 
 
 def test_simulate_env_var_sets_threads(tmp_path, capsys, monkeypatch):

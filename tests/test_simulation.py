@@ -108,6 +108,12 @@ def test_config_validation():
         cfg, twin = _config(**{key: value}), SimConfig.from_dict({**doc, key: value})
         assert cfg == twin and hash(cfg) == hash(twin) and type(cfg.measures) is tuple, (key, value)
         assert run_coverage(cfg).to_json() == run_coverage(twin).to_json(), (key, value)
+    # a BandwidthRule stores its fixed bandwidth as a Python float, so the
+    # report of a rule built from a numpy float serializes
+    rule = BandwidthRule(np.float32(0.05))
+    assert type(rule.fixed) is float and rule == BandwidthRule(float(np.float32(0.05)))
+    cfg = _config(bandwidth=rule, trials=2)
+    assert run_coverage(cfg).to_json() == run_coverage(_config(bandwidth=np.float32(0.05), trials=2)).to_json()
     # an unreadable value raises from_dict's ValueError
     for key, value, message in (
         ("level", None, "key 'level' must be a number strictly inside (0, 1), got None"),
