@@ -5,14 +5,20 @@ The quantile-density estimator differentiates the kernel-smoothed empirical
 quantile function, which reduces to an Epanechnikov-weighted sum of order
 statistic spacings.  It is exactly location-invariant and scale-equivariant.
 
-Its window plan (the bandwidths, the kernel windows' layout and their
-weights) depends on n, the probabilities and the bandwidth rule alone, and
-is memoized for the life of the process in a cache of the 8 most recently
-used plans, with read-only arrays.  Only a plan of one run of at most
-_GATHER_BUDGET terms at n <= _GATHER_BUDGET is kept, so the cache holds
-at most about 2 MB and a call at larger n keeps nothing.  A memoized plan
-holds the same floats as a fresh one: the estimates are bit-identical
-either way.
+A quantile grid's plan depends on n, the probabilities and the bandwidth
+rule alone: the Type-8 order-statistic indices and interpolation fractions,
+the bandwidths, and the kernel windows' layout and weights.  It is memoized
+for the life of the process in a cache of the 8 most recently used plans,
+with read-only arrays.  Only a plan of one run of at most _GATHER_BUDGET
+terms at n <= _GATHER_BUDGET is kept, and a call at larger n keeps
+nothing.  A kept plan holds 16 bytes per term, 16 per window and 32 per
+probability; under the default rule every window holds a term, so a plan
+holds at most 1 MB and the cache at most 8 MB (83 KB per plan for the
+211 probabilities of the coverage grid at n = 200).  A memoized plan holds
+the same numbers as a fresh one: quantiles and estimates are bit-identical
+either way.  The density stage takes a batch's rows through each run of
+windows as many at a time as fit _PASS_BUDGET elements, so a 10-row
+coverage chunk at n = 200 takes its grid in one pass.
 """
 
 from __future__ import annotations
@@ -104,15 +110,26 @@ def quantile_type8(sample: SortedSample, p):
     probs = np.asarray(p, dtype=float)
     if np.any(~((probs > 0.0) & (probs < 1.0))):  # NaN fails too
         raise ValueError("probability must lie strictly inside (0, 1)")
-    x = sample.values
-    n = sample.n
-    h = np.clip((n + 1.0 / 3.0) * probs + 1.0 / 3.0, 1.0, float(n))
-    floor = np.floor(h).astype(np.intp)
-    frac = h - floor
-    lower = x[..., floor - 1]
-    upper = x[..., np.minimum(floor + 1, n) - 1]  # h == n falls back on x_(n)
-    result = lower + frac * (upper - lower)
+    result = _type8(sample.values, _type8_positions(sample.n, probs))
     return float(result) if result.ndim == 0 else result
+
+
+def _type8_positions(n: int, probs: np.ndarray) -> tuple:
+    """Type 8's positions at ``probs``: the 0-based indices of x_(floor h)
+    and x_(floor h + 1) (at most x_(n)) around the plotting position h, and
+    h's fractional part.  A NaN p (which ``quantile_type8`` refuses) reads
+    x_(n)."""
+    h = np.fmax(np.fmin((n + 1.0 / 3.0) * probs + 1.0 / 3.0, float(n)), 1.0)  # fmin takes NaN to n
+    floor = np.floor(h)
+    lower = floor.astype(np.intp) - 1
+    return lower, np.minimum(lower + 1, n - 1), h - floor  # h == n falls back on x_(n)
+
+
+def _type8(values: np.ndarray, positions: tuple) -> np.ndarray:
+    """The Type 8 quantiles of each row of ``values`` at ``positions``."""
+    lower, upper, frac = positions
+    below = np.take(values, lower, axis=-1)
+    return below + frac * (np.take(values, upper, axis=-1) - below)
 
 
 def default_bandwidth(n: int, p):
@@ -156,10 +173,15 @@ class BandwidthRule:
 DEFAULT_BANDWIDTH = BandwidthRule()
 
 
-# Elements per temporary of a run of windows (its terms, times the rows
-# it is taken for): 128 KB per float temporary, whatever n and the
-# bandwidth.  A single window longer than this runs alone, one row at a time.
+# Terms per run of windows (a single window longer than this runs alone),
+# and the largest n and run that a kept grid plan may have (``_grid_plan``).
 _GATHER_BUDGET = 1 << 14
+
+# Elements per temporary of one pass over a run (its terms, times the rows
+# the pass takes): 512 KB per float temporary, whatever n and the bandwidth,
+# so a 10-row chunk at n = 200 takes its run in one pass.  A window longer
+# than this is taken one row at a time.
+_PASS_BUDGET = 1 << 16
 
 
 def _positions_below(a: np.ndarray, n: int, inclusive: bool) -> np.ndarray:
@@ -176,22 +198,24 @@ def _positions_below(a: np.ndarray, n: int, inclusive: bool) -> np.ndarray:
     return c
 
 
-# The memoized window plans (see ``_density_plan``), most recently used last.
+# The memoized grid plans (see ``_grid_plan``), most recently used last.
 _PLANS: dict = {}
 _PLAN_LIMIT = 8
 _PLAN_LOCK = threading.Lock()
 
 
-def _density_plan(n: int, probs: np.ndarray, rule: BandwidthRule) -> tuple:
-    """The part of ``quantile_density_profile`` that depends on n, the
-    probabilities and the rule alone: the bandwidths ``b``, whether the
-    windows read the whole rows' diff, and the runs of windows (see
-    ``_window_runs``).
+def _grid_plan(n: int, probs: np.ndarray, rule: BandwidthRule) -> tuple:
+    """The part of a quantile grid that depends on n, the probabilities and
+    the rule alone: the Type-8 positions (``_type8_positions``), the
+    bandwidths ``b``, whether the windows read the whole rows' diff, and the
+    runs of windows (see ``_window_runs``).
 
     A plan of one run (at most _GATHER_BUDGET terms) at n <= _GATHER_BUDGET
     is memoized in ``_PLANS``, by (n, the probabilities' bytes, rule), with
     read-only arrays; the least recently used of more than _PLAN_LIMIT
-    plans is dropped.  Any other plan yields its runs one at a time.
+    plans is dropped.  Any other plan yields its runs one at a time and
+    holds no positions (None): only ``_grid_quantiles`` reads them, and it
+    computes them afresh where no plan is kept.
     """
     key = (n, probs.tobytes(), rule)
     with _PLAN_LOCK:
@@ -209,13 +233,24 @@ def _density_plan(n: int, probs: np.ndarray, rule: BandwidthRule) -> tuple:
     whole = n - 1 <= terms
     runs = _window_runs(n, probs, b, lo, width)
     if n > _GATHER_BUDGET or terms > _GATHER_BUDGET:
-        return b, whole, runs
-    plan = _read_only(b), whole, tuple(tuple(map(_read_only, run)) for run in runs)
+        return None, b, whole, runs
+    positions = tuple(map(_read_only, _type8_positions(n, probs)))
+    plan = positions, _read_only(b), whole, tuple(tuple(map(_read_only, run)) for run in runs)
     with _PLAN_LOCK:
         _PLANS[key] = plan
         if len(_PLANS) > _PLAN_LIMIT:
             del _PLANS[next(iter(_PLANS))]
     return plan
+
+
+def _grid_quantiles(sample: SortedSample, probs: np.ndarray, rule: BandwidthRule) -> np.ndarray:
+    """``quantile_type8(sample, probs)`` at probabilities it accepts, bit
+    for bit, with the positions of the kept grid plan of (n, probs, rule)
+    where there is one."""
+    with _PLAN_LOCK:
+        plan = _PLANS.get((sample.n, probs.tobytes(), rule))
+    positions = _type8_positions(sample.n, probs) if plan is None else plan[0]
+    return _type8(sample.values, positions)
 
 
 def _window_runs(n: int, probs: np.ndarray, b: np.ndarray, lo: np.ndarray, width: np.ndarray):
@@ -263,13 +298,14 @@ def quantile_density_profile(
     the rule, never on the other probabilities or the number of rows: each
     row of a batch is reduced exactly as that sample alone.
 
-    The window layout and weights depend on (n, probs, rule) alone
-    (``_density_plan``).  Where they fit one run of _GATHER_BUDGET terms
-    and n <= _GATHER_BUDGET they are memoized for the life of the process
-    in a cache of the 8 most recently used, with read-only arrays; larger
-    plans are built run by run and dropped after use.  A memoized plan
-    holds the same floats as a fresh one, so the estimates are
-    bit-identical either way.
+    The window layout and weights come from the grid plan of (n, probs,
+    rule) (``_grid_plan``), memoized where it fits one run of
+    _GATHER_BUDGET terms and n <= _GATHER_BUDGET; larger plans are built
+    run by run and dropped after use.  A memoized plan holds the same
+    floats as a fresh one, so the estimates are bit-identical either way.
+    A run is taken as many rows at a time as keep its temporaries within
+    _PASS_BUDGET elements (one row at least): a 10-row chunk at n = 200
+    in one pass.
 
     For one sample, raises QuantileDensityError listing every p whose
     estimate is not strictly positive (possible only under ties).  For a
@@ -282,12 +318,12 @@ def quantile_density_profile(
         raise ValueError(f"probabilities must be a 1-D array, got shape {probs.shape}")
     x = sample.values
     rows = x.reshape(-1, sample.n)
-    b, read_diff, runs = _density_plan(sample.n, probs, rule)
+    _, b, read_diff, runs = _grid_plan(sample.n, probs, rule)
     whole = np.diff(rows, axis=-1) if read_diff else None
     out = np.zeros((rows.shape[0], probs.size))
     # each run's windows are taken a few rows at a time
     for idx, starts, at, weights in runs:
-        chunk = max(1, _GATHER_BUDGET // weights.size)
+        chunk = max(1, _PASS_BUDGET // weights.size)
         for t in range(0, rows.shape[0], chunk):
             if whole is None:
                 spacings = np.take(rows[t : t + chunk], at, axis=1)

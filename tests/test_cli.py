@@ -1133,6 +1133,13 @@ def test_a_flag_accepts_exactly_the_strings_its_config_key_accepts(setting):
         assert simulation.SimConfig.from_dict({**GOOD_CONFIG, key: getattr(args, key)}) == config
 
 
+# ``--key=--``: argparse drops a lone "--" before the flag's type sees it
+for _key in FLAG_KEYS:
+    test_a_flag_accepts_exactly_the_strings_its_config_key_accepts = example(setting=(_key, "--"))(
+        test_a_flag_accepts_exactly_the_strings_its_config_key_accepts
+    )
+
+
 def test_every_value_flag_reads_through_the_config_table():
     # a new flag reads its text through its key's row (``cli._flag``), or is
     # free text: a path, a CSV column, a measure list (parsed with --direction

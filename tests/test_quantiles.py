@@ -17,14 +17,21 @@ from skewkit import (
 from skewkit.quantiles import (
     _GATHER_BUDGET,
     _PLAN_LIMIT,
+    _PASS_BUDGET,
     _PLANS,
-    _density_plan,
+    _grid_plan,
+    _grid_quantiles,
     _positions_below,
     density_error,
     quantile_density_profile,
 )
 from skewkit.inference import intervals
-from skewkit.skewness import grid_for_probs, midpoint_probs, parse_measures
+from skewkit.skewness import _grid_probs, grid_for_probs, midpoint_probs, parse_measures, point_sets
+
+
+# the 211 probabilities of the grid of a coverage chunk of all 14 interval
+# measures
+COVERAGE_PROBS = list(_grid_probs(point_sets(parse_measures("all", include_b3=False))[0]))
 
 
 def type8_reference(values, p):
@@ -363,6 +370,9 @@ def test_density_nan_probability_matches_loop():
 # windows of widths 0, 1, 0, 1, 0 (see test_density_matches_loop_property)
 @example(rows=2, n=50, probs=[0.31, 0.3, 0.33, 0.5, 0.71], fixed=1e-5, tied=False, seed=5)
 @example(rows=2, n=50, probs=[0.31, 0.3, 0.33, 0.5, 0.71], fixed=1e-5, tied=True, seed=6)
+# the coverage grid at n = 200: 14 rows of its run fit one pass, 15 take two
+@example(rows=15, n=200, probs=COVERAGE_PROBS, fixed=None, tied=False, seed=7)
+@example(rows=15, n=200, probs=COVERAGE_PROBS, fixed=None, tied=True, seed=8)
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     rows=st.integers(min_value=1, max_value=8),
@@ -428,6 +438,15 @@ def test_batch_gather_budget_counts_every_row():
         assert_density_matches_loop(s, probs, BandwidthRule(fixed=0.3))
 
 
+def test_a_coverage_chunk_takes_its_run_in_one_pass():
+    # one run of 4,575 terms a row: up to 14 rows (a chunk holds 10) take it
+    # in one pass
+    _, _, whole, runs = _grid_plan(200, np.array(COVERAGE_PROBS), BandwidthRule())
+    [(_, _, _, weights)] = runs
+    assert len(COVERAGE_PROBS) == 211 and whole and weights.size == 4575
+    assert 14 * weights.size <= _PASS_BUDGET < 15 * weights.size
+
+
 def memo_probs(n):
     """Grid probabilities, extreme ones and a NaN, in no order."""
     base = midpoint_probs(20)
@@ -468,22 +487,30 @@ def test_a_warm_plan_gives_the_cold_bits(n, fixed, tied):
 def test_memoized_plans_are_read_only():
     _PLANS.clear()
     probs = memo_probs(200)
-    plan = _density_plan(200, probs, BandwidthRule())
-    assert _density_plan(200, probs.copy(), BandwidthRule()) is plan
-    b, whole, runs = plan
-    assert len(runs) == 1
-    for arr in [b, *runs[0]]:
+    plan = _grid_plan(200, probs, BandwidthRule())
+    assert _grid_plan(200, probs.copy(), BandwidthRule()) is plan
+    type8, b, whole, runs = plan
+    assert len(type8) == 3 and len(runs) == 1
+    for arr in [*type8, b, *runs[0]]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[-1]
+    # the kept positions are the ones quantile_type8 computes; the NaN
+    # probability among them reads x_(n) and warns of no invalid cast
+    lower, upper, frac = type8
+    s = SortedSample.from_data(np.random.default_rng(8).normal(size=200))
+    valid = ~np.isnan(probs)
+    got = s.values[lower] + frac * (s.values[upper] - s.values[lower])
+    assert got[valid].tobytes() == quantile_type8(s, probs[valid]).tobytes()
+    assert got[~valid] == s.values[-1]
 
 
 def test_the_plan_memo_keeps_the_most_recently_used_within_its_bound():
     _PLANS.clear()
     probs, rule = memo_probs(100), BandwidthRule()
     for n in range(100, 100 + 3 * _PLAN_LIMIT):
-        _density_plan(n, probs, rule)
-        _density_plan(100, probs, rule)  # kept by using it
+        _grid_plan(n, probs, rule)
+        _grid_plan(100, probs, rule)  # kept by using it
         assert len(_PLANS) <= _PLAN_LIMIT
     assert len(_PLANS) == _PLAN_LIMIT
     assert [key[0] for key in _PLANS] == [*range(100 + 2 * _PLAN_LIMIT + 1, 100 + 3 * _PLAN_LIMIT), 100]
@@ -492,12 +519,16 @@ def test_the_plan_memo_keeps_the_most_recently_used_within_its_bound():
 def test_large_and_multi_run_plans_are_not_memoized():
     _PLANS.clear()
     rule = BandwidthRule()
-    _density_plan(200, memo_probs(200), rule)
+    _grid_plan(200, memo_probs(200), rule)
     before = dict(_PLANS)
     # n above _GATHER_BUDGET, even where its windows fit one run
     large = SortedSample.from_data(np.random.default_rng(3).lognormal(size=100_000))
     assert large.n > _GATHER_BUDGET
     quantile_density_profile(large, np.array([0.25, 0.75, 0.5]), rule)
+    # nor its Type-8 positions: a grid there computes them afresh
+    grid = grid_for_probs(large, [0.25])
+    assert grid.x.tobytes() == quantile_type8(large, grid.probs).tobytes()
+    assert _grid_plan(large.n, grid.probs, rule)[0] is None
     # more terms than one run holds, at small n
     wide = BandwidthRule(fixed=0.3)
     quantile_density_profile(SortedSample.from_rows([np.arange(1000.0)]), memo_probs(1000), wide)
@@ -535,7 +566,7 @@ def test_intervals_at_distinct_large_n_retain_no_memory():
 def test_the_plan_memo_survives_threads():
     # more threads than cores, switching often, each cycling through more
     # (n, probs) keys than the memo holds, so hits, inserts and evictions
-    # interleave; every estimate must equal the one-thread estimate
+    # interleave; every estimate and quantile must equal the one-thread one
     import sys
     import threading
 
@@ -544,6 +575,7 @@ def test_the_plan_memo_survives_threads():
     batches = [SortedSample.from_rows(rng.lognormal(size=(2, n))) for n in range(100, 100 + 2 * _PLAN_LIMIT)]
     _PLANS.clear()
     want = [quantile_density_profile(b, probs).tobytes() for b in batches]
+    want_x = [_grid_quantiles(b, probs, BandwidthRule()).tobytes() for b in batches]
     failures = []
 
     def work(k):
@@ -551,6 +583,8 @@ def test_the_plan_memo_survives_threads():
             for i in range(200):
                 j = (i * (k + 1)) % len(batches)
                 if quantile_density_profile(batches[j], probs).tobytes() != want[j]:
+                    failures.append(j)
+                if _grid_quantiles(batches[j], probs, BandwidthRule()).tobytes() != want_x[j]:
                     failures.append(j)
         except Exception as exc:  # a race would surface here
             failures.append(exc)

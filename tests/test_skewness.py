@@ -35,6 +35,7 @@ from skewkit import (
     population_measures,
     quantile_type8,
 )
+from skewkit import quantiles
 from skewkit.skewness import (
     AUC_KINDS,
     MeasureKind,
@@ -129,6 +130,25 @@ def test_grid_quantiles_match_direct_calls_bitwise():
     grid = build_grid(s, j_points=50)
     for p, val in zip(grid.probs, grid.x):
         assert val == quantile_type8(s, float(p))
+    # the grid reads the Type-8 positions of its memoized plan: they must be
+    # quantile_type8's, on a batch and on one sample, from a cold and from
+    # a warm plan, also where h clamps to 1 (p = 0.5 / n, 1e-9) and to n
+    # (their complements)
+    for n in (4, 5, 50, 321):
+        values = rng.exponential(size=(3, n))
+        base = [0.5 / n, 1e-9, 0.3, *midpoint_probs(10)]
+        probs = np.concatenate([base, 1.0 - np.array(base), [0.5]])
+        h = (n + 1.0 / 3.0) * probs + 1.0 / 3.0
+        assert h.min() < 1.0 and h.max() > n
+        for plan in ("cold", "warm"):
+            # new samples each time, so that their grids are computed afresh
+            for sample in (SortedSample.from_rows(values), SortedSample.from_data(values[1])):
+                if plan == "cold":
+                    quantiles._PLANS.clear()
+                x = grid_for_probs(sample, base).x
+                assert len(quantiles._PLANS) == 1
+                assert x.tobytes() == quantile_type8(sample, probs).tobytes(), (n, plan)
+            assert [quantile_type8(sample, float(p)) for p in probs] == list(x), (n, plan)
 
 
 def test_grid_quantiles_monotone_over_key_set():
