@@ -366,29 +366,36 @@ def cmd_curve(args) -> int:
 # argument plumbing
 
 
-def _flag(key: str) -> dict:
-    """The argparse type and action of a flag that reads its text through ``key``'s row of
-    ``skewness._READERS``, so the flag accepts what the config key accepts; argparse names
-    the flag in the message."""
+def _flag(key: str):
+    """An argparse type that reads a flag's text through ``key``'s row of ``skewness._READERS``,
+    so the flag accepts what the config key accepts; argparse names the flag in the message."""
     def read(text: str):
         try:
             return _read(key, text, name="")
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-    return dict(type=read, action=_StoreRead)
+    return read
 
 
 class _StoreRead(argparse.Action):
     """argparse's store, except that the text ``--`` of ``--flag=--``, which argparse drops
-    before the type sees it (passing []), is read like any other text."""
+    before the type sees it (passing []), is read and checked against the choices like any
+    other text."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         if values == []:
-            try:
-                values = self.type("--")
-            except argparse.ArgumentTypeError as exc:
-                raise argparse.ArgumentError(self, str(exc)) from None
+            values = parser._get_value(self, "--")
+            parser._check_value(self, values)
         setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subcommands' parsers, whose value options store through
+    ``_StoreRead``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreRead)
 
 
 def _add_options(parser, *names: str, overrides: bool = False) -> None:
@@ -396,13 +403,13 @@ def _add_options(parser, *names: str, overrides: bool = False) -> None:
     ``overrides`` (simulate) every default but --format's is None, so a flag
     overrides only the config key it sets."""
     specs = {
-        "dist": dict(**_flag("dist"), required=not overrides,
+        "dist": dict(type=_flag("dist"), required=not overrides,
                      help="distribution, e.g. 'lognormal(0,1)' or 'exp(1)'"),
         "measures": dict(required=not overrides,
                          help="comma list: gamma@0.25, lambda@0.05, auc_gamma, ..., b3, or 'all'"),
-        "level": dict(**_flag("level"), default=0.95, help="confidence level in (0, 1)"),
-        "j": dict(**_flag("j"), default=100, help="midpoint grid size for AUC kinds (default 100)"),
-        "direction": dict(**_flag("direction"), default=Direction.RIGHT, help="'right' or 'left'"),
+        "level": dict(type=_flag("level"), default=0.95, help="confidence level in (0, 1)"),
+        "j": dict(type=_flag("j"), default=100, help="midpoint grid size for AUC kinds (default 100)"),
+        "direction": dict(type=_flag("direction"), default=Direction.RIGHT, help="'right' or 'left'"),
         "format": dict(choices=("text", "json", "csv"), default="text",
                        help="output format (default: text)"),
     }
@@ -413,7 +420,7 @@ def _add_options(parser, *names: str, overrides: bool = False) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewkit",
         description="Quantile-based skewness measures with delta-method confidence intervals.",
     )
@@ -440,15 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo coverage study from a JSON config")
     p.add_argument("config", nargs="?", default=None, help="JSON config path")
     for key in ("n", "trials", "seed", "bandwidth"):
-        p.add_argument(f"--{key}", **_flag(key), help=_READERS[key][1])
-    p.add_argument("--threads", **_flag("threads"),
+        p.add_argument(f"--{key}", type=_flag(key), help=_READERS[key][1])
+    p.add_argument("--threads", type=_flag("threads"),
                    help="positive integer or 'auto'; accepted, changes nothing")
     _add_options(p, "dist", "measures", "level", "j", "direction", "format", overrides=True)
     p.set_defaults(func=cmd_simulate, sizes="--n, --trials or --j")
 
     p = sub.add_parser("curve", help="population skewness curve data for plotting")
     p.add_argument("--family", required=True, choices=_FAMILIES)
-    p.add_argument("--points", **_flag("j"), default=100)
+    p.add_argument("--points", type=_flag("j"), default=100)
     _add_options(p, "dist", "direction", "format")
     p.set_defaults(func=cmd_curve, sizes="--points")
 

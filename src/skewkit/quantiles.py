@@ -5,20 +5,20 @@ The quantile-density estimator differentiates the kernel-smoothed empirical
 quantile function, which reduces to an Epanechnikov-weighted sum of order
 statistic spacings.  It is exactly location-invariant and scale-equivariant.
 
-A quantile grid's plan depends on n, the probabilities and the bandwidth
-rule alone: the Type-8 order-statistic indices and interpolation fractions,
-the bandwidths, and the kernel windows' layout and weights.  It is memoized
-for the life of the process in a cache of the 8 most recently used plans,
-with read-only arrays.  Only a plan of one run of at most _GATHER_BUDGET
-terms at n <= _GATHER_BUDGET is kept, and a call at larger n keeps
-nothing.  A kept plan holds 16 bytes per term, 16 per window and 32 per
-probability; under the default rule every window holds a term, so a plan
-holds at most 1 MB and the cache at most 8 MB (83 KB per plan for the
-211 probabilities of the coverage grid at n = 200).  A memoized plan holds
-the same numbers as a fresh one: quantiles and estimates are bit-identical
+A quantile grid's density plan depends on n, the probabilities and the
+bandwidth rule alone: the bandwidths and the kernel windows' layout and
+weights.  It is memoized for the life of the process in a cache of the 8
+most recently used plans, with read-only arrays.  Only a plan of one run of
+at most _GATHER_BUDGET terms at n <= _GATHER_BUDGET is kept, and a call at
+larger n keeps nothing.  A kept plan holds 16 bytes per term, 16 per window
+and 8 per probability; under the default rule every window holds a term, so
+a plan holds at most 640 KB and the cache at most 5 MB (78 KB per plan for
+the 211 probabilities of the coverage grid at n = 200).  A memoized plan
+holds the same floats as a fresh one: the estimates are bit-identical
 either way.  The density stage takes a batch's rows through each run of
 windows as many at a time as fit _PASS_BUDGET elements, so a 10-row
-coverage chunk at n = 200 takes its grid in one pass.
+coverage chunk at n = 200 takes its grid in one pass.  Type-8 quantiles
+keep no plan: ``quantile_type8`` computes their positions at every call.
 """
 
 from __future__ import annotations
@@ -110,26 +110,14 @@ def quantile_type8(sample: SortedSample, p):
     probs = np.asarray(p, dtype=float)
     if np.any(~((probs > 0.0) & (probs < 1.0))):  # NaN fails too
         raise ValueError("probability must lie strictly inside (0, 1)")
-    result = _type8(sample.values, _type8_positions(sample.n, probs))
-    return float(result) if result.ndim == 0 else result
-
-
-def _type8_positions(n: int, probs: np.ndarray) -> tuple:
-    """Type 8's positions at ``probs``: the 0-based indices of x_(floor h)
-    and x_(floor h + 1) (at most x_(n)) around the plotting position h, and
-    h's fractional part.  A NaN p (which ``quantile_type8`` refuses) reads
-    x_(n)."""
-    h = np.fmax(np.fmin((n + 1.0 / 3.0) * probs + 1.0 / 3.0, float(n)), 1.0)  # fmin takes NaN to n
+    n = sample.n
+    h = np.maximum(np.minimum((n + 1.0 / 3.0) * probs + 1.0 / 3.0, float(n)), 1.0)
     floor = np.floor(h)
     lower = floor.astype(np.intp) - 1
-    return lower, np.minimum(lower + 1, n - 1), h - floor  # h == n falls back on x_(n)
-
-
-def _type8(values: np.ndarray, positions: tuple) -> np.ndarray:
-    """The Type 8 quantiles of each row of ``values`` at ``positions``."""
-    lower, upper, frac = positions
-    below = np.take(values, lower, axis=-1)
-    return below + frac * (np.take(values, upper, axis=-1) - below)
+    upper = np.minimum(lower + 1, n - 1)  # h == n falls back on x_(n)
+    below = np.take(sample.values, lower, axis=-1)
+    result = below + (h - floor) * (np.take(sample.values, upper, axis=-1) - below)
+    return float(result) if result.ndim == 0 else result
 
 
 def default_bandwidth(n: int, p):
@@ -205,17 +193,15 @@ _PLAN_LOCK = threading.Lock()
 
 
 def _grid_plan(n: int, probs: np.ndarray, rule: BandwidthRule) -> tuple:
-    """The part of a quantile grid that depends on n, the probabilities and
-    the rule alone: the Type-8 positions (``_type8_positions``), the
-    bandwidths ``b``, whether the windows read the whole rows' diff, and the
-    runs of windows (see ``_window_runs``).
+    """The part of a grid's quantile densities that depends on n, the
+    probabilities and the rule alone: the bandwidths ``b``, whether the
+    windows read the whole rows' diff, and the runs of windows (see
+    ``_window_runs``).
 
     A plan of one run (at most _GATHER_BUDGET terms) at n <= _GATHER_BUDGET
     is memoized in ``_PLANS``, by (n, the probabilities' bytes, rule), with
     read-only arrays; the least recently used of more than _PLAN_LIMIT
-    plans is dropped.  Any other plan yields its runs one at a time and
-    holds no positions (None): only ``_grid_quantiles`` reads them, and it
-    computes them afresh where no plan is kept.
+    plans is dropped.  Any other plan yields its runs one at a time.
     """
     key = (n, probs.tobytes(), rule)
     with _PLAN_LOCK:
@@ -233,24 +219,13 @@ def _grid_plan(n: int, probs: np.ndarray, rule: BandwidthRule) -> tuple:
     whole = n - 1 <= terms
     runs = _window_runs(n, probs, b, lo, width)
     if n > _GATHER_BUDGET or terms > _GATHER_BUDGET:
-        return None, b, whole, runs
-    positions = tuple(map(_read_only, _type8_positions(n, probs)))
-    plan = positions, _read_only(b), whole, tuple(tuple(map(_read_only, run)) for run in runs)
+        return b, whole, runs
+    plan = _read_only(b), whole, tuple(tuple(map(_read_only, run)) for run in runs)
     with _PLAN_LOCK:
         _PLANS[key] = plan
         if len(_PLANS) > _PLAN_LIMIT:
             del _PLANS[next(iter(_PLANS))]
     return plan
-
-
-def _grid_quantiles(sample: SortedSample, probs: np.ndarray, rule: BandwidthRule) -> np.ndarray:
-    """``quantile_type8(sample, probs)`` at probabilities it accepts, bit
-    for bit, with the positions of the kept grid plan of (n, probs, rule)
-    where there is one."""
-    with _PLAN_LOCK:
-        plan = _PLANS.get((sample.n, probs.tobytes(), rule))
-    positions = _type8_positions(sample.n, probs) if plan is None else plan[0]
-    return _type8(sample.values, positions)
 
 
 def _window_runs(n: int, probs: np.ndarray, b: np.ndarray, lo: np.ndarray, width: np.ndarray):
@@ -298,8 +273,8 @@ def quantile_density_profile(
     the rule, never on the other probabilities or the number of rows: each
     row of a batch is reduced exactly as that sample alone.
 
-    The window layout and weights come from the grid plan of (n, probs,
-    rule) (``_grid_plan``), memoized where it fits one run of
+    The bandwidths, window layout and weights come from the plan of (n,
+    probs, rule) (``_grid_plan``), memoized where it fits one run of
     _GATHER_BUDGET terms and n <= _GATHER_BUDGET; larger plans are built
     run by run and dropped after use.  A memoized plan holds the same
     floats as a fresh one, so the estimates are bit-identical either way.
@@ -318,7 +293,7 @@ def quantile_density_profile(
         raise ValueError(f"probabilities must be a 1-D array, got shape {probs.shape}")
     x = sample.values
     rows = x.reshape(-1, sample.n)
-    _, b, read_diff, runs = _grid_plan(sample.n, probs, rule)
+    b, read_diff, runs = _grid_plan(sample.n, probs, rule)
     whole = np.diff(rows, axis=-1) if read_diff else None
     out = np.zeros((rows.shape[0], probs.size))
     # each run's windows are taken a few rows at a time

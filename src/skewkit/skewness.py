@@ -49,7 +49,6 @@ from .quantiles import (
     DEFAULT_BANDWIDTH,
     BandwidthRule,
     SortedSample,
-    _grid_quantiles,
     _read_only,
     quantile_density_profile,
     quantile_type8,
@@ -305,11 +304,9 @@ def grid_for_probs(
     """The grid at the given base probabilities.  For a batch of samples the
     densities are left unchecked (see ``quantile_density_profile``).
 
-    Its quantiles and densities read one grid plan of (n, probabilities,
-    rule) (``quantiles._grid_plan``): the densities' call builds it and,
-    where it is small enough to keep, memoizes it with its Type-8
-    positions, which the quantiles then read; the quantiles equal
-    ``quantile_type8``'s bit for bit either way.
+    Its quantiles are ``quantile_type8``'s, which also checks the
+    probabilities; its densities read the kept density plan of (n,
+    probabilities, rule) where there is one (``quantiles._grid_plan``).
 
     The grid is memoized on the sample (``SortedSample.grids``) by the exact
     base probabilities and the rule, with read-only arrays: a repeated call
@@ -321,8 +318,8 @@ def grid_for_probs(
     key = (base.tobytes(), rule)
     if key not in sample.grids:
         probs = _grid_probs(base)
+        x = quantile_type8(sample, probs)
         g = quantile_density_profile(sample, probs, rule)
-        x = _grid_quantiles(sample, probs, rule)
         sample.grids[key] = QuantileGrid(*map(_read_only, (probs, x, g)))
     return sample.grids[key]
 

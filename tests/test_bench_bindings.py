@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skewkit import inference, quantiles, skewness
+from skewkit import inference, quantiles, simulation, skewness
+from skewkit.distributions import LogNormal
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -65,3 +66,24 @@ def test_the_traced_estimate_large_op_computes_one_density_per_grid(tracer):
     assert len(measures) == 14
     assert layers["quantiles.density_calls"] == 6
     assert layers["inference.interval_calls"] == 14
+
+
+def test_the_traced_coverage_op_sees_type8_and_one_density_call(tracer):
+    # the op of the ``coverage`` workload: one 10-trial chunk, whose grid
+    # reads its quantiles and densities through the traced bindings once
+    config = simulation.SimConfig(
+        dist=LogNormal(0.0, 1.0), n=200, trials=10, seed=7,
+        measures=skewness.parse_measures("all", include_b3=False), level=0.95, threads=1,
+    )
+    t = tracer.Tracer()
+    t.install()
+    try:
+        op = t.begin_op(0)
+        simulation.run_coverage(config)
+        t.end_op(op)
+    finally:
+        t.uninstall()
+    layers = tracer.layer_values(t)[0]
+    assert len(config.measures) == 14
+    assert layers["quantiles.type8_ms"] > 0
+    assert layers["quantiles.density_calls"] == 1

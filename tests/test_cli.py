@@ -1143,7 +1143,8 @@ for _key in FLAG_KEYS:
 def test_every_value_flag_reads_through_the_config_table():
     # a new flag reads its text through its key's row (``cli._flag``), or is
     # free text: a path, a CSV column, a measure list (parsed with --direction
-    # and --j) or a choice
+    # and --j) or a choice.  Every option stores through ``cli._StoreRead``,
+    # so that ``--flag=--`` reads (or refuses) the text ``--``
     free_text = {"input", "input_a", "input_b", "config", "column", "column_b", "measures",
                  "format", "family"}
     [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
@@ -1153,11 +1154,36 @@ def test_every_value_flag_reads_through_the_config_table():
             if action.nargs == 0:  # --help
                 continue
             seen.add(action.dest)
+            if action.option_strings:
+                assert type(action) is cli._StoreRead, (command, action.dest)
             if action.dest in free_text:
                 assert action.type is None, (command, action.dest)
             else:
                 assert action.type.__qualname__ == "_flag.<locals>.read", (command, action.dest)
     assert seen - free_text == {*FLAG_KEYS, "points"}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["estimate", "{csv}", "--column=--", "--measures", "b3"], EXIT_DATA, "no column named '--'"),
+    (["compare", "{csv}", "{csv}", "--column", "x", "--column-b=--", "--measures", "b3"],
+     EXIT_DATA, "no column named '--'"),
+    (["estimate", "{csv}", "--column", "x", "--measures=--"], EXIT_USAGE, "unknown measure '--'"),
+    (["estimate", "{csv}", "--column", "x", "--measures", "b3", "--format=--"], EXIT_USAGE,
+     "error: argument --format: invalid choice: '--'"),
+    (["curve", "--family=--", "--dist", "exp(1)"], EXIT_USAGE,
+     "error: argument --family: invalid choice: '--'"),
+], ids=["estimate-column", "compare-column-b", "measures", "format", "curve-family"])
+def test_a_free_text_flag_reads_a_lone_double_dash_as_text(tmp_path, capsys, argv, code, message):
+    # argparse drops the "--" of ``--flag=--``; the flag still gets it as its
+    # text, and the run ends on that text's own error, not a traceback
+    path = write_csv(tmp_path / "t.csv", np.random.default_rng(3).lognormal(size=50))
+    argv = [arg.format(csv=path) for arg in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        got = exc.code
+    assert got == code
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_env_var_sets_threads(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,6 @@ from skewkit.quantiles import (
     _PASS_BUDGET,
     _PLANS,
     _grid_plan,
-    _grid_quantiles,
     _positions_below,
     density_error,
     quantile_density_profile,
@@ -441,7 +440,7 @@ def test_batch_gather_budget_counts_every_row():
 def test_a_coverage_chunk_takes_its_run_in_one_pass():
     # one run of 4,575 terms a row: up to 14 rows (a chunk holds 10) take it
     # in one pass
-    _, _, whole, runs = _grid_plan(200, np.array(COVERAGE_PROBS), BandwidthRule())
+    _, whole, runs = _grid_plan(200, np.array(COVERAGE_PROBS), BandwidthRule())
     [(_, _, _, weights)] = runs
     assert len(COVERAGE_PROBS) == 211 and whole and weights.size == 4575
     assert 14 * weights.size <= _PASS_BUDGET < 15 * weights.size
@@ -489,20 +488,12 @@ def test_memoized_plans_are_read_only():
     probs = memo_probs(200)
     plan = _grid_plan(200, probs, BandwidthRule())
     assert _grid_plan(200, probs.copy(), BandwidthRule()) is plan
-    type8, b, whole, runs = plan
-    assert len(type8) == 3 and len(runs) == 1
-    for arr in [*type8, b, *runs[0]]:
+    b, whole, runs = plan
+    assert len(runs) == 1
+    for arr in [b, *runs[0]]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[-1]
-    # the kept positions are the ones quantile_type8 computes; the NaN
-    # probability among them reads x_(n) and warns of no invalid cast
-    lower, upper, frac = type8
-    s = SortedSample.from_data(np.random.default_rng(8).normal(size=200))
-    valid = ~np.isnan(probs)
-    got = s.values[lower] + frac * (s.values[upper] - s.values[lower])
-    assert got[valid].tobytes() == quantile_type8(s, probs[valid]).tobytes()
-    assert got[~valid] == s.values[-1]
 
 
 def test_the_plan_memo_keeps_the_most_recently_used_within_its_bound():
@@ -525,10 +516,9 @@ def test_large_and_multi_run_plans_are_not_memoized():
     large = SortedSample.from_data(np.random.default_rng(3).lognormal(size=100_000))
     assert large.n > _GATHER_BUDGET
     quantile_density_profile(large, np.array([0.25, 0.75, 0.5]), rule)
-    # nor its Type-8 positions: a grid there computes them afresh
+    # a grid there keeps no plan either, and its quantiles are quantile_type8's
     grid = grid_for_probs(large, [0.25])
     assert grid.x.tobytes() == quantile_type8(large, grid.probs).tobytes()
-    assert _grid_plan(large.n, grid.probs, rule)[0] is None
     # more terms than one run holds, at small n
     wide = BandwidthRule(fixed=0.3)
     quantile_density_profile(SortedSample.from_rows([np.arange(1000.0)]), memo_probs(1000), wide)
@@ -566,7 +556,7 @@ def test_intervals_at_distinct_large_n_retain_no_memory():
 def test_the_plan_memo_survives_threads():
     # more threads than cores, switching often, each cycling through more
     # (n, probs) keys than the memo holds, so hits, inserts and evictions
-    # interleave; every estimate and quantile must equal the one-thread one
+    # interleave; every estimate must equal the one-thread estimate
     import sys
     import threading
 
@@ -575,7 +565,6 @@ def test_the_plan_memo_survives_threads():
     batches = [SortedSample.from_rows(rng.lognormal(size=(2, n))) for n in range(100, 100 + 2 * _PLAN_LIMIT)]
     _PLANS.clear()
     want = [quantile_density_profile(b, probs).tobytes() for b in batches]
-    want_x = [_grid_quantiles(b, probs, BandwidthRule()).tobytes() for b in batches]
     failures = []
 
     def work(k):
@@ -583,8 +572,6 @@ def test_the_plan_memo_survives_threads():
             for i in range(200):
                 j = (i * (k + 1)) % len(batches)
                 if quantile_density_profile(batches[j], probs).tobytes() != want[j]:
-                    failures.append(j)
-                if _grid_quantiles(batches[j], probs, BandwidthRule()).tobytes() != want_x[j]:
                     failures.append(j)
         except Exception as exc:  # a race would surface here
             failures.append(exc)

@@ -130,10 +130,9 @@ def test_grid_quantiles_match_direct_calls_bitwise():
     grid = build_grid(s, j_points=50)
     for p, val in zip(grid.probs, grid.x):
         assert val == quantile_type8(s, float(p))
-    # the grid reads the Type-8 positions of its memoized plan: they must be
-    # quantile_type8's, on a batch and on one sample, from a cold and from
-    # a warm plan, also where h clamps to 1 (p = 0.5 / n, 1e-9) and to n
-    # (their complements)
+    # the grid's quantiles are quantile_type8's, on a batch and on one
+    # sample, whether its density plan is built cold or read warm, also
+    # where h clamps to 1 (p = 0.5 / n, 1e-9) and to n (their complements)
     for n in (4, 5, 50, 321):
         values = rng.exponential(size=(3, n))
         base = [0.5 / n, 1e-9, 0.3, *midpoint_probs(10)]
@@ -149,6 +148,19 @@ def test_grid_quantiles_match_direct_calls_bitwise():
                 assert len(quantiles._PLANS) == 1
                 assert x.tobytes() == quantile_type8(sample, probs).tobytes(), (n, plan)
             assert [quantile_type8(sample, float(p)) for p in probs] == list(x), (n, plan)
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+def test_a_grid_refuses_a_base_probability_whose_complement_rounds_to_1(rows):
+    # 1 - 1e-17 is 1.0: the grid's quantiles refuse it, on one sample of 200
+    # distinct values and on a batch, before any density is computed
+    rng = np.random.default_rng(17)
+    if rows is None:
+        sample = SortedSample.from_data(rng.normal(size=200))
+    else:
+        sample = SortedSample.from_rows(rng.normal(size=(rows, 200)))
+    with pytest.raises(ValueError, match=r"^probability must lie strictly inside \(0, 1\)$"):
+        grid_for_probs(sample, [1e-17])
 
 
 def test_grid_quantiles_monotone_over_key_set():
