@@ -42,8 +42,8 @@ from .inference import (  # noqa: F401
 )
 from .quantiles import DEFAULT_BANDWIDTH, SortedSample
 from .skewness import (
-    Direction, MeasureKind, SkewMeasure, _FAMILIES, _READERS, _read, midpoint_probs,
-    parse_measures, point_values, population_measures,
+    DEFAULT_GRID_POINTS, Direction, MeasureKind, SkewMeasure, _FAMILIES, _READERS, _read,
+    midpoint_probs, parse_measures, point_values, population_measures,
 )
 
 EXIT_OK = 0
@@ -408,7 +408,8 @@ def _add_options(parser, *names: str, overrides: bool = False) -> None:
         "measures": dict(required=not overrides,
                          help="comma list: gamma@0.25, lambda@0.05, auc_gamma, ..., b3, or 'all'"),
         "level": dict(type=_flag("level"), default=0.95, help="confidence level in (0, 1)"),
-        "j": dict(type=_flag("j"), default=100, help="midpoint grid size for AUC kinds (default 100)"),
+        "j": dict(type=_flag("j"), default=DEFAULT_GRID_POINTS,
+                  help=f"midpoint grid size for AUC kinds (default {DEFAULT_GRID_POINTS})"),
         "direction": dict(type=_flag("direction"), default=Direction.RIGHT, help="'right' or 'left'"),
         "format": dict(choices=("text", "json", "csv"), default="text",
                        help="output format (default: text)"),
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="population skewness curve data for plotting")
     p.add_argument("--family", required=True, choices=_FAMILIES)
-    p.add_argument("--points", type=_flag("j"), default=100)
+    p.add_argument("--points", type=_flag("j"), default=DEFAULT_GRID_POINTS)
     _add_options(p, "dist", "direction", "format")
     p.set_defaults(func=cmd_curve, sizes="--points")
 

@@ -19,17 +19,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError
+from .quantiles import _as_prob
 from .skewness import format_exact
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TINY = np.finfo(float).tiny
-
-
-def _as_prob(p):
-    arr = np.asarray(p, dtype=float)
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
-        raise ValueError("probability must lie strictly inside (0, 1)")
-    return arr
 
 
 def _match_shape(value, template):

@@ -134,6 +134,8 @@ def interval_rows(
     positive, else where its curve or its SE fails; a failure at a
     probability that only another measure uses never fails it.
     """
+    if rows.values.ndim != 2:
+        raise ValueError("interval_rows takes a batch (SortedSample.from_rows); use intervals for one sample")
     if not (0.0 < level < 1.0):
         raise ValueError("confidence level must lie strictly inside (0, 1)")
     measures = list(measures)

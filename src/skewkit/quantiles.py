@@ -99,6 +99,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _as_prob(p) -> np.ndarray:
+    """``p`` as a float array; a ValueError unless each entry lies strictly inside (0, 1)."""
+    arr = np.asarray(p, dtype=float)
+    if np.any(~((arr > 0.0) & (arr < 1.0))):  # NaN fails too
+        raise ValueError("probability must lie strictly inside (0, 1)")
+    return arr
+
+
 def quantile_type8(sample: SortedSample, p):
     """Hyndman-Fan Type 8 sample quantile at probability p (scalar or array).
 
@@ -107,9 +115,7 @@ def quantile_type8(sample: SortedSample, p):
     batch the result gains a leading row axis; each row is bit-identical to
     the call on that row alone.
     """
-    probs = np.asarray(p, dtype=float)
-    if np.any(~((probs > 0.0) & (probs < 1.0))):  # NaN fails too
-        raise ValueError("probability must lie strictly inside (0, 1)")
+    probs = _as_prob(p)
     n = sample.n
     h = np.maximum(np.minimum((n + 1.0 / 3.0) * probs + 1.0 / 3.0, float(n)), 1.0)
     floor = np.floor(h)

@@ -127,7 +127,7 @@ class SimConfig:
             ).value,
             "seed": self.seed,
             "bandwidth": "default" if self.bandwidth.fixed is None else self.bandwidth.fixed,
-            "j": next((m.j_points for m in self.measures if m.is_auc), 100),
+            "j": next((m.j_points for m in self.measures if m.is_auc), DEFAULT_GRID_POINTS),
         }
 
 

@@ -13,7 +13,9 @@ Every measure is a cell width times the mean of its skewness curve over its
 curve points, read on one ascending point layout (``point_layout``,
 ``curve``).  One evaluator, ``measure_rows``, computes the values of each
 point set and, from quantile densities, their delta-method variances
-(``gradient``, ``bridge_variance``) in one vectorised pass.
+(``gradient``, ``bridge_variance``) in one vectorised pass.  The point sets
+are always the measures' own (``point_sets``): the one-measure oracles on a
+given grid read its columns at their probabilities.
 
 Point values read quantiles only: ``point_values`` evaluates every measure
 from one call of a quantile function (Type 8 on the sample, or the
@@ -394,65 +396,42 @@ class PointSet(NamedTuple):
         return cls(take, p, slopes, width, curve_weights(p, weighted), bridge_cells(p))
 
 
-def point_sets(measures, base=None) -> tuple[np.ndarray, list[tuple[tuple[int, ...], PointSet]]]:
-    """The base probabilities ``base`` (by default the union of the
-    measures'), and one group of measures per point set: every pointwise
-    measure, each AUC grid size J.
+def point_sets(measures) -> tuple[np.ndarray, list[tuple[tuple[int, ...], PointSet]]]:
+    """The union of the measures' base probabilities, and one group of
+    measures per point set: every pointwise measure, each AUC grid size J.
+    A group is (its measures' indices, their ``PointSet``).
 
-    A group is (its measures' indices, their ``PointSet``).  Raises
-    ValueError naming the first measure whose probabilities a given
-    ``base`` lacks.
-
-    Without ``base`` the result is memoized by the measure tuple for the
-    life of the process, in a bounded cache, with read-only arrays: a
-    repeated call returns the same point sets, each with its constants
-    built once.  With ``base`` they are built afresh.
+    The result is memoized by the measure tuple for the life of the
+    process, in a bounded cache, with read-only arrays: a repeated call
+    returns the same point sets, each with its constants built once.
     """
-    if base is None:
-        base, groups = _union_point_sets(tuple(measures))
-        return base, list(groups)
-    return _point_sets(measures, base)
+    base, groups = _point_sets(tuple(measures))
+    return base, list(groups)
 
 
 @lru_cache(maxsize=64)
-def _union_point_sets(measures: tuple) -> tuple:
-    base, groups = _point_sets(measures, None)
-    for _, ps in groups:
-        for arr in (ps.take, ps.p, ps.slopes, ps.weight, *ps.cells):
-            _read_only(arr)
-    return _read_only(base), tuple(groups)
-
-
-def _point_sets(measures, base):
-    """``point_sets`` computed afresh."""
+def _point_sets(measures: tuple) -> tuple:
     keys = [m.j_points if m.is_auc else 0 for m in measures]
     points = {k: midpoint_probs(k) for k in dict.fromkeys(keys) if k}
-    if base is None:
-        ps = [m.p for m in measures if m.is_pointwise]
-        union = np.sort(np.concatenate([ps, *points.values()]))
-        # not np.unique: its first call imports numpy.ma (16-19 ms of a cold
-        # `skewkit estimate`); the first value of each run of equal values
-        # gives the same floats
-        keep = np.ones(union.size, dtype=bool)
-        keep[1:] = union[1:] != union[:-1]
-        base, order = union[keep], None
-    else:
-        order = np.argsort(base, kind="stable")
+    pointwise = [m.p for m in measures if m.is_pointwise]
+    union = np.sort(np.concatenate([pointwise, *points.values()]))
+    # not np.unique: its first call imports numpy.ma (16-19 ms of a cold
+    # `skewkit estimate`); the first value of each run of equal values gives
+    # the same floats
+    keep = np.ones(union.size, dtype=bool)
+    keep[1:] = union[1:] != union[:-1]
+    base = _read_only(union[keep])
     grid_probs = _grid_probs(base)
     groups = []
     for key in dict.fromkeys(keys):
         idx = tuple(i for i, k in enumerate(keys) if k == key)
         probs = points[key][None] if key else np.array([[measures[i].p] for i in idx])
-        at = np.searchsorted(base, probs, sorter=order)
-        if order is not None:  # a given base may lack them; the union cannot
-            found = (np.append(base[order], np.nan)[at] == probs).all(axis=-1)
-            if not found.all():
-                lacking = measures[idx[found.argmin()]]
-                raise ValueError(f"{lacking}: the quantile grid lacks its probabilities")
-            at = order[at]
-        take = point_layout(at, base.size)
-        groups.append((idx, PointSet.of(grid_probs, take, [measures[i] for i in idx])))
-    return base, groups
+        take = point_layout(np.searchsorted(base, probs), base.size)
+        ps = PointSet.of(grid_probs, take, [measures[i] for i in idx])
+        for arr in (ps.take, ps.p, ps.slopes, ps.weight, *ps.cells):
+            _read_only(arr)
+        groups.append((idx, ps))
+    return base, tuple(groups)
 
 
 def curve_weights(probs: np.ndarray, weighted) -> np.ndarray:
@@ -530,9 +509,16 @@ def _scalar(value: np.ndarray):
 def _grid_value(grid: QuantileGrid, measure: SkewMeasure, g=None):
     """One measure's value on ``grid``, or with quantile densities ``g`` at
     ``grid.probs`` its curve mean's n Var, shaped as the grid's rows (see
-    ``_scalar``); raises the error of its first failing row."""
-    _, groups = point_sets([measure], grid.base_probs)
-    x, g = np.atleast_2d(grid.x), None if g is None else np.atleast_2d(g)
+    ``_scalar``).  It reads the grid's columns at the probabilities of the
+    measure's own point set, the first column of each; raises ValueError
+    where the grid lacks one, else the error of its first failing row."""
+    base, groups = point_sets([measure])
+    want = _grid_probs(base)
+    order = np.argsort(grid.probs, kind="stable")
+    cols = order[np.minimum(np.searchsorted(grid.probs[order], want), order.size - 1)]
+    if np.any(grid.probs[cols] != want):
+        raise ValueError(f"{measure}: the quantile grid lacks its probabilities")
+    x, g = np.atleast_2d(grid.x)[:, cols], None if g is None else np.atleast_2d(g)[:, cols]
     [(_, values, nvar, _, [errors], _)] = measure_rows(x, groups, [measure], g)
     if errors:
         raise errors[min(errors)]

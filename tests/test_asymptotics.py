@@ -10,10 +10,13 @@ from skewkit import (
     Normal,
     SortedSample,
     build_grid,
+    estimate_auc,
+    estimate_pointwise,
     midpoint_probs,
 )
 from skewkit.asymptotics import XiKernel, auc_variance, sigma1_sq, sigma2_sq
 from skewkit.skewness import (
+    AUC_KINDS,
     MeasureKind,
     SkewMeasure,
     bridge_variance,
@@ -121,16 +124,25 @@ def bridge_cov(k, combo_a, combo_b):
     return (bridge_var(k, combo_a + combo_b) - bridge_var(k, combo_a + neg_b)) / 4.0
 
 
+def own_columns(grid, base):
+    """The first column of ``grid`` at each of the probabilities [base,
+    1 - base, 0.5] that a point set of ``base`` indexes."""
+    own = np.concatenate([base, 1.0 - base, [0.5]])
+    return np.array([np.flatnonzero(grid.probs == p)[0] for p in own])
+
+
 def library_cross(grid, kernel, ma, mb):
     """n Cov of two measures' estimators from the engine's gradients, each
     spread over the sorted grid (zero off the measure's own points)."""
     order = np.argsort(grid.probs)
 
     def weights(m):
-        _, [(_, ps)] = point_sets([m], grid.base_probs)
-        (s, r), _ = group_curve(grid.x[None], ps)
+        base, [(_, ps)] = point_sets([m])
+        cols = own_columns(grid, base)
+        (s, r), _ = group_curve(grid.x[None, cols], ps)
+        at = cols[ps.take[0]]
         v = np.zeros(grid.probs.size)
-        v[ps.take[0]] = gradient(ps.weight, s, r, ps.slopes)[0, 0] * kernel.g[ps.take[0]]
+        v[at] = gradient(ps.weight, s, r, ps.slopes)[0, 0] * kernel.g[at]
         return v[order]
 
     va, vb = weights(ma), weights(mb)
@@ -152,6 +164,43 @@ def test_xi_examples():
     assert bridge_variance(np.array([0.25]), np.array([2.0])) == pytest.approx(
         100 * xi(k2, 0.25, 0.25), rel=1e-15
     )
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("source", ["sample", "batch", "population"])
+def test_grid_oracles_read_their_own_columns_bit_for_bit(source, direction):
+    # each oracle on a grid with extra, unsorted and repeated probabilities
+    # gives the bits of the same call on the measure's own grid
+    dist = LogNormal(0.0, 1.0)
+    data = np.random.default_rng(33).lognormal(size=(3, 150))
+    sample = SortedSample.from_rows(data) if source == "batch" else SortedSample.from_data(data[0])
+
+    def grid_and_kernel(base):
+        if source == "population":
+            grid = population_grid(dist, base_probs=base)
+            return grid, XiKernel(grid.probs, dist.quantile_density(grid.probs))
+        grid = grid_for_probs(sample, base)
+        return grid, XiKernel.from_grid(grid)
+
+    def bits(call, own, wide):
+        got, want = (call(*grid_and_kernel(base)) for base in (wide, own))
+        assert np.ndim(got) == np.ndim(want) == (source == "batch")
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    wide = [0.3, 0.1, 0.25, 0.1, 0.05, 0.25]
+    for p in (0.1, 0.25):
+        for kind in (MeasureKind.GAMMA, MeasureKind.LAMBDA, MeasureKind.GAMMA_STAR, MeasureKind.LAMBDA_STAR):
+            m = SkewMeasure(kind, p=p, direction=direction)
+            bits(lambda grid, k: estimate_pointwise(grid, m), [p], wide)
+        bits(lambda grid, k: sigma1_sq(k, grid, p), [p], wide)
+        bits(lambda grid, k: sigma2_sq(k, grid, p, direction), [p], wide)
+    mid = midpoint_probs(4)
+    for kind in AUC_KINDS:
+        m = SkewMeasure(kind, direction=direction, j_points=4)
+        bits(lambda grid, k: estimate_auc(grid, m), mid, np.concatenate([mid[::-1], [0.2, mid[1]]]))
+        # auc_variance reads J off the grid's size, so only the order varies
+        family, weighted = kind.value[4:].removesuffix("_star"), m.weighted
+        bits(lambda grid, k: auc_variance(k, grid, family, weighted, direction), mid, mid[[2, 0, 3, 1]])
 
 
 def test_xi_missing_probability():

@@ -107,6 +107,14 @@ def test_density_integrates_to_one(dist):
     assert mass == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("dist", ZOO, ids=repr)
+@pytest.mark.parametrize("method", ["quantile", "quantile_density"])
+@pytest.mark.parametrize("p", [math.nan, [0.25, math.nan], 0.0, 1.0])
+def test_quantile_methods_refuse_probabilities_outside_the_open_unit_interval(dist, method, p):
+    with pytest.raises(ValueError, match=r"^probability must lie strictly inside \(0, 1\)$"):
+        getattr(dist, method)(p)
+
+
 def test_quantile_density_examples():
     assert Exponential(1.0).quantile_density(0.5) == pytest.approx(2.0, rel=1e-12)
     assert Normal(0.0, 1.0).quantile_density(0.5) == pytest.approx(

@@ -361,6 +361,12 @@ def test_intervals_reject_an_empty_measure_list():
         interval_rows(SortedSample(s.values[None]), ())
 
 
+def test_interval_rows_refuses_one_sample():
+    s = _ln_sample(50)
+    with pytest.raises(ValueError, match=r"SortedSample\.from_rows\); use intervals for one sample$"):
+        interval_rows(s, [parse_measure("gamma@0.1")])
+
+
 # --- the grouped engine against the per-measure path ------------------------
 
 def _reference(sample, measure, rule):

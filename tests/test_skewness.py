@@ -35,7 +35,7 @@ from skewkit import (
     population_measures,
     quantile_type8,
 )
-from skewkit import quantiles
+from skewkit import quantiles, skewness
 from skewkit.skewness import (
     AUC_KINDS,
     MeasureKind,
@@ -47,6 +47,7 @@ from skewkit.skewness import (
     point_sets,
     population_grid,
 )
+from test_asymptotics import own_columns
 
 
 def oracle_quantile(name, p):
@@ -173,8 +174,8 @@ def test_grid_quantiles_monotone_over_key_set():
 
 def curve_terms(grid, measure):
     """The ``curve`` terms of one measure on a one-sample grid."""
-    _, [(_, ps)] = point_sets([measure], grid.base_probs)
-    (s, r), _ = group_curve(grid.x[None], ps)
+    base, [(_, ps)] = point_sets([measure])
+    (s, r), _ = group_curve(grid.x[None, own_columns(grid, base)], ps)
     return [t[0, 0] for t in (ps.weight, s, r)]
 
 
@@ -226,13 +227,8 @@ def test_point_sets_union_is_np_unique_bit_for_bit(measures):
     union = [m.p for m in measures if m.is_pointwise]
     union += [q for m in measures if m.is_auc for q in midpoint_probs(m.j_points)]
     want = np.unique(np.array(union, dtype=float))
-    base, groups = point_sets(measures)
+    base, _ = point_sets(measures)
     assert base.dtype == want.dtype and base.tobytes() == want.tobytes()
-    # and the groups index it as they index a given base
-    _, given_groups = point_sets(measures, want)
-    assert [idx for idx, _ in groups] == [idx for idx, _ in given_groups]
-    for (_, ps), (_, given_ps) in zip(groups, given_groups):
-        np.testing.assert_array_equal(ps.take, given_ps.take)
 
 def test_pointwise_population_values():
     ln = population_grid(LogNormal(0.0, 1.0), base_probs=[0.05, 0.25])
@@ -534,16 +530,20 @@ def test_repeated_point_sets_share_read_only_arrays():
     for arr in [base] + [arr for _, ps in groups for arr in point_set_arrays(ps)]:
         with pytest.raises(ValueError):
             arr[0] = arr[-1]
-    # the given-base path computes afresh
-    _, given = point_sets(measures, base)
-    assert all(arr.flags.writeable for _, ps in given for arr in point_set_arrays(ps))
+    # an uncached build makes new arrays with the same bits
+    fresh_base, fresh = skewness._point_sets.__wrapped__(tuple(measures))
+    assert fresh_base is not base and fresh_base.tobytes() == base.tobytes()
+    for (idx, ps), (fresh_idx, fresh_ps) in zip(groups, fresh, strict=True):
+        assert idx == fresh_idx and (ps.width, ps.take.dtype) == (fresh_ps.width, fresh_ps.take.dtype)
+        for arr, fresh_arr in zip(point_set_arrays(ps), point_set_arrays(fresh_ps)):
+            assert arr is not fresh_arr and arr.tobytes() == fresh_arr.tobytes()
 
 
 def point_set_arrays(ps):
     return [ps.take, ps.p, ps.slopes, ps.weight, *ps.cells]
 
 
-def test_memoized_point_set_constants_give_the_given_base_bits():
+def test_memoized_point_set_constants_give_the_uncached_bits():
     measures = [
         parse_measure(t, direction=d, j_points=j)
         for t in TRUTH_TOKENS[:-1] for d in Direction for j in (7, 100)
@@ -553,13 +553,13 @@ def test_memoized_point_set_constants_give_the_given_base_bits():
     data = np.vstack([rng.lognormal(size=(4, 60)), rng.poisson(0.7, size=(3, 60))])
     batch = SortedSample.from_rows(data)
     base, memo = point_sets(measures)
-    _, given = point_sets(measures, base.copy())
+    _, uncached = skewness._point_sets.__wrapped__(tuple(measures))
     assert not any(arr.flags.writeable for _, ps in memo for arr in point_set_arrays(ps))
     grid = grid_for_probs(batch, base)
     failures = 0
     for g in (None, grid.g):
         got = measure_rows(grid.x, memo, measures, g)
-        want = measure_rows(grid.x, given, measures, g)
+        want = measure_rows(grid.x, uncached, measures, g)
         for (idx, values, nvar, width, errors, bad_g), w in zip(got, want, strict=True):
             assert (idx, width) == (w[0], w[3])
             assert values.tobytes() == w[1].tobytes()
