@@ -70,10 +70,14 @@ def auc_variance(
     family: str = "gamma",
     weighted: bool = False,
     direction: Direction = Direction.RIGHT,
+    j_points: int | None = None,
 ) -> float:
     """n Var of the plain (1/J)-mean of the pointwise curve on a J-point
     midpoint grid: the (1/J^2) double sum of the pointwise delta-method
     covariances n Cov(ratio_{p_j}, ratio_{p_k}), times p_j p_k for weighted
-    kinds, computed as one bridge variance in O(J)."""
+    kinds, computed as one bridge variance in O(J).  J is ``j_points``, by
+    default the grid's number of base probabilities; the grid must hold the
+    J midpoints and may hold other probabilities too."""
     kind = MeasureKind(f"auc_{family}{'_star' if weighted else ''}")
-    return _variance(k, grid, SkewMeasure(kind, direction=direction, j_points=grid.base_probs.size))
+    j = grid.base_probs.size if j_points is None else j_points
+    return _variance(k, grid, SkewMeasure(kind, direction=direction, j_points=j))

@@ -15,7 +15,11 @@ curve points, read on one ascending point layout (``point_layout``,
 point set and, from quantile densities, their delta-method variances
 (``gradient``, ``bridge_variance``) in one vectorised pass.  The point sets
 are always the measures' own (``point_sets``): the one-measure oracles on a
-given grid read its columns at their probabilities.
+given grid read its columns at their probabilities.  The engine writes in
+place and through ``out=`` views to make fewer numpy calls, but only where
+each element's operations and each sum's order of terms stay those of the
+plain expressions, so the results keep their bits
+(``tests/test_engine_bits.py`` holds the plain expressions).
 
 Point values read quantiles only: ``point_values`` evaluates every measure
 from one call of a quantile function (Type 8 on the sample, or the
@@ -278,6 +282,18 @@ def _grid_probs(base: np.ndarray) -> np.ndarray:
     return np.concatenate([base, 1.0 - base, [0.5]])
 
 
+def _grid_base(base_probs) -> np.ndarray:
+    """``base_probs`` as the float base of a grid; a ValueError naming the
+    shape unless it is 1-D, or the values outside (0, 0.5) (NaN too)."""
+    base = np.asarray(base_probs, dtype=float)
+    if base.ndim != 1:
+        raise ValueError(f"grid base probabilities must be a 1-D array, got shape {base.shape}")
+    outside = ~((base > 0.0) & (base < 0.5))
+    if outside.any():
+        raise ValueError(f"grid base probabilities must lie in (0, 0.5), got {base[outside].tolist()}")
+    return base
+
+
 @dataclass(frozen=True)
 class QuantileGrid:
     """Per-sample cache of quantiles and quantile densities.
@@ -314,9 +330,7 @@ def grid_for_probs(
     base probabilities and the rule, with read-only arrays: a repeated call
     returns the same grid, and one that failed is computed again.
     """
-    base = np.asarray(base_probs, dtype=float)
-    if np.any(~((base > 0.0) & (base < 0.5))):
-        raise ValueError("grid base probabilities must lie in (0, 0.5)")
+    base = _grid_base(base_probs)
     key = (base.tobytes(), rule)
     if key not in sample.grids:
         probs = _grid_probs(base)
@@ -337,8 +351,9 @@ def build_grid(
 
 def population_grid(dist, j_points: int = DEFAULT_GRID_POINTS, base_probs=None) -> QuantileGrid:
     """Exact-quantile grid for a distribution at the base probabilities, by
-    default the J-point midpoint rule, without quantile densities."""
-    base = midpoint_probs(j_points) if base_probs is None else np.asarray(base_probs, dtype=float)
+    default the J-point midpoint rule, without quantile densities.  The base
+    probabilities are checked as ``grid_for_probs`` checks them."""
+    base = midpoint_probs(j_points) if base_probs is None else _grid_base(base_probs)
     probs = _grid_probs(base)
     return QuantileGrid(probs, np.asarray(dist.quantile(probs), dtype=float), None)
 
@@ -451,23 +466,36 @@ def curve(x: np.ndarray, slopes) -> tuple[np.ndarray, np.ndarray]:
     n_pts = x.shape[-1] // 2
     xl, xm, xh = x[..., :n_pts], x[..., n_pts : n_pts + 1], x[..., :n_pts:-1]
     al, ah, am = slopes
-    return xh + xl - 2.0 * xm, al * xl + ah * xh + am * xm
+    s = xh + xl
+    s -= 2.0 * xm
+    r = al * xl + ah * xh
+    r += am * xm
+    return s, r
 
 
 def gradient(weight: np.ndarray, s: np.ndarray, r: np.ndarray, slopes) -> np.ndarray:
     """Gradient of the curve mean (1/P) sum_j w_j s_j / r_j with respect to
     the quantiles on the point layout, from the ``curve_weights`` and the
-    terms of ``curve``."""
+    terms of ``curve``; the weights broadcast against s / r."""
     # d(s/r) = (ds - (s/r) dr) / r, with ds = (1, 1, -2) and dr the slopes on
-    # (x_{p_j}, x_{1-p_j}, x_{0.5})
+    # (x_{p_j}, x_{1-p_j}, x_{0.5}).  The parts at p_j, 0.5 and 1 - p_j are
+    # written into one array, the last through its reversed view.
     al, ah, am = slopes
     ratio = s / r
-    scale = weight / (ratio.shape[-1] * r)
-    return np.concatenate([
-        scale * (1.0 - ratio * al),
-        np.sum(scale * (-2.0 - ratio * am), axis=-1, keepdims=True),
-        (scale * (1.0 - ratio * ah))[..., ::-1],
-    ], axis=-1)
+    n_pts = ratio.shape[-1]
+    scale = weight / (n_pts * r)
+    out = np.empty(ratio.shape[:-1] + (2 * n_pts + 1,))
+    t = ratio * al
+    np.subtract(1.0, t, out=t)
+    np.multiply(scale, t, out=out[..., :n_pts])
+    t = ratio * am
+    np.subtract(-2.0, t, out=t)
+    t *= scale
+    np.add.reduce(t, axis=-1, out=out[..., n_pts])
+    t = ratio * ah
+    np.subtract(1.0, t, out=t)
+    np.multiply(scale, t, out=out[..., :n_pts:-1])
+    return out
 
 
 def bridge_cells(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -493,12 +521,17 @@ def bridge_variance(probs: np.ndarray, v: np.ndarray, cells=None):
     """
     # T(t) is tail[..., a] on the cell (p_{a-1}, p_a] (p_0 = 0) and 0 past p_P.
     # Each sum runs along one contiguous row of its own terms, so its bits do
-    # not depend on how many rows or measures share the call.
-    tail = np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
-    m = (v * probs).sum(axis=-1)
-    dev = tail - m[..., None]
+    # not depend on how many rows or measures share the call.  ``dev`` holds
+    # T - m from p_P down; its squares are made ascending before the sum.
+    dev = np.add.accumulate(v[..., ::-1], axis=-1)
+    m = np.add.reduce(v * probs, axis=-1)
+    dev -= m[..., None]
     cells, past_last = bridge_cells(probs) if cells is None else cells
-    return _scalar((dev * dev * cells).sum(axis=-1) + m * m * past_last)
+    sq = dev[..., ::-1] * dev[..., ::-1]
+    sq *= cells
+    total = np.add.reduce(sq, axis=-1)
+    total += m * m * past_last
+    return _scalar(total)
 
 
 def _scalar(value: np.ndarray):
@@ -563,8 +596,19 @@ def group_curve(x: np.ndarray, ps: PointSet):
     terms (s, r) and the values (measures, rows), the cell width times the
     curve mean."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s, r = terms = curve(layout_rows(x, ps.take), ps.slopes)
-        return terms, ps.width * (ps.weight * (s / r)).mean(axis=-1)
+        return _group_curve(x, ps)
+
+
+def _group_curve(x: np.ndarray, ps: PointSet):
+    """``group_curve`` under the caller's ``np.errstate``."""
+    s, r = terms = curve(layout_rows(x, ps.take), ps.slopes)
+    # the curve mean as ``mean`` takes it: one add.reduce, then / P
+    values = s / r
+    values *= ps.weight
+    values = np.add.reduce(values, axis=-1)
+    values /= s.shape[-1]
+    values *= ps.width
+    return terms, values
 
 
 def curve_errors(measures, p: np.ndarray, r: np.ndarray, values: np.ndarray) -> list[dict]:
@@ -574,9 +618,12 @@ def curve_errors(measures, p: np.ndarray, r: np.ndarray, values: np.ndarray) -> 
     its own p_j where some r_j <= 0, else the NumericalError where its value
     is not finite."""
     bad_r = r <= 0.0
-    degenerate = bad_r.any(axis=-1)
+    finite = np.isfinite(values)
     errors = [{} for _ in measures]
-    for k, t in zip(*map(list, np.nonzero(degenerate | ~np.isfinite(values)))):
+    if finite.all() and not bad_r.any():
+        return errors
+    degenerate = bad_r.any(axis=-1)
+    for k, t in zip(*map(list, np.nonzero(degenerate | ~finite))):
         if degenerate[k, t]:
             errors[k][t] = DegenerateScaleError(p[k % len(p), 0, : r.shape[-1]][bad_r[k, t]])
         else:
@@ -592,7 +639,7 @@ def layout_rows(a: np.ndarray, take: np.ndarray) -> np.ndarray:
     """``a[:, take]`` as a (layouts, rows, points) array whose points lie
     contiguously: each row is summed over its points exactly as that row
     alone would be."""
-    return np.take(a, take, axis=1).transpose(1, 0, 2)
+    return a.take(take, axis=1).transpose(1, 0, 2)
 
 
 def measure_rows(x: np.ndarray, groups, measures, g=None) -> list[tuple]:
@@ -608,19 +655,26 @@ def measure_rows(x: np.ndarray, groups, measures, g=None) -> list[tuple]:
     ``x``) where a density there is not positive.
     """
     out = []
-    for idx, ps in groups:
-        group, take = [measures[i] for i in idx], ps.take
-        (s, r), values = group_curve(x, ps)
-        nvar, checked, bad_g = None, values, []
-        if g is not None:
-            g_at = layout_rows(g, take)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                nvar = bridge_variance(ps.p, g_at * gradient(ps.weight, s, r, ps.slopes), ps.cells)
-            checked = np.where(np.isfinite(nvar), values, np.nan)
-            # an AUC group shares one row of ``take`` and of the densities
-            bad = (g_at <= 0.0).any(axis=-1).repeat(len(group) // len(take), axis=0)
-            bad_g = [(k, t, np.sort(take[k % len(take)])) for k, t in zip(*map(list, np.nonzero(bad)))]
-        out.append((idx, values, nvar, ps.width, curve_errors(group, ps.p, r, checked), bad_g))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for idx, ps in groups:
+            group, take = [measures[i] for i in idx], ps.take
+            (s, r), values = _group_curve(x, ps)
+            nvar, checked, bad_g = None, values, []
+            if g is not None:
+                g_at = layout_rows(g, take)
+                v = gradient(ps.weight, s, r, ps.slopes)
+                v *= g_at
+                nvar = bridge_variance(ps.p, v, ps.cells)
+                finite = np.isfinite(nvar)
+                if not finite.all():
+                    checked = np.where(finite, values, np.nan)
+                bad = g_at <= 0.0
+                if bad.any():
+                    # an AUC group shares one row of ``take`` and of the densities
+                    bad = bad.any(axis=-1).repeat(len(group) // len(take), axis=0)
+                    rows = zip(*map(list, np.nonzero(bad)))
+                    bad_g = [(k, t, np.sort(take[k % len(take)])) for k, t in rows]
+            out.append((idx, values, nvar, ps.width, curve_errors(group, ps.p, r, checked), bad_g))
     return out
 
 

@@ -198,9 +198,28 @@ def test_grid_oracles_read_their_own_columns_bit_for_bit(source, direction):
     for kind in AUC_KINDS:
         m = SkewMeasure(kind, direction=direction, j_points=4)
         bits(lambda grid, k: estimate_auc(grid, m), mid, np.concatenate([mid[::-1], [0.2, mid[1]]]))
-        # auc_variance reads J off the grid's size, so only the order varies
+        # by default auc_variance reads J off the grid's size, so only the
+        # order varies; given J, the grid may hold other probabilities too
         family, weighted = kind.value[4:].removesuffix("_star"), m.weighted
         bits(lambda grid, k: auc_variance(k, grid, family, weighted, direction), mid, mid[[2, 0, 3, 1]])
+        bits(
+            lambda grid, k: auc_variance(k, grid, family, weighted, direction, j_points=4),
+            mid, np.concatenate([mid[::-1], [0.2, mid[1]]]),
+        )
+
+
+def test_auc_variance_takes_j_on_a_grid_with_another_probability():
+    dist = LogNormal(0.0, 1.0)
+    mid = midpoint_probs(4)
+    own, wide = (population_grid(dist, base_probs=base) for base in (mid, np.append(mid, 0.2)))
+    kernels = [XiKernel(grid.probs, dist.quantile_density(grid.probs)) for grid in (own, wide)]
+    auc = SkewMeasure(MeasureKind.AUC_GAMMA, j_points=4)
+    assert estimate_auc(wide, auc) == estimate_auc(own, auc) == pytest.approx(0.1725, abs=5e-5)
+    # J defaults to the grid's 5 base probabilities, which are not 5 midpoints
+    with pytest.raises(ValueError, match="auc_gamma: the quantile grid lacks its probabilities"):
+        auc_variance(kernels[1], wide)
+    got = auc_variance(kernels[1], wide, j_points=4)
+    assert got > 0.0 and got == auc_variance(kernels[0], own) == auc_variance(kernels[0], own, j_points=4)
 
 
 def test_xi_missing_probability():

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +163,24 @@ def test_a_grid_refuses_a_base_probability_whose_complement_rounds_to_1(rows):
         sample = SortedSample.from_rows(rng.normal(size=(rows, 200)))
     with pytest.raises(ValueError, match=r"^probability must lie strictly inside \(0, 1\)$"):
         grid_for_probs(sample, [1e-17])
+
+
+@pytest.mark.parametrize("build", ["sample", "population"])
+def test_both_grid_builders_check_their_base_alike(build):
+    dist, sample = LogNormal(0.0, 1.0), SortedSample.from_data(np.arange(1.0, 41.0))
+
+    def grid(base):
+        return grid_for_probs(sample, base) if build == "sample" else population_grid(dist, base_probs=base)
+
+    for base, shape in (([[0.1, 0.2]], (1, 2)), (0.25, ())):
+        message = f"grid base probabilities must be a 1-D array, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid(base)
+    for base, outside in (([0.7], [0.7]), ([0.1, 0.5, np.nan], [0.5, np.nan]), ([0.0, 0.2], [0.0])):
+        message = f"grid base probabilities must lie in (0, 0.5), got {outside}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid(base)
+    assert np.array_equal(grid([0.1, 0.25]).base_probs, [0.1, 0.25])
 
 
 def test_grid_quantiles_monotone_over_key_set():
